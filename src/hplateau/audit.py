@@ -333,15 +333,21 @@ def nu_identity_audit(solution: SolutionField, config: AuditConfig,
 
 
 def estimate_report(solution: SolutionField, config: AuditConfig,
-                    sweep_exponents=Q_SWEEP_EXPONENTS) -> EstimateReport:
-    """Headline estimate quantities for one solved field."""
+                    sweep_exponents=Q_SWEEP_EXPONENTS,
+                    rw: RWSolutionReport | None = None) -> EstimateReport:
+    """Headline estimate quantities for one solved field.
+
+    `rw` is a report that `rw_on_solution` already made for this field
+    and config; it is computed here when not given.
+    """
     _require_solution(solution, "estimate_report")
     interior, near = _region_masks(solution)
     amax = np.abs(solution.spectra).max(axis=1)
     max_kappa_interior = float(amax[interior].max())
     max_kappa_boundary = float(amax[near].max())
     q_max, q_argmax, region, q_boundary = _q_summary(solution, config.N)
-    rw = rw_on_solution(solution, config)
+    if rw is None:
+        rw = rw_on_solution(solution, config)
     q_sweep = {}
     for expo in sweep_exponents:
         qm, _, reg, qb = _q_summary(solution, expo)
@@ -370,7 +376,7 @@ def audit_bundle(fields, config: AuditConfig) -> dict:
     nu_rep = nu_lower_bound_check(fields)
     bound_rep = curvature_bound_check(fields)
     rw_rep = rw_on_solution(final, config)
-    est = estimate_report(final, config)
+    est = estimate_report(final, config, rw=rw_rep)
     bundle = {
         "estimate": est,
         "nu_lower_bound": nu_rep,

@@ -25,13 +25,20 @@ matrix
 
 whose eigenvalues are the hyperbolic principal curvatures.  sigma_1 and
 sigma_2 come from trace minors of S, so residual and cone guard are
-smooth in u and safe to differentiate by finite differences; the
-Jacobian uses distance-2 graph coloring with central differences on a
-fixed sparsity pattern.
+analytic in the local chart jet (u, Du, D2u) of each node.
+
+Every jet component is a fixed linear combination of the 19 (n = 3) or
+9 (n = 2) wrapped stencil neighbors, with one scalar weight per (jet
+component, stencil offset).  The Newton Jacobian is that chain: the
+pointwise derivative of the residual in each jet component, taken by
+complex step (exact to rounding, as no operation on the path is
+non-analytic), times the stencil weights, summed onto a sparsity
+pattern that is fixed per grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -57,6 +64,12 @@ _OFFSETS3 = [(0, 0, 0),
 
 _OFFSETS2 = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
              (1, 1), (1, -1), (-1, 1), (-1, -1)]
+
+
+def _jet_pairs(n: int) -> list:
+    """(a, b) index pairs of the second chart derivatives, in jet order."""
+    return [(a, a) for a in range(n)] + \
+        list(itertools.combinations(range(n), 2))
 
 
 class _GridGeometry:
@@ -88,8 +101,7 @@ class _GridGeometry:
         self.ll = ll.ravel()
 
         self._build_map_tensors()
-        self._build_index_maps()
-        self._coloring = None
+        self._build_stencil()
 
     # -- map tensors ---------------------------------------------------------
 
@@ -184,54 +196,72 @@ class _GridGeometry:
         ll = ll % L
         return (jj - 1) * M * L + mm * L + ll
 
-    def _build_index_maps(self):
-        offsets = _OFFSETS3 if self.n == 3 else _OFFSETS2
-        self.idx = {}
-        for off in offsets:
-            if self.n == 3:
-                flat = self._wrap_flat(*off)
-            else:
-                flat = self._wrap_flat(off[0], 0, off[1])
-            self.idx[off] = flat
+    def _build_stencil(self):
+        """Neighbor map, stencil weights and the Jacobian's sparsity.
+
+        nbr[o, i] is the flat index of node i's neighbor at offset o.  The
+        chart jet is linear in the neighbor values, with one scalar weight
+        coef[k, o] per (jet component, offset), read off chart_jet itself.
+        The Jacobian entry of interior row i at offset o sits at
+        jac_pos[o, i] of the CSC data (jac_nnz if the neighbor is on the
+        boundary ring).
+        """
+        n, ni = self.n, self.n_int
+        self.offsets = _OFFSETS3 if n == 3 else _OFFSETS2
+        self.nbr = np.stack([self._wrap_flat(*off) if n == 3
+                             else self._wrap_flat(off[0], 0, off[1])
+                             for off in self.offsets])
+        unit = np.eye(len(self.offsets))
+        self.coef = self._jet_from(dict(zip(self.offsets, unit))).T
+        self.sym = np.empty((n, n), dtype=np.intp)
+        for r, (a, b) in enumerate(_jet_pairs(n), 1 + n):
+            self.sym[a, b] = self.sym[b, a] = r
+
+        keys = np.where(self.nbr[:, :ni] < ni,
+                        self.nbr[:, :ni] * ni + np.arange(ni), -1)
+        nz = np.unique(keys[keys >= 0])
+        self.jac_nnz = nz.size
+        self.jac_pos = np.where(keys >= 0, np.searchsorted(nz, keys), nz.size)
+        self.jac_rows = nz % ni
+        self.jac_indptr = np.searchsorted(nz, np.arange(ni + 1) * ni)
 
     # -- chart derivatives -----------------------------------------------------
 
-    def chart_derivatives(self, U: np.ndarray):
-        """First/second chart derivatives of the full height array.
-
-        Interior rows only: slices [:n_int] of every stencil gather.
-        """
-        ni = self.n_int
-        g = {off: U[ix[:ni]] for off, ix in self.idx.items()}
+    def _jet_from(self, g: dict) -> np.ndarray:
+        """Packed jet (u, Du, D2u over _jet_pairs) from neighbor values."""
         n = self.n
-        p = np.empty((ni, n))
-        P = np.empty((ni, n, n))
-        hs = self.hs
-        if n == 3:
-            hth, hph = self.hth, self.hph
-            u0 = g[(0, 0, 0)]
-            p[:, 0] = (g[(1, 0, 0)] - g[(-1, 0, 0)]) / (2 * hs)
-            p[:, 1] = (g[(0, 1, 0)] - g[(0, -1, 0)]) / (2 * hth)
-            p[:, 2] = (g[(0, 0, 1)] - g[(0, 0, -1)]) / (2 * hph)
-            P[:, 0, 0] = (g[(1, 0, 0)] - 2 * u0 + g[(-1, 0, 0)]) / hs ** 2
-            P[:, 1, 1] = (g[(0, 1, 0)] - 2 * u0 + g[(0, -1, 0)]) / hth ** 2
-            P[:, 2, 2] = (g[(0, 0, 1)] - 2 * u0 + g[(0, 0, -1)]) / hph ** 2
-            P[:, 0, 1] = P[:, 1, 0] = (g[(1, 1, 0)] - g[(1, -1, 0)]
-                                       - g[(-1, 1, 0)] + g[(-1, -1, 0)]) / (4 * hs * hth)
-            P[:, 0, 2] = P[:, 2, 0] = (g[(1, 0, 1)] - g[(1, 0, -1)]
-                                       - g[(-1, 0, 1)] + g[(-1, 0, -1)]) / (4 * hs * hph)
-            P[:, 1, 2] = P[:, 2, 1] = (g[(0, 1, 1)] - g[(0, 1, -1)]
-                                       - g[(0, -1, 1)] + g[(0, -1, -1)]) / (4 * hth * hph)
-        else:
-            hph = self.hph
-            u0 = g[(0, 0)]
-            p[:, 0] = (g[(1, 0)] - g[(-1, 0)]) / (2 * hs)
-            p[:, 1] = (g[(0, 1)] - g[(0, -1)]) / (2 * hph)
-            P[:, 0, 0] = (g[(1, 0)] - 2 * u0 + g[(-1, 0)]) / hs ** 2
-            P[:, 1, 1] = (g[(0, 1)] - 2 * u0 + g[(0, -1)]) / hph ** 2
-            P[:, 0, 1] = P[:, 1, 0] = (g[(1, 1)] - g[(1, -1)]
-                                       - g[(-1, 1)] + g[(-1, -1)]) / (4 * hs * hph)
-        return p, P
+        h = (self.hs, self.hth, self.hph) if n == 3 else (self.hs, self.hph)
+
+        def at(*steps):
+            off = [0] * n
+            for axis, step in steps:
+                off[axis] = step
+            return g[tuple(off)]
+
+        pairs = _jet_pairs(n)
+        u0 = at()
+        jet = np.empty((u0.shape[0], 1 + n + len(pairs)), dtype=u0.dtype)
+        jet[:, 0] = u0
+        for a in range(n):
+            jet[:, 1 + a] = (at((a, 1)) - at((a, -1))) / (2 * h[a])
+        for r, (a, b) in enumerate(pairs, 1 + n):
+            if a == b:
+                jet[:, r] = (at((a, 1)) - 2 * u0 + at((a, -1))) / h[a] ** 2
+            else:
+                jet[:, r] = (at((a, 1), (b, 1)) - at((a, 1), (b, -1))
+                             - at((a, -1), (b, 1)) + at((a, -1), (b, -1))) \
+                    / (4 * h[a] * h[b])
+        return jet
+
+    def chart_jet(self, U: np.ndarray) -> np.ndarray:
+        """Packed chart jet of the full height array at the interior nodes."""
+        ni = self.n_int
+        return self._jet_from({off: U[ix[:ni]]
+                               for off, ix in zip(self.offsets, self.nbr)})
+
+    def unpack(self, jet: np.ndarray):
+        """(u, first chart derivatives, second chart derivatives)."""
+        return jet[:, 0], jet[:, 1:self.n + 1], jet[:, self.sym]
 
     def boundary_chart_derivatives(self, U: np.ndarray):
         """One-sided (radial) derivatives on the boundary ring, for reports."""
@@ -288,56 +318,31 @@ class _GridGeometry:
             P[:, 0, 1] = P[:, 1, 0] = (3 * dph["J"] - 4 * dph["1"] + dph["2"]) / (2 * hs)
         return p, P
 
-    # -- Jacobian sparsity and coloring ---------------------------------------
 
-    def coloring(self):
-        """(pattern csr, column colors, per-color scatter data), cached."""
-        if self._coloring is not None:
-            return self._coloring
-        ni = self.n_int
-        offsets = list(self.idx)
-        cols_per_row = np.stack([self.idx[o][:ni] for o in offsets], axis=1)
-        rows = np.repeat(np.arange(ni), cols_per_row.shape[1])
-        cols = cols_per_row.ravel()
-        keep = cols < ni
-        pat = scipy.sparse.csr_matrix(
-            (np.ones(keep.sum(), dtype=np.int8), (rows[keep], cols[keep])),
-            shape=(ni, ni))
-        pat.sum_duplicates()
-        pat.sort_indices()
+def _shape(u, p, P, A, Xcc):
+    """Shape matrices S and vertical normal components nu, per node.
 
-        conflict = (pat.T @ pat).tocsr()
-        conflict.sort_indices()
-        colors = np.full(ni, -1, dtype=np.int32)
-        for j in range(ni):
-            nbr = conflict.indices[conflict.indptr[j]:conflict.indptr[j + 1]]
-            used = set(colors[nbr[nbr < j]].tolist())
-            c = 0
-            while c in used:
-                c += 1
-            colors[j] = c
-        ncolors = int(colors.max()) + 1
+    (u, p, P) is the chart jet of u, A the inverse map Jacobian and Xcc
+    the map's second derivatives.  Only batched @ and analytic operations
+    are used, so a complex jet carries complex-step derivatives through.
+    """
+    n = p.shape[1]
+    Du = (p[:, None, :] @ A)[:, 0]
+    C = (Du[:, None, :] @ Xcc.reshape(-1, n, n * n)).reshape(-1, n, n)
+    w = np.sqrt(1.0 + (Du * Du).sum(axis=1))
+    coef = 1.0 / (w * (w + 1.0))
+    B = A @ (np.eye(n) - coef[:, None, None] * Du[:, :, None] * Du[:, None, :])
+    S = (u / w)[:, None, None] * (B.swapaxes(1, 2) @ (P - C) @ B) \
+        + (1.0 / w)[:, None, None] * np.eye(n)
+    return S, 1.0 / w
 
-        patT = pat.T.tocsr()
-        patT.sort_indices()
-        plans = []
-        for c in range(ncolors):
-            cols_c = np.where(colors == c)[0]
-            pos_list, row_list, col_list = [], [], []
-            for col in cols_c:
-                rws = patT.indices[patT.indptr[col]:patT.indptr[col + 1]]
-                for r in rws:
-                    lo, hi = pat.indptr[r], pat.indptr[r + 1]
-                    pos = lo + np.searchsorted(pat.indices[lo:hi], col)
-                    pos_list.append(pos)
-                    row_list.append(r)
-                    col_list.append(col)
-            plans.append((cols_c,
-                          np.asarray(pos_list, dtype=np.int64),
-                          np.asarray(row_list, dtype=np.int64),
-                          np.asarray(col_list, dtype=np.int64)))
-        self._coloring = (pat, colors, plans)
-        return self._coloring
+
+def _sigma(S):
+    """sigma_{n-1} of the eigenvalues of S for n in {2, 3}, from traces."""
+    t = np.trace(S, axis1=1, axis2=2)
+    if S.shape[-1] == 2:
+        return t
+    return 0.5 * (t * t - (S * S).sum(axis=(1, 2)))
 
 
 class _GridScheme:
@@ -348,68 +353,51 @@ class _GridScheme:
         self.eps_bdry = float(eps_bdry)
 
     def full_height(self, v: np.ndarray) -> np.ndarray:
-        U = np.empty(self.geo.n_all)
+        U = np.full(self.geo.n_all, self.eps_bdry, dtype=v.dtype)
         U[:self.geo.n_int] = v
-        U[self.geo.n_int:] = self.eps_bdry
         return U
 
-    def _shape_matrices(self, U: np.ndarray):
+    def _interior_shape(self, jet: np.ndarray) -> np.ndarray:
         geo = self.geo
         ni = geo.n_int
-        p, P = geo.chart_derivatives(U)
-        A = geo.A[:ni]
-        Du = np.einsum("na,nam->nm", p, A)
-        C = np.einsum("nmab,nm->nab", geo.Xcc[:ni], Du)
-        H = np.einsum("nam,nab,nbk->nmk", A, P - C, A)
-        u = U[:ni]
-        w2 = 1.0 + np.einsum("nm,nm->n", Du, Du)
-        w = np.sqrt(w2)
-        nu = 1.0 / w
-        coef = 1.0 / (w * (w + 1.0))
-        n = geo.n
-        eye = np.eye(n)
-        Gh = eye[None, :, :] - coef[:, None, None] * Du[:, :, None] * Du[:, None, :]
-        he = H / w[:, None, None]
-        S = u[:, None, None] * np.einsum("nab,nbc,ncd->nad", Gh, he, Gh) \
-            + nu[:, None, None] * eye[None, :, :]
-        return S, u, nu, Du
+        return _shape(*geo.unpack(jet), geo.A[:ni], geo.Xcc[:ni])[0]
 
     def residual(self, v: np.ndarray, sigma: float) -> np.ndarray:
-        S, _, _, _ = self._shape_matrices(self.full_height(v))
-        t = np.trace(S, axis1=1, axis2=2)
-        if self.geo.n == 2:
-            return t - sigma
-        t2 = np.einsum("nab,nab->n", S, S)
-        return 0.5 * (t * t - t2) - sigma
+        jet = self.geo.chart_jet(self.full_height(v))
+        return _sigma(self._interior_shape(jet)) - sigma
 
     def guard(self, v: np.ndarray) -> bool:
         if not (v > 0.0).all():
             return False
-        S, _, _, _ = self._shape_matrices(self.full_height(v))
-        t = np.trace(S, axis1=1, axis2=2)
-        if not (t > 0.0).all():
+        S = self._interior_shape(self.geo.chart_jet(self.full_height(v)))
+        if not (np.trace(S, axis1=1, axis2=2) > 0.0).all():
             return False
-        if self.geo.n == 2:
-            return True
-        t2 = np.einsum("nab,nab->n", S, S)
-        return bool((0.5 * (t * t - t2) > 0.0).all())
+        return self.geo.n == 2 or bool((_sigma(S) > 0.0).all())
 
-    def jacobian_step(self, v: np.ndarray, F: np.ndarray,
-                      sigma: float) -> np.ndarray:
-        pat, _, plans = self.geo.coloring()
-        data = np.zeros(pat.nnz)
-        for cols_c, pos, rows, cols in plans:
-            delta = 1.0e-6 * (1.0 + np.abs(v[cols_c]))
-            dvec = np.zeros_like(v)
-            dvec[cols_c] = delta
-            dF = self.residual(v + dvec, sigma) - self.residual(v - dvec, sigma)
-            dmap = np.zeros_like(v)
-            dmap[cols_c] = 2.0 * delta
-            data[pos] = dF[rows] / dmap[cols]
-        J = scipy.sparse.csr_matrix(
-            (data, pat.indices, pat.indptr), shape=pat.shape).tocsc()
-        lu = scipy.sparse.linalg.splu(J)
-        return lu.solve(-F)
+    def jacobian(self, v: np.ndarray) -> scipy.sparse.csc_matrix:
+        """Exact Jacobian of the residual: the stencil chain.
+
+        The residual at node i depends on its own chart jet only, so
+        dF_i/djet comes from one complex step per jet component (exact to
+        rounding, as the residual is analytic), and J[i, nbr[o, i]] sums
+        (dF_i/djet) @ coef[:, o] over the offsets o.
+        """
+        geo = self.geo
+        jet = geo.chart_jet(self.full_height(v)).astype(complex)
+        dF = np.empty(jet.shape)
+        for k in range(jet.shape[1]):
+            jet[:, k] += 1.0e-20j
+            dF[:, k] = _sigma(self._interior_shape(jet)).imag * 1.0e20
+            jet[:, k] -= 1.0e-20j
+        weights = geo.coef.T @ dF.T  # (offset, node), as jac_pos
+        data = np.bincount(geo.jac_pos.ravel(), weights=weights.ravel(),
+                           minlength=geo.jac_nnz + 1)[:geo.jac_nnz]
+        return scipy.sparse.csc_matrix((data, geo.jac_rows, geo.jac_indptr),
+                                       shape=(geo.n_int, geo.n_int))
+
+    def jacobian_step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Newton step s with J(v) s = -F, by sparse LU."""
+        return scipy.sparse.linalg.splu(self.jacobian(v)).solve(-F)
 
     # -- field assembly -------------------------------------------------------
 
@@ -418,30 +406,14 @@ class _GridScheme:
         geo = self.geo
         U = self.full_height(v)
         ni, na = geo.n_int, geo.n_all
-        S_int, _, nu_int, _ = self._shape_matrices(U)
-
+        S_int, nu_int = _shape(*geo.unpack(geo.chart_jet(U)), geo.A[:ni],
+                               geo.Xcc[:ni])
         pb, Pb = geo.boundary_chart_derivatives(U)
-        Ab = geo.A[ni:]
-        Dub = np.einsum("na,nam->nm", pb, Ab)
-        Cb = np.einsum("nmab,nm->nab", geo.Xcc[ni:], Dub)
-        Hb = np.einsum("nam,nab,nbk->nmk", Ab, Pb - Cb, Ab)
-        wb = np.sqrt(1.0 + np.einsum("nm,nm->n", Dub, Dub))
-        nub = 1.0 / wb
-        coefb = 1.0 / (wb * (wb + 1.0))
-        eye = np.eye(geo.n)
-        Ghb = eye[None] - coefb[:, None, None] * Dub[:, :, None] * Dub[:, None, :]
-        Sb = U[ni:, None, None] * np.einsum(
-            "nab,nbc,ncd->nad", Ghb, Hb / wb[:, None, None], Ghb) \
-            + nub[:, None, None] * eye[None]
+        Sb, nub = _shape(U[ni:], pb, Pb, geo.A[ni:], geo.Xcc[ni:])
 
         S_all = np.concatenate([S_int, Sb], axis=0)
         spectra = np.linalg.eigvalsh(S_all)[:, ::-1]
-        t = np.trace(S_all, axis1=1, axis2=2)
-        if geo.n == 2:
-            res_all = t - sigma
-        else:
-            t2 = np.einsum("nab,nab->n", S_all, S_all)
-            res_all = 0.5 * (t * t - t2) - sigma
+        res_all = _sigma(S_all) - sigma
         nu_all = np.concatenate([nu_int, nub])
 
         boundary = np.zeros(na, dtype=bool)
@@ -524,12 +496,8 @@ def initial_grid_guess(geo: _GridGeometry, sigma: float, eps: float) -> np.ndarr
     U = np.empty(geo.n_all)
     U[:ni] = u0
     U[ni:] = eps
-    axes = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)] \
-        if geo.n == 3 else [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    acc = np.zeros(ni)
-    for off in axes:
-        acc += U[geo.idx[off][:ni]]
-    u0 = 0.5 * u0 + 0.5 * acc / len(axes)
+    axes = geo.nbr[1:1 + 2 * geo.n, :ni]  # the +-1 steps along each chart axis
+    u0 = 0.5 * u0 + 0.5 * U[axes].sum(axis=0) / axes.shape[0]
 
     scheme = _GridScheme(geo, eps)
     capg = _cap_profile_guess(geo, sigma, eps)
@@ -547,29 +515,35 @@ def _converge_grid(scheme: _GridScheme, v: np.ndarray, sigma: float,
         v,
         residual_fn=lambda x: scheme.residual(x, sigma),
         guard_fn=scheme.guard,
-        jacobian_solver=lambda x, F: scheme.jacobian_step(x, F, sigma),
+        jacobian_solver=scheme.jacobian_step,
         params=params,
     )
 
 
-def _descend_eps_grid(geo: _GridGeometry, params, v, sigma,
-                      eps_from, eps_to, depth=0):
-    scheme = _GridScheme(geo, eps_to)
+def _transport_leg(geo: _GridGeometry, params, v, start, end, depth=0):
+    """Converge from the solution v at start = (sigma, eps) to end.
+
+    v is first moved along the mean-radius cap family.  A leg that fails
+    is split at the geometric midpoint of (sigma, eps), down to depth 3;
+    sigma-walk and eps-descent legs share this.  Returns the scheme at
+    end and (v, iterations, residual).
+    """
     R = _reference_radius(geo.domain)
-    shift = exact_cap(geo.n, sigma, R, eps_to).height(R * geo.s_node[:geo.n_int]) \
-        - exact_cap(geo.n, sigma, R, eps_from).height(R * geo.s_node[:geo.n_int])
-    v = v + shift
+    r = R * geo.s_node[:geo.n_int]
+    (sig_a, eps_a), (sig_b, eps_b) = start, end
+    scheme = _GridScheme(geo, eps_b)
+    shift = exact_cap(geo.n, sig_b, R, eps_b).height(r) \
+        - exact_cap(geo.n, sig_a, R, eps_a).height(r)
     try:
-        return scheme, _converge_grid(scheme, v, sigma, params)
+        return scheme, _converge_grid(scheme, v + shift, sig_b, params)
     except (NewtonDivergenceError, ConeViolationError):
         if depth >= 3:
             raise
-        mid = math.sqrt(eps_from * eps_to)
-        _, (vm, it1, _) = _descend_eps_grid(geo, params, v - shift, sigma,
-                                            eps_from, mid, depth + 1)
-        scheme2, (v2, it2, res2) = _descend_eps_grid(geo, params, vm, sigma,
-                                                     mid, eps_to, depth + 1)
-        return scheme2, (v2, it1 + it2, res2)
+        mid = (math.sqrt(sig_a * sig_b), math.sqrt(eps_a * eps_b))
+        _, (vm, it1, _) = _transport_leg(geo, params, v, start, mid, depth + 1)
+        scheme, (v, it2, res) = _transport_leg(geo, params, vm, mid, end,
+                                               depth + 1)
+        return scheme, (v, it1 + it2, res)
 
 
 def solve_graph_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionField]:
@@ -592,8 +566,6 @@ def solve_graph_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionFi
 
     eps0 = config.eps_schedule[0]
     scheme = _GridScheme(geo, eps0)
-    R = _reference_radius(domain)
-    s_int = geo.s_node[:geo.n_int]
 
     def first_leg(sigma_first):
         v0 = initial_grid_guess(geo, sigma_first, eps0)
@@ -615,16 +587,15 @@ def solve_graph_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionFi
         v, it, res = first_leg(sig_path[0])
     total_it = it
     for prev_sg, sg in zip(sig_path, sig_path[1:]):
-        v = v + exact_cap(geo.n, sg, R, eps0).height(R * s_int) \
-            - exact_cap(geo.n, prev_sg, R, eps0).height(R * s_int)
-        v, it, res = _converge_grid(scheme, v, sg, params)
+        scheme, (v, it, res) = _transport_leg(geo, params, v, (prev_sg, eps0),
+                                              (sg, eps0))
         total_it += it
 
     fields = [scheme.build_field(v, config.sigma_target, total_it, res)]
     prev = eps0
     for eps in config.eps_schedule[1:]:
-        scheme, (v, it, res) = _descend_eps_grid(
-            geo, params, v, config.sigma_target, prev, eps)
+        scheme, (v, it, res) = _transport_leg(
+            geo, params, v, (config.sigma_target, prev), (config.sigma_target, eps))
         fields.append(scheme.build_field(v, config.sigma_target, it, res))
         prev = eps
     return fields
@@ -654,7 +625,7 @@ def newton_step_grid(field: SolutionField, damping: float = 1.0):
     v = field.u[:scheme.geo.n_int]
     F = scheme.residual(v, sigma)
     before = float(np.abs(F).max())
-    s = scheme.jacobian_step(v, F, sigma)
+    s = scheme.jacobian_step(v, F)
     t = float(damping)
     guard_seen = False
     while t >= 1.0e-6:

@@ -210,3 +210,20 @@ def test_bundle_on_grid_field_has_no_identity_audit(ell_field):
     bundle = audit.audit_bundle([ell_field], audit.AuditConfig())
     assert "identity" not in bundle
     assert bundle["ok"]
+
+
+def test_bundle_runs_the_k_search_once(ball_path, monkeypatch):
+    calls = []
+    real = audit.rw_on_solution
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(audit, "rw_on_solution", counted)
+    bundle = audit.audit_bundle(ball_path, audit.AuditConfig())
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # reusing the bundle's report leaves the estimate unchanged
+    assert bundle["estimate"] == audit.estimate_report(ball_path[-1],
+                                                       audit.AuditConfig())

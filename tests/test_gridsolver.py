@@ -1,13 +1,15 @@
 """Mapped-grid solver on balls, ellipsoids and star domains."""
 
+import json
 import math
 
 import dataclasses
 import numpy as np
 import pytest
 
-from hplateau import domains, geometry, gridsolver, solver
-from hplateau.errors import ConeViolationError, GridDegeneracyError
+from hplateau import cli, domains, geometry, gridsolver, solver
+from hplateau.errors import (ConeViolationError, GridDegeneracyError,
+                             NewtonDivergenceError)
 
 BALL3 = domains.make_ball(3, 1.0)
 ELL = domains.make_ellipsoid((1.3, 1.0, 1.0))
@@ -121,6 +123,97 @@ def test_solve_is_deterministic():
     b = gridsolver.solve_graph(cfg, BALL3)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.spectra, b.spectra)
+
+
+def test_failed_leg_splits_at_geometric_midpoint(monkeypatch):
+    geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh(6, 4, 8))
+    visited = []
+
+    def fake_converge(scheme, v, sigma, params):
+        visited.append((sigma, scheme.eps_bdry))
+        if len(visited) == 1 or always_fail:
+            raise NewtonDivergenceError("stalled", state=v)
+        return v, 1, 0.0
+
+    monkeypatch.setattr(gridsolver, "_converge_grid", fake_converge)
+    v = np.ones(geo.n_int)
+    params = solver.NewtonParams()
+    always_fail = False
+    # sigma leg: eps stays put, sigma splits at sqrt(1.0 * 0.25)
+    _, (_, its, _) = gridsolver._transport_leg(geo, params, v, (1.0, 0.1),
+                                               (0.25, 0.1))
+    assert visited == [(0.25, 0.1), (0.5, 0.1), (0.25, 0.1)]
+    assert its == 2
+    # eps leg: the same split in eps
+    visited.clear()
+    gridsolver._transport_leg(geo, params, v, (1.5, 1e-2), (1.5, 1e-4))
+    assert visited == [(1.5, 1e-4), (1.5, math.sqrt(1e-2 * 1e-4)), (1.5, 1e-4)]
+    # three splits at most, then the error propagates
+    visited.clear()
+    always_fail = True
+    with pytest.raises(NewtonDivergenceError):
+        gridsolver._transport_leg(geo, params, v, (1.0, 0.1), (0.25, 0.1))
+    assert len(visited) == 4
+
+
+def test_cli_small_sigma_ellipsoid(tmp_path, monkeypatch):
+    # the automatic walk from sigma = 1.5 to 0.01 needs its legs split
+    # where a transported iterate leaves the cone
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["solve-grid", "--n", "3", "--domain", "ellipsoid",
+                     "--semi-axes", "1.3,1.0,1.0", "--sigma", "0.01",
+                     "--radial", "12", "--lat", "8", "--lon", "16"]) == 0
+    side = json.loads((tmp_path / "solve-grid.json").read_text())
+    assert side["cone_ok"] is True
+    assert side["residual"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# exact Jacobian
+# ---------------------------------------------------------------------------
+
+STAR = domains.make_star2d(
+    1.0 + 0.08 * np.cos(3 * np.linspace(0, 2 * math.pi, 16, endpoint=False)))
+
+
+def _small_scheme(domain, mesh, sigma, eps=0.1):
+    geo = gridsolver._GridGeometry(domain, mesh)
+    v = gridsolver.initial_grid_guess(geo, sigma, eps)
+    return gridsolver._GridScheme(geo, eps), v
+
+
+# small meshes: ring 1 steps through the center, latitudes 0 and M-1
+# step over the poles
+JAC_CASES = [(STAR, solver.PolarGridMesh(6, 8), 1.2),
+             (ELL, solver.SphericalGridMesh(5, 4, 8), 1.0)]
+
+
+@pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
+def test_jacobian_matches_central_differences(domain, mesh, sigma):
+    # a non-analytic operation (abs, maximum, a real cast) in the shape
+    # matrices corrupts the complex step and fails this
+    scheme, v = _small_scheme(domain, mesh, sigma)
+    J = scheme.jacobian(v).toarray()
+    fd = np.empty_like(J)
+    for c in range(v.size):
+        d = np.zeros(v.size)
+        d[c] = 1e-6 * (1.0 + abs(v[c]))
+        fd[:, c] = (scheme.residual(v + d, sigma)
+                    - scheme.residual(v - d, sigma)) / (2.0 * d[c])
+    assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
+
+
+@pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
+def test_jacobian_is_the_complex_step_derivative(domain, mesh, sigma):
+    # the stencil-chain assembly against the residual's own directional
+    # derivative, to rounding: a wrong weight, position or wrap, or a
+    # real cast between v and the jet, fails this
+    scheme, v = _small_scheme(domain, mesh, sigma)
+    J = scheme.jacobian(v)
+    for seed in range(3):
+        d = np.random.default_rng(seed).standard_normal(v.size)
+        cs = scheme.residual(v + 1e-20j * d, sigma).imag * 1e20
+        assert np.abs(J @ d - cs).max() <= 1e-12 * np.abs(cs).max()
 
 
 # ---------------------------------------------------------------------------
