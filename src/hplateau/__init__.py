@@ -19,8 +19,7 @@ from .errors import (AmbiguousFrameError, AuditPreconditionError,
 from .geometry import (CapSolution, GraphJet, exact_cap,
                        gauss_commutator_residuals, graph_jet, jet_from_field,
                        nu_identity_residuals)
-from .gridsolver import grid_residual, newton_step_grid, solve_graph, \
-    solve_graph_path
+from .gridsolver import solve_graph, solve_graph_path
 from .solver import (DEFAULT_EPS_SCHEDULE, NewtonParams, PolarGridMesh,
                      RadialMesh, SolveConfig, SolutionField,
                      SphericalGridMesh, newton_step, pde_residual,
@@ -42,7 +41,7 @@ __all__ = [
     "HPlateauError", "InvalidHeightError", "NewtonDivergenceError",
     "CapSolution", "GraphJet", "exact_cap", "gauss_commutator_residuals",
     "graph_jet", "jet_from_field", "nu_identity_residuals",
-    "grid_residual", "newton_step_grid", "solve_graph", "solve_graph_path",
+    "solve_graph", "solve_graph_path",
     "DEFAULT_EPS_SCHEDULE", "NewtonParams", "PolarGridMesh", "RadialMesh",
     "SolveConfig", "SolutionField", "SphericalGridMesh", "newton_step",
     "pde_residual", "solve_radial", "solve_radial_path",

@@ -3,8 +3,9 @@
 Subcommands: solve-radial, solve-grid, oracle-cap, verify-cone, renwang,
 audit, sweep.  Parameters come from flags, optionally layered over a
 JSON config file ({n, sigma, domain:{kind,params}, eps_schedule,
-mesh:{...}, newton:{...}, audit:{...}, seed, out:{csv,json}}); a flag
-always overrides the file.
+mesh:{...}, newton:{...}, audit:{...}, out:{csv,json}}); a flag always
+overrides the file.  The sampling subcommands verify-cone and renwang
+also take a seed (--seed, or seed in the file).
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver
 non-convergence, 4 cone-guard failure, 5 a verification subcommand
@@ -178,8 +179,7 @@ def _run_solve_radial(args) -> int:
                                         ("mesh", "nodes"), 401))),
         newton=_newton_params(args, cfg),
         sigma_path=tuple(args.sigma_path) if args.sigma_path else
-        tuple(_pick(None, cfg, ("sigma_path",), ()) or ()),
-        seed=int(_pick(args.seed, cfg, ("seed",), 0)))
+        tuple(_pick(None, cfg, ("sigma_path",), ()) or ()))
     radius = float(_pick(args.radius, cfg, ("domain", "params", "radius"),
                          1.0))
     domain = make_ball(n, radius)
@@ -201,8 +201,7 @@ def _run_solve_grid(args) -> int:
         n=n, sigma_target=float(sigma),
         eps_schedule=_eps_schedule(args, cfg),
         mesh=_grid_mesh(args, cfg, n),
-        newton=_newton_params(args, cfg),
-        seed=int(_pick(args.seed, cfg, ("seed",), 0)))
+        newton=_newton_params(args, cfg))
     domain = _domain_from_args(args, cfg, n)
     field = solve_graph_path(solve_cfg, domain)[-1]
     csv_path, json_path = _resolve_out(args, cfg, "solve-grid")
@@ -316,8 +315,7 @@ def _run_audit(args) -> int:
     solve_cfg = SolveConfig(
         n=n, sigma_target=float(sigma),
         eps_schedule=_eps_schedule(args, cfg),
-        mesh=mesh, newton=_newton_params(args, cfg),
-        seed=int(_pick(args.seed, cfg, ("seed",), 0)))
+        mesh=mesh, newton=_newton_params(args, cfg))
     fields = _solve_for_domain(solve_cfg, domain)
     audit_cfg = _audit_config(args, cfg)
     bundle = audit_mod.audit_bundle(fields, audit_cfg)
@@ -390,9 +388,7 @@ def _run_sweep(args) -> int:
                 mesh = _grid_mesh(args, cfg, n)
             solve_cfg = SolveConfig(n=n, sigma_target=float(sigma),
                                     eps_schedule=schedule, mesh=mesh,
-                                    newton=newton,
-                                    seed=int(_pick(args.seed, cfg,
-                                                   ("seed",), 0)))
+                                    newton=newton)
             try:
                 fields = _solve_for_domain(solve_cfg, domain)
             except ConeViolationError:
@@ -443,7 +439,6 @@ def _add_common(p):
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--out-csv", dest="out_csv")
     p.add_argument("--out-json", dest="out_json")
-    p.add_argument("--seed", type=int)
 
 
 def _add_solve_flags(p, radial: bool):
@@ -515,6 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--level", type=float)
     p.set_defaults(runner=_run_verify_cone)
 
@@ -523,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int)
     p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--level", type=float)
     p.add_argument("--eps-rw", dest="eps_rw", type=float)
     p.set_defaults(runner=_run_renwang)

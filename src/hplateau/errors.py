@@ -30,14 +30,12 @@ class NewtonDivergenceError(HPlateauError):
     """Residual was not reduced after backtracking down to the damping floor.
 
     Carries the last iterate so callers can inspect how far the solve got:
-    ``state`` is the raw height vector, ``field`` (when set by the
-    continuation driver) the assembled solution field.
+    ``state`` is the raw vector of unknown heights.
     """
 
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
-        self.field = None
 
 
 class ConeViolationError(HPlateauError):
@@ -46,7 +44,6 @@ class ConeViolationError(HPlateauError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
-        self.field = None
 
 
 class GridDegeneracyError(HPlateauError, ValueError):

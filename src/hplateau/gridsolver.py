@@ -34,10 +34,16 @@ pointwise derivative of the residual in each jet component, taken by
 complex step (exact to rounding, as no operation on the path is
 non-analytic), times the stencil weights, summed onto a sparsity
 pattern that is fixed per grid.
+
+_GridScheme packages all of this in the scheme interface of
+solver._solve_path, the continuation driver the radial solver uses as
+well (sigma walk, split legs, eps descent).  Its Newton legs call this
+module's damped_newton, so they stay apart from the radial ones.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -46,14 +52,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .domains import DomainSpec, omega_jet
-from .errors import (ConeViolationError, GridDegeneracyError,
-                     NewtonDivergenceError)
+from .errors import GridDegeneracyError
 from .geometry import exact_cap
 from .solver import (ConvergenceInfo, NewtonParams, PolarGridMesh, SolveConfig,
-                     SolutionField, SphericalGridMesh, damped_newton)
+                     SolutionField, SphericalGridMesh, _solve_path,
+                     damped_newton)
 
-__all__ = ["solve_graph", "solve_graph_path", "grid_residual",
-           "newton_step_grid", "initial_grid_guess"]
+__all__ = ["solve_graph", "solve_graph_path", "initial_grid_guess"]
 
 _OFFSETS3 = [(0, 0, 0),
              (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
@@ -87,7 +92,6 @@ class _GridGeometry:
                 raise ValueError("n = 2 grid solves need a PolarGridMesh")
             self.J, self.L = mesh.radial, mesh.angular
             self.M = 1
-        self.mesh = mesh
         J, M, L = self.J, self.M, self.L
         self.hs = 1.0 / (J - 0.5)
         self.s = (np.arange(1, J + 1) - 0.5) * self.hs
@@ -346,16 +350,29 @@ def _sigma(S):
 
 
 class _GridScheme:
-    """Residual, guard and Jacobian for one (geometry, eps_bdry) pair."""
+    """The grid discretization for one (geometry, eps_bdry) pair, in the
+    scheme interface that solver._solve_path drives."""
 
     def __init__(self, geo: _GridGeometry, eps_bdry: float):
         self.geo = geo
         self.eps_bdry = float(eps_bdry)
 
+    def at_eps(self, eps: float) -> "_GridScheme":
+        return _GridScheme(self.geo, eps)
+
     def full_height(self, v: np.ndarray) -> np.ndarray:
         U = np.full(self.geo.n_all, self.eps_bdry, dtype=v.dtype)
         U[:self.geo.n_int] = v
         return U
+
+    def cap_height(self, sigma: float, eps: float) -> np.ndarray:
+        """Umbilic cap profile of the mean-radius ball, composed with s."""
+        geo = self.geo
+        R = _reference_radius(geo.domain)
+        return exact_cap(geo.n, sigma, R, eps).height(R * geo.s_node[:geo.n_int])
+
+    def initial_guess(self, sigma: float, eps: float) -> np.ndarray:
+        return initial_grid_guess(self.geo, sigma, eps)
 
     def _interior_shape(self, jet: np.ndarray) -> np.ndarray:
         geo = self.geo
@@ -399,6 +416,15 @@ class _GridScheme:
         """Newton step s with J(v) s = -F, by sparse LU."""
         return scipy.sparse.linalg.splu(self.jacobian(v)).solve(-F)
 
+    def newton(self, v: np.ndarray, sigma: float, params: NewtonParams):
+        return damped_newton(
+            v,
+            residual_fn=functools.partial(self.residual, sigma=sigma),
+            guard_fn=self.guard,
+            jacobian_solver=self.jacobian_step,
+            params=params,
+        )
+
     # -- field assembly -------------------------------------------------------
 
     def build_field(self, v: np.ndarray, sigma: float, iterations: int,
@@ -435,13 +461,13 @@ class _GridScheme:
             convergence=ConvergenceInfo(iterations=iterations, residual=resid,
                                         eps_bdry=self.eps_bdry, sigma=sigma),
             cone_ok=cone_ok,
-            meta={"kind": "grid", "mesh": geo.mesh, "near_boundary": near,
+            meta={"kind": "grid", "scheme": self, "near_boundary": near,
                   "s_node": geo.s_node.copy()},
         )
 
 
 # ---------------------------------------------------------------------------
-# Initial guesses and continuation driver
+# Initial guesses and entry points
 # ---------------------------------------------------------------------------
 
 def _reference_radius(domain: DomainSpec) -> float:
@@ -451,12 +477,6 @@ def _reference_radius(domain: DomainSpec) -> float:
         return float(np.mean(domain.semi_axes))
     return float(np.mean(domain.star_samples))
 
-
-def _cap_profile_guess(geo: _GridGeometry, sigma: float, eps: float) -> np.ndarray:
-    """Umbilic cap profile of the mean-radius ball, composed with s."""
-    R = _reference_radius(geo.domain)
-    cap = exact_cap(geo.n, sigma, R, eps)
-    return cap.height(R * geo.s_node[:geo.n_int])
 
 def initial_grid_guess(geo: _GridGeometry, sigma: float, eps: float) -> np.ndarray:
     """Boundary-exact starting heights inside the cone guard.
@@ -500,50 +520,13 @@ def initial_grid_guess(geo: _GridGeometry, sigma: float, eps: float) -> np.ndarr
     u0 = 0.5 * u0 + 0.5 * U[axes].sum(axis=0) / axes.shape[0]
 
     scheme = _GridScheme(geo, eps)
-    capg = _cap_profile_guess(geo, sigma, eps)
+    capg = scheme.cap_height(sigma, eps)
     blend = u0
     for _ in range(40):
         if scheme.guard(blend):
             return blend
         blend = 0.5 * blend + 0.5 * capg
     return capg
-
-
-def _converge_grid(scheme: _GridScheme, v: np.ndarray, sigma: float,
-                   params: NewtonParams):
-    return damped_newton(
-        v,
-        residual_fn=lambda x: scheme.residual(x, sigma),
-        guard_fn=scheme.guard,
-        jacobian_solver=scheme.jacobian_step,
-        params=params,
-    )
-
-
-def _transport_leg(geo: _GridGeometry, params, v, start, end, depth=0):
-    """Converge from the solution v at start = (sigma, eps) to end.
-
-    v is first moved along the mean-radius cap family.  A leg that fails
-    is split at the geometric midpoint of (sigma, eps), down to depth 3;
-    sigma-walk and eps-descent legs share this.  Returns the scheme at
-    end and (v, iterations, residual).
-    """
-    R = _reference_radius(geo.domain)
-    r = R * geo.s_node[:geo.n_int]
-    (sig_a, eps_a), (sig_b, eps_b) = start, end
-    scheme = _GridScheme(geo, eps_b)
-    shift = exact_cap(geo.n, sig_b, R, eps_b).height(r) \
-        - exact_cap(geo.n, sig_a, R, eps_a).height(r)
-    try:
-        return scheme, _converge_grid(scheme, v + shift, sig_b, params)
-    except (NewtonDivergenceError, ConeViolationError):
-        if depth >= 3:
-            raise
-        mid = (math.sqrt(sig_a * sig_b), math.sqrt(eps_a * eps_b))
-        _, (vm, it1, _) = _transport_leg(geo, params, v, start, mid, depth + 1)
-        scheme, (v, it2, res) = _transport_leg(geo, params, vm, mid, end,
-                                               depth + 1)
-        return scheme, (v, it1 + it2, res)
 
 
 def solve_graph_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionField]:
@@ -557,89 +540,9 @@ def solve_graph_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionFi
     mesh = config.mesh
     if mesh is None:
         mesh = SphericalGridMesh() if config.n == 3 else PolarGridMesh()
-    geo = _GridGeometry(domain, mesh)
-    params = config.newton
-
-    sig_path = list(config.sigma_path)
-    if not sig_path or sig_path[-1] != config.sigma_target:
-        sig_path.append(config.sigma_target)
-
-    eps0 = config.eps_schedule[0]
-    scheme = _GridScheme(geo, eps0)
-
-    def first_leg(sigma_first):
-        v0 = initial_grid_guess(geo, sigma_first, eps0)
-        return _converge_grid(scheme, v0, sigma_first, params)
-
-    try:
-        v, it, res = first_leg(sig_path[0])
-    except (ConeViolationError, NewtonDivergenceError):
-        if config.sigma_path:
-            raise  # an explicit path is not second-guessed
-        # extreme targets (very steep or very flat caps) can place every
-        # direct guess outside the cone; walk sigma there from a mid
-        # value, transporting iterates along the cap family
-        easy = 0.5 * config.n
-        ratio = max(easy, config.sigma_target) / min(easy, config.sigma_target)
-        count = max(2, math.ceil(math.log(ratio) / math.log(2.0)) + 2)
-        sig_path = list(np.geomspace(easy, config.sigma_target, count))
-        sig_path[-1] = config.sigma_target
-        v, it, res = first_leg(sig_path[0])
-    total_it = it
-    for prev_sg, sg in zip(sig_path, sig_path[1:]):
-        scheme, (v, it, res) = _transport_leg(geo, params, v, (prev_sg, eps0),
-                                              (sg, eps0))
-        total_it += it
-
-    fields = [scheme.build_field(v, config.sigma_target, total_it, res)]
-    prev = eps0
-    for eps in config.eps_schedule[1:]:
-        scheme, (v, it, res) = _transport_leg(
-            geo, params, v, (config.sigma_target, prev), (config.sigma_target, eps))
-        fields.append(scheme.build_field(v, config.sigma_target, it, res))
-        prev = eps
-    return fields
+    return _solve_path(
+        _GridScheme(_GridGeometry(domain, mesh), config.eps_schedule[0]), config)
 
 
 def solve_graph(config: SolveConfig, domain: DomainSpec) -> SolutionField:
     return solve_graph_path(config, domain)[-1]
-
-
-# ---------------------------------------------------------------------------
-# Field-level hooks used by solver.pde_residual / solver.newton_step
-# ---------------------------------------------------------------------------
-
-def _scheme_from_field(field: SolutionField) -> _GridScheme:
-    geo = _GridGeometry(field.domain, field.meta["mesh"])
-    return _GridScheme(geo, field.convergence.eps_bdry)
-
-
-def grid_residual(field: SolutionField) -> np.ndarray:
-    scheme = _scheme_from_field(field)
-    return scheme.residual(field.u[:scheme.geo.n_int], field.convergence.sigma)
-
-
-def newton_step_grid(field: SolutionField, damping: float = 1.0):
-    scheme = _scheme_from_field(field)
-    sigma = field.convergence.sigma
-    v = field.u[:scheme.geo.n_int]
-    F = scheme.residual(v, sigma)
-    before = float(np.abs(F).max())
-    s = scheme.jacobian_step(v, F)
-    t = float(damping)
-    guard_seen = False
-    while t >= 1.0e-6:
-        trial = v + t * s
-        if scheme.guard(trial):
-            guard_seen = True
-            after = float(np.abs(scheme.residual(trial, sigma)).max())
-            if after <= before * (1.0 + 1.0e-12) + 1.0e-15:
-                out = scheme.build_field(trial, sigma,
-                                         field.convergence.iterations + 1, after)
-                return out, (before, after)
-        t *= 0.5
-    if not guard_seen:
-        raise ConeViolationError("cone guard rejected every damped step",
-                                 state=field.u)
-    raise NewtonDivergenceError("single Newton step could not avoid a "
-                                "residual increase", state=field.u)

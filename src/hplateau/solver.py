@@ -7,13 +7,17 @@ kept inside the ellipticity region by the cone guard: a trial step is
 accepted only if u stays positive and the hyperbolic spectrum stays in
 Gamma_{n-1} at every non-boundary node; otherwise the step is halved.
 
-This module owns the shared Newton engine, the config/result types and
-the rotationally reduced solver on ball domains.  The full mapped-grid
-solver lives in gridsolver.py and reuses the engine.
+This module owns the config/result types, the Newton engine, the one
+continuation driver (sigma walk, leg splitting and eps descent) with
+the scheme interface it drives, and the rotationally reduced scheme on
+ball domains.  The mapped-grid scheme lives in gridsolver.py; both
+solvers are "build a scheme, run the driver", and the field-level
+operations reach the scheme through SolutionField.meta["scheme"].
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -102,7 +106,6 @@ class SolveConfig:
     mesh: object = None
     newton: NewtonParams = NewtonParams()
     sigma_path: tuple[float, ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
@@ -155,6 +158,29 @@ class SolutionField:
 # Shared Newton engine
 # ---------------------------------------------------------------------------
 
+def _line_search(v, s, t, min_step, guard_fn, residual_fn, accept, stall):
+    """Halve t until v + t s passes the guard and accept(norm, t) holds.
+
+    Returns (trial, residual, norm).  When no t >= min_step is accepted,
+    raises ConeViolationError if the guard rejected every trial and
+    NewtonDivergenceError(stall) otherwise; both carry v itself.
+    """
+    guard_seen = False
+    while t >= min_step:
+        trial = v + t * s
+        if guard_fn(trial):
+            guard_seen = True
+            Ft = residual_fn(trial)
+            nt = float(np.abs(Ft).max())
+            if accept(nt, t):
+                return trial, Ft, nt
+        t *= 0.5
+    if not guard_seen:
+        raise ConeViolationError("cone guard rejected every damped step",
+                                 state=v)
+    raise NewtonDivergenceError(stall, state=v)
+
+
 def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
                   params: NewtonParams):
     """Guarded, damped Newton iteration on the unknown vector v.
@@ -175,27 +201,11 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
         if nrm <= params.residual_tol:
             return v, it - 1, nrm
         s = jacobian_solver(v, F)
-        t = params.step_damping
-        guard_seen = False
-        accepted = False
-        while t >= params.min_step:
-            trial = v + t * s
-            if guard_fn(trial):
-                guard_seen = True
-                Ft = residual_fn(trial)
-                nt = float(np.abs(Ft).max())
-                if nt <= (1.0 - ARMIJO_SLOPE * t) * nrm or nt <= params.residual_tol:
-                    v, F, nrm = trial, Ft, nt
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            if not guard_seen:
-                raise ConeViolationError(
-                    "cone guard rejected every damped step", state=v)
-            raise NewtonDivergenceError(
-                f"no residual decrease above min_step (residual {nrm:.3e})",
-                state=v)
+        v, F, nrm = _line_search(
+            v, s, params.step_damping, params.min_step, guard_fn, residual_fn,
+            lambda nt, t: (nt <= (1.0 - ARMIJO_SLOPE * t) * nrm
+                           or nt <= params.residual_tol),
+            f"no residual decrease above min_step (residual {nrm:.3e})")
     if nrm <= params.residual_tol:
         return v, params.max_iters, nrm
     raise NewtonDivergenceError(
@@ -210,6 +220,94 @@ def initial_profile_slope(n: int, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Continuation driver
+# ---------------------------------------------------------------------------
+
+def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
+    """Continuation from a first guess to one field per scheduled eps.
+
+    scheme is a discretization at eps_bdry = config.eps_schedule[0].  Its
+    unknowns v are the heights off the Dirichlet boundary, and it
+    provides
+
+    * residual(v, sigma), guard(v) and jacobian_step(v, F): the discrete
+      equation, the positivity/cone guard, and the step s solving
+      J(v) s = -F;
+    * initial_guess(sigma, eps): a first iterate inside the guard;
+    * cap_height(sigma, eps): the umbilic cap family on the unknowns,
+      along which a converged v is transported to a new (sigma, eps);
+    * at_eps(eps): the same discretization with boundary height eps;
+    * newton(v, sigma, params): damped_newton on this scheme, called
+      through the scheme's own module global so that the radial and
+      grid legs stay separable from outside;
+    * build_field(v, sigma, iterations, residual): the SolutionField,
+      holding the scheme in meta["scheme"].
+
+    The first leg solves at sigma_path[0] (sigma_target when no path is
+    given).  Extreme targets (very steep or very flat caps) can place
+    every direct guess outside the cone, so when that leg fails and no
+    explicit sigma_path was given, sigma is walked geometrically from
+    n/2 instead; an explicit path is not second-guessed.  Every later
+    sigma leg, then every eps leg, goes through _leg.
+    """
+    params = config.newton
+    target = config.sigma_target
+    eps0 = config.eps_schedule[0]
+    sig_path = list(config.sigma_path)
+    if not sig_path or sig_path[-1] != target:
+        sig_path.append(target)
+
+    def first_leg(sigma):
+        return scheme.newton(scheme.initial_guess(sigma, eps0), sigma, params)
+
+    try:
+        v, total_it, res = first_leg(sig_path[0])
+    except (ConeViolationError, NewtonDivergenceError):
+        if config.sigma_path:
+            raise
+        easy = 0.5 * config.n
+        ratio = max(easy, target) / min(easy, target)
+        count = max(2, math.ceil(math.log(ratio) / math.log(2.0)) + 2)
+        sig_path = list(np.geomspace(easy, target, count))
+        sig_path[-1] = target
+        v, total_it, res = first_leg(sig_path[0])
+    for sig_a, sig_b in zip(sig_path, sig_path[1:]):
+        scheme, (v, it, res) = _leg(scheme, params, v, (sig_a, eps0),
+                                    (sig_b, eps0))
+        total_it += it
+
+    fields = [scheme.build_field(v, target, total_it, res)]
+    for eps_a, eps_b in zip(config.eps_schedule, config.eps_schedule[1:]):
+        scheme, (v, it, res) = _leg(scheme, params, v, (target, eps_a),
+                                    (target, eps_b))
+        fields.append(scheme.build_field(v, target, it, res))
+    return fields
+
+
+def _leg(scheme, params: NewtonParams, v, start, end, depth=0):
+    """Converge from the solution v at start = (sigma, eps) to end.
+
+    Re-pinning the boundary or moving sigma alone kinks the profile hard
+    enough to leave the cone, so v is first moved along the cap family.
+    A leg that fails is split at the geometric midpoint of (sigma, eps),
+    down to depth 3.  Returns the scheme at end and (v, iterations,
+    residual).
+    """
+    (sig_a, eps_a), (sig_b, eps_b) = start, end
+    scheme = scheme.at_eps(eps_b)
+    shift = scheme.cap_height(sig_b, eps_b) - scheme.cap_height(sig_a, eps_a)
+    try:
+        return scheme, scheme.newton(v + shift, sig_b, params)
+    except (NewtonDivergenceError, ConeViolationError):
+        if depth >= 3:
+            raise
+        mid = (math.sqrt(sig_a * sig_b), math.sqrt(eps_a * eps_b))
+        _, (vm, it1, _) = _leg(scheme, params, v, start, mid, depth + 1)
+        scheme, (v, it2, res) = _leg(scheme, params, vm, mid, end, depth + 1)
+        return scheme, (v, it1 + it2, res)
+
+
+# ---------------------------------------------------------------------------
 # Rotational reduction on the ball
 # ---------------------------------------------------------------------------
 
@@ -221,15 +319,26 @@ class _RadialScheme:
     uses the symmetry conditions u'(0) = 0, u''(0) = 2(u_1 - u_0)/h^2.
     """
 
-    def __init__(self, n: int, radius: float, nodes: int, eps_bdry: float):
-        self.n = n
+    def __init__(self, domain: DomainSpec, nodes: int, eps_bdry: float):
+        self.domain = domain
+        self.n = domain.n
         self.m = nodes
-        self.r = np.linspace(0.0, radius, nodes)
+        self.r = np.linspace(0.0, domain.radius, nodes)
         self.h = self.r[1] - self.r[0]
         self.eps_bdry = float(eps_bdry)
 
+    def at_eps(self, eps: float) -> "_RadialScheme":
+        return _RadialScheme(self.domain, self.m, eps)
+
     def full_height(self, v: np.ndarray) -> np.ndarray:
         return np.append(v, self.eps_bdry)
+
+    def cap_height(self, sigma: float, eps: float) -> np.ndarray:
+        return exact_cap(self.n, sigma, self.domain.radius,
+                         eps).height(self.r[:-1])
+
+    def initial_guess(self, sigma: float, eps: float) -> np.ndarray:
+        return self.cap_height(sigma, eps)
 
     def spectra(self, v: np.ndarray) -> np.ndarray:
         """Unsorted spectra rows at the m-1 equation nodes."""
@@ -256,8 +365,7 @@ class _RadialScheme:
         tab = elem_sym_table(self.spectra(v), self.n - 1)
         return bool((tab[:, 1:] > 0.0).all())
 
-    def jacobian_step(self, v: np.ndarray, F: np.ndarray,
-                      sigma: float) -> np.ndarray:
+    def jacobian_step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
         """Newton step from the exact tridiagonal Jacobian.
 
         The rotational curvature formulas are explicit in the stencil
@@ -316,89 +424,60 @@ class _RadialScheme:
         band[0, 2:] = upper[:-1]
         return scipy.linalg.solve_banded((1, 1), band, -F)
 
+    def newton(self, v: np.ndarray, sigma: float, params: NewtonParams):
+        return damped_newton(
+            v,
+            residual_fn=functools.partial(self.residual, sigma=sigma),
+            guard_fn=self.guard,
+            jacobian_solver=self.jacobian_step,
+            params=params,
+        )
 
-def _radial_field(scheme: _RadialScheme, v: np.ndarray, domain: DomainSpec,
-                  sigma: float, iterations: int, resid: float) -> SolutionField:
-    u = scheme.full_height(v)
-    m, n, h = scheme.m, scheme.n, scheme.h
-    r = scheme.r
-    du = np.empty(m)
-    d2u = np.empty(m)
-    du[0] = 0.0
-    d2u[0] = 2.0 * (u[1] - u[0]) / h ** 2
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-    d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
-    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-    d2u[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h ** 2
-    w = np.sqrt(1.0 + du ** 2)
-    nu = 1.0 / w
-    krad = u * d2u / w ** 3 + nu
-    kang = np.empty(m)
-    kang[0] = krad[0]
-    kang[1:] = u[1:] * du[1:] / (r[1:] * w[1:]) + nu[1:]
-    rows = np.empty((m, n))
-    rows[:, 0] = krad
-    rows[:, 1:] = kang[:, None]
-    spectra = np.sort(rows, axis=1)[:, ::-1]
-    residual_field = elementary_symmetric_batch(rows, n - 1) - sigma
-    boundary = np.zeros(m, dtype=bool)
-    boundary[-1] = True
-    near = np.zeros(m, dtype=bool)
-    near[-2:] = True
-    tab = elem_sym_table(rows[:-1], n - 1)
-    cone_ok = bool((tab[:, 1:] > 0.0).all())
-    return SolutionField(
-        domain=domain,
-        nodes=r.copy(),
-        u=u,
-        boundary=boundary,
-        nu_vertical=nu,
-        spectra=spectra,
-        residual_field=residual_field,
-        convergence=ConvergenceInfo(iterations=iterations, residual=resid,
-                                    eps_bdry=scheme.eps_bdry, sigma=sigma),
-        cone_ok=cone_ok,
-        meta={"kind": "radial", "h": h, "du": du, "d2u": d2u,
-              "kappa_rad": krad, "kappa_ang": kang,
-              "near_boundary": near},
-    )
-
-
-def _converge_radial(scheme: _RadialScheme, v: np.ndarray, sigma: float,
-                     params: NewtonParams):
-    return damped_newton(
-        v,
-        residual_fn=lambda x: scheme.residual(x, sigma),
-        guard_fn=scheme.guard,
-        jacobian_solver=lambda x, F: scheme.jacobian_step(x, F, sigma),
-        params=params,
-    )
-
-
-def _descend_eps_radial(n, radius, nodes, params, v, sigma,
-                        eps_from, eps_to, depth=0):
-    """Move the converged profile from eps_from to eps_to, bisecting the
-    (geometric) eps step up to 3 times on Newton failure.
-
-    Re-pinning the boundary node alone kinks the profile hard enough to
-    leave the cone, so the warm start adds the height difference of the
-    exact cap family between the two eps values (exact transport on the
-    ball, smooth and cone-safe in general).
-    """
-    scheme = _RadialScheme(n, radius, nodes, eps_to)
-    shift = exact_cap(n, sigma, radius, eps_to).height(scheme.r[:-1]) \
-        - exact_cap(n, sigma, radius, eps_from).height(scheme.r[:-1])
-    try:
-        return scheme, _converge_radial(scheme, v + shift, sigma, params)
-    except (NewtonDivergenceError, ConeViolationError):
-        if depth >= 3:
-            raise
-        mid = math.sqrt(eps_from * eps_to)
-        _, (vm, it1, _) = _descend_eps_radial(
-            n, radius, nodes, params, v, sigma, eps_from, mid, depth + 1)
-        scheme2, (v2, it2, res2) = _descend_eps_radial(
-            n, radius, nodes, params, vm, sigma, mid, eps_to, depth + 1)
-        return scheme2, (v2, it1 + it2, res2)
+    def build_field(self, v: np.ndarray, sigma: float, iterations: int,
+                    resid: float) -> SolutionField:
+        u = self.full_height(v)
+        m, n, h = self.m, self.n, self.h
+        r = self.r
+        du = np.empty(m)
+        d2u = np.empty(m)
+        du[0] = 0.0
+        d2u[0] = 2.0 * (u[1] - u[0]) / h ** 2
+        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+        d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
+        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+        d2u[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h ** 2
+        w = np.sqrt(1.0 + du ** 2)
+        nu = 1.0 / w
+        krad = u * d2u / w ** 3 + nu
+        kang = np.empty(m)
+        kang[0] = krad[0]
+        kang[1:] = u[1:] * du[1:] / (r[1:] * w[1:]) + nu[1:]
+        rows = np.empty((m, n))
+        rows[:, 0] = krad
+        rows[:, 1:] = kang[:, None]
+        spectra = np.sort(rows, axis=1)[:, ::-1]
+        residual_field = elementary_symmetric_batch(rows, n - 1) - sigma
+        boundary = np.zeros(m, dtype=bool)
+        boundary[-1] = True
+        near = np.zeros(m, dtype=bool)
+        near[-2:] = True
+        tab = elem_sym_table(rows[:-1], n - 1)
+        cone_ok = bool((tab[:, 1:] > 0.0).all())
+        return SolutionField(
+            domain=self.domain,
+            nodes=r.copy(),
+            u=u,
+            boundary=boundary,
+            nu_vertical=nu,
+            spectra=spectra,
+            residual_field=residual_field,
+            convergence=ConvergenceInfo(iterations=iterations, residual=resid,
+                                        eps_bdry=self.eps_bdry, sigma=sigma),
+            cone_ok=cone_ok,
+            meta={"kind": "radial", "scheme": self, "h": h, "du": du,
+                  "d2u": d2u, "kappa_rad": krad, "kappa_ang": kang,
+                  "near_boundary": near},
+        )
 
 
 def solve_radial_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionField]:
@@ -412,31 +491,8 @@ def solve_radial_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionF
     mesh = config.mesh if config.mesh is not None else RadialMesh()
     if not isinstance(mesh, RadialMesh):
         raise ValueError("solve_radial needs a RadialMesh")
-    params = config.newton
-    sig_path = list(config.sigma_path)
-    if not sig_path or sig_path[-1] != config.sigma_target:
-        sig_path.append(config.sigma_target)
-
-    eps0 = config.eps_schedule[0]
-    scheme = _RadialScheme(config.n, domain.radius, mesh.nodes, eps0)
-    cap = exact_cap(config.n, sig_path[0], domain.radius, eps0)
-    v = cap.height(scheme.r[:-1])
-    total_it = 0
-    for sg in sig_path:
-        v, it, res = _converge_radial(scheme, v, sg, params)
-        total_it += it
-
-    fields = [_radial_field(scheme, v, domain, config.sigma_target,
-                            total_it, res)]
-    prev = eps0
-    for eps in config.eps_schedule[1:]:
-        scheme, (v, it, res) = _descend_eps_radial(
-            config.n, domain.radius, mesh.nodes, params, v,
-            config.sigma_target, prev, eps)
-        fields.append(_radial_field(scheme, v, domain, config.sigma_target,
-                                    it, res))
-        prev = eps
-    return fields
+    return _solve_path(
+        _RadialScheme(domain, mesh.nodes, config.eps_schedule[0]), config)
 
 
 def solve_radial(config: SolveConfig, domain: DomainSpec) -> SolutionField:
@@ -444,61 +500,42 @@ def solve_radial(config: SolveConfig, domain: DomainSpec) -> SolutionField:
 
 
 # ---------------------------------------------------------------------------
-# Field-level operations shared with the grid solver
+# Field-level operations, for radial and grid fields alike
 # ---------------------------------------------------------------------------
+
+def _field_scheme(field: SolutionField):
+    scheme = field.meta.get("scheme")
+    if scheme is None:
+        raise ValueError("field carries no solver scheme in meta['scheme']")
+    return scheme
+
 
 def pde_residual(field: SolutionField) -> np.ndarray:
     """sigma_{n-1}(spectrum) - sigma at every non-boundary node."""
     if not (field.u > 0.0).all():
         raise InvalidHeightError("solution field has non-positive heights")
-    kind = field.meta.get("kind")
-    sigma = field.convergence.sigma
-    if kind == "radial":
-        scheme = _RadialScheme(field.domain.n, float(field.nodes[-1]),
-                               field.nodes.size, field.convergence.eps_bdry)
-        return scheme.residual(field.u[:-1], sigma)
-    if kind == "grid":
-        from .gridsolver import grid_residual
-        return grid_residual(field)
-    raise ValueError(f"unknown field kind {kind!r}")
+    return _field_scheme(field).residual(field.u[field.interior],
+                                         field.convergence.sigma)
 
 
 def newton_step(field: SolutionField, damping: float = 1.0):
     """One guarded Newton update of a converged or in-progress field.
 
-    Returns (updated_field, (residual_before, residual_after)).
+    Returns (updated_field, (residual_before, residual_after)).  A single
+    step accepts any non-increase of the residual (within roundoff).
     """
     if not field.cone_ok:
         raise ConeViolationError("newton_step requires a cone_ok field",
                                  state=field.u)
-    kind = field.meta.get("kind")
+    scheme = _field_scheme(field)
     sigma = field.convergence.sigma
-    if kind == "grid":
-        from .gridsolver import newton_step_grid
-        return newton_step_grid(field, damping)
-    if kind != "radial":
-        raise ValueError(f"unknown field kind {kind!r}")
-    scheme = _RadialScheme(field.domain.n, float(field.nodes[-1]),
-                           field.nodes.size, field.convergence.eps_bdry)
-    v = field.u[:-1]
+    v = field.u[field.interior]
     F = scheme.residual(v, sigma)
     before = float(np.abs(F).max())
-    s = scheme.jacobian_step(v, F, sigma)
-    t = float(damping)
-    guard_seen = False
-    while t >= 1.0e-6:
-        trial = v + t * s
-        if scheme.guard(trial):
-            guard_seen = True
-            after = float(np.abs(scheme.residual(trial, sigma)).max())
-            # a single step accepts any non-increase (within roundoff)
-            if after <= before * (1.0 + 1.0e-12) + 1.0e-15:
-                out = _radial_field(scheme, trial, field.domain, sigma,
-                                    field.convergence.iterations + 1, after)
-                return out, (before, after)
-        t *= 0.5
-    if not guard_seen:
-        raise ConeViolationError("cone guard rejected every damped step",
-                                 state=field.u)
-    raise NewtonDivergenceError("single Newton step could not avoid a "
-                                "residual increase", state=field.u)
+    trial, _, after = _line_search(
+        v, scheme.jacobian_step(v, F), float(damping), 1.0e-6, scheme.guard,
+        functools.partial(scheme.residual, sigma=sigma),
+        lambda nt, t: nt <= before * (1.0 + 1.0e-12) + 1.0e-15,
+        "single Newton step could not avoid a residual increase")
+    return scheme.build_field(trial, sigma, field.convergence.iterations + 1,
+                              after), (before, after)

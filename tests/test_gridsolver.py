@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from hplateau import cli, domains, geometry, gridsolver, solver
-from hplateau.errors import (ConeViolationError, GridDegeneracyError,
-                             NewtonDivergenceError)
+from hplateau.errors import ConeViolationError, GridDegeneracyError
 
 BALL3 = domains.make_ball(3, 1.0)
 ELL = domains.make_ellipsoid((1.3, 1.0, 1.0))
@@ -125,37 +124,6 @@ def test_solve_is_deterministic():
     assert np.array_equal(a.spectra, b.spectra)
 
 
-def test_failed_leg_splits_at_geometric_midpoint(monkeypatch):
-    geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh(6, 4, 8))
-    visited = []
-
-    def fake_converge(scheme, v, sigma, params):
-        visited.append((sigma, scheme.eps_bdry))
-        if len(visited) == 1 or always_fail:
-            raise NewtonDivergenceError("stalled", state=v)
-        return v, 1, 0.0
-
-    monkeypatch.setattr(gridsolver, "_converge_grid", fake_converge)
-    v = np.ones(geo.n_int)
-    params = solver.NewtonParams()
-    always_fail = False
-    # sigma leg: eps stays put, sigma splits at sqrt(1.0 * 0.25)
-    _, (_, its, _) = gridsolver._transport_leg(geo, params, v, (1.0, 0.1),
-                                               (0.25, 0.1))
-    assert visited == [(0.25, 0.1), (0.5, 0.1), (0.25, 0.1)]
-    assert its == 2
-    # eps leg: the same split in eps
-    visited.clear()
-    gridsolver._transport_leg(geo, params, v, (1.5, 1e-2), (1.5, 1e-4))
-    assert visited == [(1.5, 1e-4), (1.5, math.sqrt(1e-2 * 1e-4)), (1.5, 1e-4)]
-    # three splits at most, then the error propagates
-    visited.clear()
-    always_fail = True
-    with pytest.raises(NewtonDivergenceError):
-        gridsolver._transport_leg(geo, params, v, (1.0, 0.1), (0.25, 0.1))
-    assert len(visited) == 4
-
-
 def test_cli_small_sigma_ellipsoid(tmp_path, monkeypatch):
     # the automatic walk from sigma = 1.5 to 0.01 needs its legs split
     # where a transported iterate leaves the cone
@@ -221,10 +189,12 @@ def test_jacobian_is_the_complex_step_derivative(domain, mesh, sigma):
 # ---------------------------------------------------------------------------
 
 def test_grid_residual_at_solution(ball16):
-    res = gridsolver.grid_residual(ball16)
+    res = solver.pde_residual(ball16)
     assert res.shape == (ball16.interior.sum(),)
     assert np.abs(res).max() <= 1e-9
-    assert np.array_equal(res, solver.pde_residual(ball16))
+    scheme = ball16.meta["scheme"]
+    assert np.array_equal(res, scheme.residual(ball16.u[:scheme.geo.n_int],
+                                               ball16.convergence.sigma))
 
 
 def test_newton_step_grid_non_regression(ball16):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hplateau import domains, geometry, solver
+from hplateau import domains, geometry, gridsolver, solver
 from hplateau.errors import (ConeViolationError, InvalidHeightError,
                              NewtonDivergenceError)
 
@@ -207,6 +207,123 @@ def test_damped_newton_iteration_cap():
             jacobian_solver=lambda v, F: -0.5 * v,
             params=solver.NewtonParams(max_iters=3, residual_tol=1e-12),
         )
+
+
+# ---------------------------------------------------------------------------
+# continuation driver, on the radial and the grid scheme
+# ---------------------------------------------------------------------------
+
+def _radial_scheme():
+    return solver, solver._RadialScheme(BALL3, 21, 0.1)
+
+
+def _grid_scheme():
+    geo = gridsolver._GridGeometry(domains.make_ellipsoid((1.3, 1.0, 1.0)),
+                                   solver.SphericalGridMesh(6, 4, 8))
+    return gridsolver, gridsolver._GridScheme(geo, 0.1)
+
+
+def _stub_legs(monkeypatch, module, fail):
+    """Replace module.damped_newton by a stub that records the (sigma, eps)
+    of every leg and fails the k-th leg (from 1) where fail(k) holds."""
+    visited = []
+
+    def fake_newton(v0, residual_fn, guard_fn, jacobian_solver, params):
+        visited.append((residual_fn.keywords["sigma"],
+                        guard_fn.__self__.eps_bdry))
+        if fail(len(visited)):
+            raise NewtonDivergenceError("stalled", state=v0)
+        return v0, 1, 0.0
+
+    monkeypatch.setattr(module, "damped_newton", fake_newton)
+    return visited
+
+
+@pytest.mark.parametrize("make", [_radial_scheme, _grid_scheme],
+                         ids=["radial", "grid"])
+def test_failed_leg_splits_at_geometric_midpoint(monkeypatch, make):
+    module, scheme = make()
+    always_fail = False
+    visited = _stub_legs(monkeypatch, module,
+                         lambda k: k == 1 or always_fail)
+    v = np.ones(scheme.cap_height(1.0, 0.1).size)
+    params = solver.NewtonParams()
+    # sigma leg: eps stays put, sigma splits at sqrt(1.0 * 0.25)
+    _, (_, its, _) = solver._leg(scheme, params, v, (1.0, 0.1), (0.25, 0.1))
+    assert visited == [(0.25, 0.1), (0.5, 0.1), (0.25, 0.1)]
+    assert its == 2
+    # eps leg: the same split in eps
+    visited.clear()
+    solver._leg(scheme, params, v, (1.5, 1e-2), (1.5, 1e-4))
+    assert visited == [(1.5, 1e-4), (1.5, math.sqrt(1e-2 * 1e-4)), (1.5, 1e-4)]
+    # three splits at most, then the error propagates
+    visited.clear()
+    always_fail = True
+    with pytest.raises(NewtonDivergenceError):
+        solver._leg(scheme, params, v, (1.0, 0.1), (0.25, 0.1))
+    assert len(visited) == 4
+
+
+def test_radial_walk_fires_when_first_leg_fails(monkeypatch):
+    real = solver.damped_newton
+    visited = []
+
+    def fails_once(v0, residual_fn, guard_fn, jacobian_solver, params):
+        visited.append(residual_fn.keywords["sigma"])
+        if len(visited) == 1:
+            raise ConeViolationError("stub", state=v0)
+        return real(v0, residual_fn, guard_fn, jacobian_solver, params)
+
+    monkeypatch.setattr(solver, "damped_newton", fails_once)
+    f = _solve(sigma=0.2, nodes=101)
+    # ratio 1.5 / 0.2 = 7.5: ceil(log2(7.5)) + 2 = 5 walk values
+    assert visited[0] == 0.2
+    assert np.array_equal(visited[1:], np.geomspace(1.5, 0.2, 5))
+    assert f.convergence.sigma == 0.2
+    assert f.convergence.residual <= 1e-10
+    assert f.cone_ok
+
+
+def test_radial_explicit_sigma_path_is_not_second_guessed(monkeypatch):
+    visited = _stub_legs(monkeypatch, solver, lambda k: k == 1)
+    with pytest.raises(NewtonDivergenceError):
+        _solve(sigma=0.2, nodes=101, sigma_path=(0.2,))
+    assert visited == [(0.2, 1e-2)]
+
+
+def test_radial_explicit_sigma_path_lands_on_direct_solution():
+    direct = _solve(sigma=1.0)
+    walked = _solve(sigma=1.0, sigma_path=(1.5, 1.0))
+    assert walked.convergence.sigma == 1.0
+    assert walked.convergence.residual <= 1e-10
+    assert np.abs(walked.u - direct.u).max() <= 1e-9
+
+
+def _count_newton(monkeypatch, module):
+    calls = []
+    real = module.damped_newton
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "damped_newton", counted)
+    return calls
+
+
+def test_newton_legs_run_through_their_own_module(monkeypatch):
+    # outside tracers tell radial from grid legs by which module global
+    # they wrap, so each solver must call its own damped_newton
+    grid_calls = _count_newton(monkeypatch, gridsolver)
+    radial_calls = _count_newton(monkeypatch, solver)
+    gridsolver.solve_graph(
+        solver.SolveConfig(n=2, sigma_target=1.2, eps_schedule=(1e-1, 1e-2),
+                           mesh=solver.PolarGridMesh(6, 8)),
+        domains.make_ball(2, 1.0))
+    assert grid_calls and not radial_calls
+    grid_calls.clear()
+    _solve(nodes=51, eps_schedule=(1e-1, 1e-2))
+    assert radial_calls and not grid_calls
 
 
 # ---------------------------------------------------------------------------
