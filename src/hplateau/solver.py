@@ -247,7 +247,8 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     given).  Extreme targets (very steep or very flat caps) can place
     every direct guess outside the cone, so when that leg fails and no
     explicit sigma_path was given, sigma is walked geometrically from
-    n/2 instead; an explicit path is not second-guessed.  Every later
+    n/2 instead; an explicit path is not second-guessed, and a walk that
+    would start where the failed leg started is not tried.  Every later
     sigma leg, then every eps leg, goes through _leg.
     """
     params = config.newton
@@ -263,9 +264,9 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     try:
         v, total_it, res = first_leg(sig_path[0])
     except (ConeViolationError, NewtonDivergenceError):
-        if config.sigma_path:
-            raise
         easy = 0.5 * config.n
+        if config.sigma_path or easy == target:
+            raise
         ratio = max(easy, target) / min(easy, target)
         count = max(2, math.ceil(math.log(ratio) / math.log(2.0)) + 2)
         sig_path = list(np.geomspace(easy, target, count))

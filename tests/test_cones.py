@@ -1,5 +1,6 @@
 """Cone calculus against brute-force combinatorial oracles."""
 
+import functools
 import itertools
 import math
 
@@ -156,10 +157,10 @@ def test_min_k_at_umbilic_point_closed_form():
     # In the symmetric 2x2 block the determinant is linear in K:
     # det = 4.8 K - 4.4, so the certified threshold is exactly 11/12.
     got = cones.ren_wang_min_k([1.0, 1.0, 1.0], 0.1)
-    assert got == pytest.approx(11.0 / 12.0, rel=1e-5)
+    assert got == pytest.approx(11.0 / 12.0, rel=1e-12)
     # scaling kappa -> t kappa rescales the threshold by 1/t^2
     scaled = cones.ren_wang_min_k([0.5, 0.5, 0.5], 0.1)
-    assert scaled == pytest.approx(4.0 * 11.0 / 12.0, rel=1e-5)
+    assert scaled == pytest.approx(4.0 * 11.0 / 12.0, rel=1e-12)
 
 
 def test_min_k_brackets_certification():
@@ -171,6 +172,79 @@ def test_min_k_brackets_certification():
         if kstar > 1e-3:
             assert not cones.ren_wang_form(row, 0.1,
                                            float(kstar) * 0.9).certified
+
+
+@functools.lru_cache(maxsize=None)
+def _stiff_rows(n, count=200):
+    """The level-set samples of Gamma_{n-1} whose form A = M(0) has the
+    largest spectral radius: rows near the cone boundary, where a loose
+    PSD test goes wrong first."""
+    rows = cones.sample_cone(n, n - 1, 20000, seed=55 + n, level=1.0)
+    A = cones.ren_wang_matrices(rows, 0.1, 0.0)
+    rho = np.abs(np.linalg.eigvalsh(A)).max(axis=1)
+    return rows[np.argsort(rho)[-count:]]
+
+
+def _bisect_min_k(rows, eps_rw):
+    """Smallest K with lam_min(M(K)) >= 0 by doubling, then bisection down
+    to adjacent floats: no tolerance anywhere but the sign of lam_min."""
+    def psd(K, sel):
+        M = cones.ren_wang_matrices(rows[sel], eps_rw, K)
+        return np.linalg.eigvalsh(M)[:, 0] >= 0.0
+
+    m = rows.shape[0]
+    lo, hi = np.zeros(m), np.zeros(m)
+    unbracketed = ~psd(hi, np.arange(m))
+    hi[unbracketed] = 1.0
+    while unbracketed.any():
+        assert hi.max() < 1e15, "no certified K on some row"
+        sel = np.where(unbracketed)[0]
+        ok = psd(hi[sel], sel)
+        unbracketed[sel[ok]] = False
+        lo[sel[~ok]] = hi[sel[~ok]]
+        hi[sel[~ok]] *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        sel = np.where((lo < mid) & (mid < hi))[0]
+        if not sel.size:
+            return hi
+        ok = psd(mid[sel], sel)
+        hi[sel[ok]] = mid[sel[ok]]
+        lo[sel[~ok]] = mid[sel[~ok]]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_form_short_of_min_k_is_not_certified(n):
+    # K* from the bisection, so that only the PSD test of the form is on trial
+    rows = _stiff_rows(n, 20)
+    for row, kstar in zip(rows, _bisect_min_k(rows, 0.1)):
+        assert cones.ren_wang_form(row, 0.1, float(kstar)).certified
+        assert not cones.ren_wang_form(row, 0.1, 0.999 * float(kstar)).certified
+
+
+@given(st.integers(2, 5), st.integers(0, 200),
+       st.lists(st.integers(0, 199), min_size=1, max_size=20))
+def test_min_k_matches_bisection(n, seed_offset, stiff):
+    rows = np.concatenate([cones.sample_cone(n, n - 1, 20, seed=3000 + seed_offset),
+                           _stiff_rows(n)[stiff]])
+    closed = cones.ren_wang_min_k_batch(rows, 0.1)
+    assert np.isfinite(closed).all()
+    bisected = _bisect_min_k(rows, 0.1)
+    assert np.allclose(bisected, closed, rtol=1e-9, atol=0.0)
+
+
+def test_min_k_infinite_off_the_cone():
+    # inside Gamma_{n-1} the form A always has exactly one negative
+    # eigenvalue; these rows (kappa_1 > 0, outside the cone) reach the
+    # other two cases: one negative with b^T A^-1 b >= 0, and two negatives
+    rows = np.array([[1.18480844, -0.65106643, -1.79513238],
+                     [0.25169683, -0.3194147, -1.24860267]])
+    A = cones.ren_wang_matrices(rows, 0.1, 0.0)
+    assert ((np.linalg.eigvalsh(A) < 0.0).sum(axis=1) == [1, 2]).all()
+    assert np.isinf(cones.ren_wang_min_k_batch(rows, 0.1)).all()
+    for K in np.logspace(-3, 12, 16):
+        M = cones.ren_wang_matrices(rows, 0.1, K)
+        assert (np.linalg.eigvalsh(M)[:, 0] < 0.0).all()
 
 
 def test_min_k_weakly_decreasing_in_eps():

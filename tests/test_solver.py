@@ -291,6 +291,15 @@ def test_radial_explicit_sigma_path_is_not_second_guessed(monkeypatch):
     assert visited == [(0.2, 1e-2)]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_walk_is_not_tried_when_it_would_repeat_the_failed_leg(monkeypatch, n):
+    # the walk starts at n/2, so at sigma = n/2 it would rerun the first leg
+    visited = _stub_legs(monkeypatch, solver, lambda k: True)
+    with pytest.raises(NewtonDivergenceError):
+        _solve(n=n, sigma=0.5 * n, nodes=101)
+    assert visited == [(0.5 * n, 1e-2)]
+
+
 def test_radial_explicit_sigma_path_lands_on_direct_solution():
     direct = _solve(sigma=1.0)
     walked = _solve(sigma=1.0, sigma_path=(1.5, 1.0))
