@@ -140,11 +140,16 @@ def _require_solution(solution: SolutionField, who: str) -> None:
             f"{CONVERGED_RESIDUAL_CEIL:.0e})")
 
 
-def _region_masks(solution: SolutionField):
-    """(interior, boundary-adjacent) masks; adjacency means within one cell."""
-    near = np.asarray(solution.meta["near_boundary"], dtype=bool)
-    interior = ~near
-    return interior, near
+def _near_boundary(solution: SolutionField) -> np.ndarray:
+    """Boundary-adjacent mask; adjacency means within one cell."""
+    return np.asarray(solution.meta["near_boundary"], dtype=bool)
+
+
+def _kappa_maxima(solution: SolutionField) -> tuple[float, float]:
+    """Largest |kappa| off and on the boundary-adjacent nodes."""
+    near = _near_boundary(solution)
+    amax = np.abs(solution.spectra).max(axis=1)
+    return float(amax[~near].max()), float(amax[near].max())
 
 
 def test_function_field(solution: SolutionField,
@@ -162,7 +167,7 @@ def test_function_field(solution: SolutionField,
 def _q_summary(solution: SolutionField, exponent: float):
     cfg = AuditConfig(N=exponent)
     q = test_function_field(solution, cfg)
-    interior, near = _region_masks(solution)
+    near = _near_boundary(solution)
     idx = int(np.argmax(q))
     loc = solution.nodes[idx]
     loc = tuple(np.atleast_1d(loc).astype(float).tolist())
@@ -214,13 +219,9 @@ def curvature_bound_check(solutions, c1: float = BOUND_C1,
     solutions = list(solutions)
     if not solutions:
         raise AuditPreconditionError("curvature_bound_check needs fields")
-    interior_maxima, boundary_maxima = [], []
     for f in solutions:
         _require_solution(f, "curvature_bound_check")
-        interior, near = _region_masks(f)
-        amax = np.abs(f.spectra).max(axis=1)
-        interior_maxima.append(float(amax[interior].max()))
-        boundary_maxima.append(float(amax[near].max()))
+    interior_maxima, boundary_maxima = zip(*map(_kappa_maxima, solutions))
     witnesses = tuple(i - c2 * b
                       for i, b in zip(interior_maxima, boundary_maxima))
     ok = all(w <= c1 for w in witnesses)
@@ -231,8 +232,8 @@ def curvature_bound_check(solutions, c1: float = BOUND_C1,
         ok = ok and drift < STABILITY_DRIFT_LIMIT
     return CurvatureBoundReport(
         eps_values=tuple(f.convergence.eps_bdry for f in solutions),
-        interior_maxima=tuple(interior_maxima),
-        boundary_maxima=tuple(boundary_maxima),
+        interior_maxima=interior_maxima,
+        boundary_maxima=boundary_maxima,
         witnesses=witnesses, c1=c1, c2=c2, drift=drift, ok=ok)
 
 
@@ -341,10 +342,7 @@ def estimate_report(solution: SolutionField, config: AuditConfig,
     and config; it is computed here when not given.
     """
     _require_solution(solution, "estimate_report")
-    interior, near = _region_masks(solution)
-    amax = np.abs(solution.spectra).max(axis=1)
-    max_kappa_interior = float(amax[interior].max())
-    max_kappa_boundary = float(amax[near].max())
+    max_kappa_interior, max_kappa_boundary = _kappa_maxima(solution)
     q_max, q_argmax, region, q_boundary = _q_summary(solution, config.N)
     if rw is None:
         rw = rw_on_solution(solution, config)

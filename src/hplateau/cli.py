@@ -3,9 +3,10 @@
 Subcommands: solve-radial, solve-grid, oracle-cap, verify-cone, renwang,
 audit, sweep.  Parameters come from flags, optionally layered over a
 JSON config file ({n, sigma, domain:{kind,params}, eps_schedule,
-mesh:{...}, newton:{...}, audit:{...}, out:{csv,json}}); a flag always
-overrides the file.  The sampling subcommands verify-cone and renwang
-also take a seed (--seed, or seed in the file).
+mesh:{...}, newton:{max_iters, residual_tol}, audit:{...},
+out:{csv,json}}); a flag always overrides the file.  The sampling
+subcommands verify-cone and renwang also take a seed (--seed, or seed
+in the file).
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver
 non-convergence, 4 cone-guard failure, 5 a verification subcommand
@@ -80,10 +81,6 @@ def _newton_params(args, cfg) -> NewtonParams:
                             ("newton", "max_iters"), 40)),
         residual_tol=float(_pick(getattr(args, "residual_tol", None), cfg,
                                  ("newton", "residual_tol"), 1.0e-10)),
-        step_damping=float(_pick(getattr(args, "step_damping", None), cfg,
-                                 ("newton", "step_damping"), 1.0)),
-        min_step=float(_pick(getattr(args, "min_step", None), cfg,
-                             ("newton", "min_step"), 1.0e-6)),
     )
 
 
@@ -404,15 +401,14 @@ def _run_sweep(args) -> int:
                                  "eps": eps, "status": "newton_divergence"})
                 continue
             for fld in fields:
-                interior, near = audit_mod._region_masks(fld)
-                amax = np.abs(fld.spectra).max(axis=1)
+                kmax_int, kmax_bdry = audit_mod._kappa_maxima(fld)
                 q = audit_mod.test_function_field(fld, audit_cfg)
                 rw = audit_mod.rw_on_solution(fld, audit_cfg)
                 rows.append({
                     "domain": label, "n": n, "sigma": sigma,
                     "eps": fld.convergence.eps_bdry,
-                    "max_kappa_interior": float(amax[interior].max()),
-                    "max_kappa_boundary": float(amax[near].max()),
+                    "max_kappa_interior": kmax_int,
+                    "max_kappa_boundary": kmax_bdry,
                     "nu_min": float(fld.nu_vertical.min()),
                     "Q_max": float(q.max()),
                     "rw_minK_max": rw.min_k_max,
@@ -449,8 +445,6 @@ def _add_solve_flags(p, radial: bool):
     p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--residual-tol", dest="residual_tol", type=float)
-    p.add_argument("--step-damping", dest="step_damping", type=float)
-    p.add_argument("--min-step", dest="min_step", type=float)
     if radial:
         p.add_argument("--radius", type=float)
         p.add_argument("--nodes", type=int)

@@ -27,6 +27,10 @@ whose eigenvalues are the hyperbolic principal curvatures.  sigma_1 and
 sigma_2 come from trace minors of S, so residual and cone guard are
 analytic in the local chart jet (u, Du, D2u) of each node.
 
+The boundary ring carries no equation, but the curvature reports need
+its jet: boundary_jet runs the same stencils on the last three rings
+and replaces the radial slots by one-sided differences.
+
 Every jet component is a fixed linear combination of the 19 (n = 3) or
 9 (n = 2) wrapped stencil neighbors, with one scalar weight per (jet
 component, stencil offset).  The Newton Jacobian is that chain: the
@@ -51,12 +55,13 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .cones import cone_mask_batch
 from .domains import DomainSpec, omega_jet
 from .errors import GridDegeneracyError
 from .geometry import exact_cap
 from .solver import (ConvergenceInfo, NewtonParams, PolarGridMesh, SolveConfig,
                      SolutionField, SphericalGridMesh, _solve_path,
-                     damped_newton)
+                     damped_newton, initial_profile_slope)
 
 __all__ = ["solve_graph", "solve_graph_path", "initial_grid_guess"]
 
@@ -267,60 +272,26 @@ class _GridGeometry:
         """(u, first chart derivatives, second chart derivatives)."""
         return jet[:, 0], jet[:, 1:self.n + 1], jet[:, self.sym]
 
-    def boundary_chart_derivatives(self, U: np.ndarray):
-        """One-sided (radial) derivatives on the boundary ring, for reports."""
-        J, M, L = self.J, self.M, self.L
-        nb = M * L
-        base = (J - 1) * M * L
+    def boundary_jet(self, U: np.ndarray) -> np.ndarray:
+        """Packed chart jet of the full height array on the boundary ring.
 
-        def ring(j):
-            return U[(j - 1) * M * L:(j) * M * L]
-
-        uJ, u1, u2, u3 = ring(J), ring(J - 1), ring(J - 2), ring(J - 3)
-        hs = self.hs
-        n = self.n
-        p = np.empty((nb, n))
-        P = np.empty((nb, n, n))
-        p[:, 0] = (3 * uJ - 4 * u1 + u2) / (2 * hs)
-        P[:, 0, 0] = (2 * uJ - 5 * u1 + 4 * u2 - u3) / hs ** 2
-
-        def ang_shift(ringvals, dm, dl):
-            # wrap within a single ring; center wrap cannot occur here
-            mm = self.mm[base:base + nb] + dm
-            ll = self.ll[base:base + nb] + dl
-            if self.n == 3:
-                low = mm == -1
-                mm = np.where(low, 0, mm)
-                ll = np.where(low, ll + L // 2, ll)
-                high = mm == M
-                mm = np.where(high, M - 1, mm)
-                ll = np.where(high, ll + L // 2, ll)
-            ll = ll % L
-            return ringvals[mm * L + ll]
-
-        if n == 3:
-            hth, hph = self.hth, self.hph
-            dth = {j: (ang_shift(r, 1, 0) - ang_shift(r, -1, 0)) / (2 * hth)
-                   for j, r in (("J", uJ), ("1", u1), ("2", u2))}
-            dph = {j: (ang_shift(r, 0, 1) - ang_shift(r, 0, -1)) / (2 * hph)
-                   for j, r in (("J", uJ), ("1", u1), ("2", u2))}
-            p[:, 1] = dth["J"]
-            p[:, 2] = dph["J"]
-            P[:, 1, 1] = (ang_shift(uJ, 1, 0) - 2 * uJ + ang_shift(uJ, -1, 0)) / hth ** 2
-            P[:, 2, 2] = (ang_shift(uJ, 0, 1) - 2 * uJ + ang_shift(uJ, 0, -1)) / hph ** 2
-            P[:, 1, 2] = P[:, 2, 1] = (ang_shift(uJ, 1, 1) - ang_shift(uJ, 1, -1)
-                                       - ang_shift(uJ, -1, 1) + ang_shift(uJ, -1, -1)) \
-                / (4 * hth * hph)
-            P[:, 0, 1] = P[:, 1, 0] = (3 * dth["J"] - 4 * dth["1"] + dth["2"]) / (2 * hs)
-            P[:, 0, 2] = P[:, 2, 0] = (3 * dph["J"] - 4 * dph["1"] + dph["2"]) / (2 * hs)
-        else:
-            hph = self.hph
-            dph = {j: (ang_shift(r, 0, 1) - ang_shift(r, 0, -1)) / (2 * hph)
-                   for j, r in (("J", uJ), ("1", u1), ("2", u2))}
-            p[:, 1] = dph["J"]
-            P[:, 1, 1] = (ang_shift(uJ, 0, 1) - 2 * uJ + ang_shift(uJ, 0, -1)) / hph ** 2
-            P[:, 0, 1] = P[:, 1, 0] = (3 * dph["J"] - 4 * dph["1"] + dph["2"]) / (2 * hs)
-        return p, P
+        The angular slots are chart_jet's own stencils on rings J, J-1
+        and J-2 (ring J's reads past the boundary are clipped and never
+        used); the radial slots u_s, u_ss and u_s(angle) are then
+        replaced by one-sided second-order differences across the rings.
+        """
+        ml, na, n, hs = self.M * self.L, self.n_all, self.n, self.hs
+        rings = self._jet_from({off: U.take(ix[na - 3 * ml:], mode="clip")
+                                for off, ix in zip(self.offsets, self.nbr)})
+        j2, j1, jet = rings[:ml], rings[ml:2 * ml], rings[2 * ml:]
+        u3 = U[na - 4 * ml:na - 3 * ml]
+        jet[:, 1] = (3 * jet[:, 0] - 4 * j1[:, 0] + j2[:, 0]) / (2 * hs)
+        jet[:, self.sym[0, 0]] = (2 * jet[:, 0] - 5 * j1[:, 0] + 4 * j2[:, 0]
+                                  - u3) / hs ** 2
+        for a in range(1, n):
+            jet[:, self.sym[0, a]] = (3 * jet[:, 1 + a] - 4 * j1[:, 1 + a]
+                                      + j2[:, 1 + a]) / (2 * hs)
+        return jet
 
 
 def _shape(u, p, P, A, Xcc):
@@ -431,25 +402,13 @@ class _GridScheme:
                     resid: float) -> SolutionField:
         geo = self.geo
         U = self.full_height(v)
-        ni, na = geo.n_int, geo.n_all
-        S_int, nu_int = _shape(*geo.unpack(geo.chart_jet(U)), geo.A[:ni],
-                               geo.Xcc[:ni])
-        pb, Pb = geo.boundary_chart_derivatives(U)
-        Sb, nub = _shape(U[ni:], pb, Pb, geo.A[ni:], geo.Xcc[ni:])
-
-        S_all = np.concatenate([S_int, Sb], axis=0)
+        ni = geo.n_int
+        jet = np.concatenate([geo.chart_jet(U), geo.boundary_jet(U)])
+        S_all, nu_all = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
         spectra = np.linalg.eigvalsh(S_all)[:, ::-1]
-        res_all = _sigma(S_all) - sigma
-        nu_all = np.concatenate([nu_int, nub])
-
-        boundary = np.zeros(na, dtype=bool)
+        boundary = np.zeros(geo.n_all, dtype=bool)
         boundary[ni:] = True
-        near = np.zeros(na, dtype=bool)
-        near[(geo.jj >= geo.J - 1)] = True
-
-        from .cones import elem_sym_table
-        tab = elem_sym_table(spectra[:ni], geo.n - 1)
-        cone_ok = bool((tab[:, 1:] > 0.0).all())
+        cone_ok = bool(cone_mask_batch(spectra[:ni], geo.n - 1).all())
         return SolutionField(
             domain=geo.domain,
             nodes=geo.xyz.copy(),
@@ -457,11 +416,12 @@ class _GridScheme:
             boundary=boundary,
             nu_vertical=nu_all,
             spectra=spectra,
-            residual_field=res_all,
+            residual_field=_sigma(S_all) - sigma,
             convergence=ConvergenceInfo(iterations=iterations, residual=resid,
                                         eps_bdry=self.eps_bdry, sigma=sigma),
             cone_ok=cone_ok,
-            meta={"kind": "grid", "scheme": self, "near_boundary": near,
+            meta={"kind": "grid", "scheme": self,
+                  "near_boundary": geo.jj >= geo.J - 1,
                   "s_node": geo.s_node.copy()},
         )
 
@@ -494,8 +454,7 @@ def initial_grid_guess(geo: _GridGeometry, sigma: float, eps: float) -> np.ndarr
         r = np.linalg.norm(geo.xyz[:ni], axis=1)
         return cap.height(r)
 
-    lam = (sigma / geo.n) ** (1.0 / (geo.n - 1))
-    slope = math.sqrt(1.0 - lam * lam) / lam
+    slope = initial_profile_slope(geo.n, sigma)
     # distance proxy (1 - s) * rho * cos(angle between ray and normal)
     if geo.domain.kind == "ellipsoid":
         Mdiag = 1.0 / np.asarray(geo.domain.semi_axes) ** 2

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .cones import elem_sym_table, elementary_symmetric_batch
+from .cones import cone_mask_batch, elementary_symmetric_batch
 from .domains import DomainSpec
 from .errors import ConeViolationError, InvalidHeightError, NewtonDivergenceError
 from .geometry import exact_cap
@@ -51,13 +51,14 @@ DEFAULT_EPS_SCHEDULE = (1.0e-1, 1.0e-2, 1.0e-3, 1.0e-4)
 #: Armijo sufficient-decrease slope for the damped line search.
 ARMIJO_SLOPE = 1.0e-4
 
+#: The line search halves t from 1 and gives up below this step.
+MIN_STEP = 1.0e-6
+
 
 @dataclass(frozen=True)
 class NewtonParams:
     max_iters: int = 40
     residual_tol: float = 1.0e-10
-    step_damping: float = 1.0
-    min_step: float = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -158,15 +159,17 @@ class SolutionField:
 # Shared Newton engine
 # ---------------------------------------------------------------------------
 
-def _line_search(v, s, t, min_step, guard_fn, residual_fn, accept, stall):
-    """Halve t until v + t s passes the guard and accept(norm, t) holds.
+def _line_search(v, s, guard_fn, residual_fn, accept, stall):
+    """Halve t from 1 until v + t s passes the guard and accept(norm, t)
+    holds.
 
-    Returns (trial, residual, norm).  When no t >= min_step is accepted,
+    Returns (trial, residual, norm).  When no t >= MIN_STEP is accepted,
     raises ConeViolationError if the guard rejected every trial and
     NewtonDivergenceError(stall) otherwise; both carry v itself.
     """
     guard_seen = False
-    while t >= min_step:
+    t = 1.0
+    while t >= MIN_STEP:
         trial = v + t * s
         if guard_fn(trial):
             guard_seen = True
@@ -202,10 +205,11 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
             return v, it - 1, nrm
         s = jacobian_solver(v, F)
         v, F, nrm = _line_search(
-            v, s, params.step_damping, params.min_step, guard_fn, residual_fn,
+            v, s, guard_fn, residual_fn,
             lambda nt, t: (nt <= (1.0 - ARMIJO_SLOPE * t) * nrm
                            or nt <= params.residual_tol),
-            f"no residual decrease above min_step (residual {nrm:.3e})")
+            f"no residual decrease above the minimum step (residual "
+            f"{nrm:.3e})")
     if nrm <= params.residual_tol:
         return v, params.max_iters, nrm
     raise NewtonDivergenceError(
@@ -245,11 +249,14 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
 
     The first leg solves at sigma_path[0] (sigma_target when no path is
     given).  Extreme targets (very steep or very flat caps) can place
-    every direct guess outside the cone, so when that leg fails and no
-    explicit sigma_path was given, sigma is walked geometrically from
-    n/2 instead; an explicit path is not second-guessed, and a walk that
-    would start where the failed leg started is not tried.  Every later
-    sigma leg, then every eps leg, goes through _leg.
+    every direct guess outside the cone, so when that leg fails the cone
+    guard and no explicit sigma_path was given, sigma is walked
+    geometrically from n/2 instead; an explicit path is not
+    second-guessed, and a walk that would start where the failed leg
+    started is not tried.  A first leg that fails with
+    NewtonDivergenceError (a stall at the residual's rounding floor) is
+    re-raised: no walk moves that floor.  Every later sigma leg, then
+    every eps leg, goes through _leg.
     """
     params = config.newton
     target = config.sigma_target
@@ -263,7 +270,7 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
 
     try:
         v, total_it, res = first_leg(sig_path[0])
-    except (ConeViolationError, NewtonDivergenceError):
+    except ConeViolationError:
         easy = 0.5 * config.n
         if config.sigma_path or easy == target:
             raise
@@ -341,21 +348,37 @@ class _RadialScheme:
     def initial_guess(self, sigma: float, eps: float) -> np.ndarray:
         return self.cap_height(sigma, eps)
 
+    def _stencil(self, u: np.ndarray):
+        """du, d2u, w = sqrt(1 + du^2), kappa_rad and kappa_ang at all m
+        nodes of the full height array u.
+
+        The center uses the symmetry conditions, where both curvatures
+        equal u_0 u''(0) + 1; the boundary node uses one-sided
+        second-order differences.
+        """
+        h, r = self.h, self.r
+        du = np.empty(self.m)
+        d2u = np.empty(self.m)
+        du[0] = 0.0
+        d2u[0] = 2.0 * (u[1] - u[0]) / h ** 2
+        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+        d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
+        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+        d2u[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h ** 2
+        w = np.sqrt(1.0 + du ** 2)
+        krad = u * d2u / w ** 3 + 1.0 / w
+        kang = np.empty(self.m)
+        kang[0] = krad[0]
+        kang[1:] = u[1:] * du[1:] / (r[1:] * w[1:]) + 1.0 / w[1:]
+        return du, d2u, w, krad, kang
+
+    def _rows(self, krad: np.ndarray, kang: np.ndarray) -> np.ndarray:
+        return np.column_stack([krad] + [kang] * (self.n - 1))
+
     def spectra(self, v: np.ndarray) -> np.ndarray:
         """Unsorted spectra rows at the m-1 equation nodes."""
-        u = self.full_height(v)
-        h, n = self.h, self.n
-        du = (u[2:] - u[:-2]) / (2.0 * h)
-        d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
-        w = np.sqrt(1.0 + du ** 2)
-        krad = u[1:-1] * d2u / w ** 3 + 1.0 / w
-        kang = u[1:-1] * du / (self.r[1:-1] * w) + 1.0 / w
-        k0 = u[0] * (2.0 * (u[1] - u[0]) / h ** 2) + 1.0
-        rows = np.empty((self.m - 1, n))
-        rows[0] = k0
-        rows[1:, 0] = krad
-        rows[1:, 1:] = kang[:, None]
-        return rows
+        *_, krad, kang = self._stencil(self.full_height(v))
+        return self._rows(krad, kang)[:-1]
 
     def residual(self, v: np.ndarray, sigma: float) -> np.ndarray:
         return elementary_symmetric_batch(self.spectra(v), self.n - 1) - sigma
@@ -363,8 +386,7 @@ class _RadialScheme:
     def guard(self, v: np.ndarray) -> bool:
         if not (v > 0.0).all():
             return False
-        tab = elem_sym_table(self.spectra(v), self.n - 1)
-        return bool((tab[:, 1:] > 0.0).all())
+        return bool(cone_mask_batch(self.spectra(v), self.n - 1).all())
 
     def jacobian_step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
         """Newton step from the exact tridiagonal Jacobian.
@@ -380,24 +402,18 @@ class _RadialScheme:
         m1 = v.size
         n, h = self.n, self.h
         u = self.full_height(v)
+        du, d2u, w, krad, kang = self._stencil(u)
         band = np.zeros((3, m1))  # rows: super, main, sub
 
-        # center equation: all curvatures equal u0*q0 + 1
-        q0 = 2.0 * (u[1] - u[0]) / h ** 2
-        k0 = u[0] * q0 + 1.0
-        c0 = n * (n - 1) * k0 ** (n - 2)
-        band[1, 0] = c0 * (q0 - 2.0 * u[0] / h ** 2)
+        # center equation: all curvatures equal u0*u''(0) + 1
+        c0 = n * (n - 1) * krad[0] ** (n - 2)
+        band[1, 0] = c0 * (d2u[0] - 2.0 * u[0] / h ** 2)
         if m1 > 1:
             band[0, 1] = c0 * (2.0 * u[0] / h ** 2)
 
         # interior equations i = 1..m-2 handled vectorized
-        b = u[1:-1]
-        p = (u[2:] - u[:-2]) / (2.0 * h)
-        q = (u[2:] - 2.0 * b + u[:-2]) / h ** 2
-        r = self.r[1:-1]
-        w = np.sqrt(1.0 + p * p)
-        krad = b * q / w ** 3 + 1.0 / w
-        kang = b * p / (r * w) + 1.0 / w
+        b, p, q, r = u[1:-1], du[1:-1], d2u[1:-1], self.r[1:-1]
+        w, krad, kang = w[1:-1], krad[1:-1], kang[1:-1]
         if n == 2:
             g_rad = np.ones_like(b)
             g_ang = np.ones_like(b)
@@ -437,45 +453,25 @@ class _RadialScheme:
     def build_field(self, v: np.ndarray, sigma: float, iterations: int,
                     resid: float) -> SolutionField:
         u = self.full_height(v)
-        m, n, h = self.m, self.n, self.h
-        r = self.r
-        du = np.empty(m)
-        d2u = np.empty(m)
-        du[0] = 0.0
-        d2u[0] = 2.0 * (u[1] - u[0]) / h ** 2
-        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-        d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
-        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-        d2u[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h ** 2
-        w = np.sqrt(1.0 + du ** 2)
-        nu = 1.0 / w
-        krad = u * d2u / w ** 3 + nu
-        kang = np.empty(m)
-        kang[0] = krad[0]
-        kang[1:] = u[1:] * du[1:] / (r[1:] * w[1:]) + nu[1:]
-        rows = np.empty((m, n))
-        rows[:, 0] = krad
-        rows[:, 1:] = kang[:, None]
-        spectra = np.sort(rows, axis=1)[:, ::-1]
-        residual_field = elementary_symmetric_batch(rows, n - 1) - sigma
+        m, n = self.m, self.n
+        du, d2u, w, krad, kang = self._stencil(u)
+        rows = self._rows(krad, kang)
         boundary = np.zeros(m, dtype=bool)
         boundary[-1] = True
         near = np.zeros(m, dtype=bool)
         near[-2:] = True
-        tab = elem_sym_table(rows[:-1], n - 1)
-        cone_ok = bool((tab[:, 1:] > 0.0).all())
         return SolutionField(
             domain=self.domain,
-            nodes=r.copy(),
+            nodes=self.r.copy(),
             u=u,
             boundary=boundary,
-            nu_vertical=nu,
-            spectra=spectra,
-            residual_field=residual_field,
+            nu_vertical=1.0 / w,
+            spectra=np.sort(rows, axis=1)[:, ::-1],
+            residual_field=elementary_symmetric_batch(rows, n - 1) - sigma,
             convergence=ConvergenceInfo(iterations=iterations, residual=resid,
                                         eps_bdry=self.eps_bdry, sigma=sigma),
-            cone_ok=cone_ok,
-            meta={"kind": "radial", "scheme": self, "h": h, "du": du,
+            cone_ok=bool(cone_mask_batch(rows[:-1], n - 1).all()),
+            meta={"kind": "radial", "scheme": self, "h": self.h, "du": du,
                   "d2u": d2u, "kappa_rad": krad, "kappa_ang": kang,
                   "near_boundary": near},
         )
@@ -519,7 +515,7 @@ def pde_residual(field: SolutionField) -> np.ndarray:
                                          field.convergence.sigma)
 
 
-def newton_step(field: SolutionField, damping: float = 1.0):
+def newton_step(field: SolutionField):
     """One guarded Newton update of a converged or in-progress field.
 
     Returns (updated_field, (residual_before, residual_after)).  A single
@@ -534,7 +530,7 @@ def newton_step(field: SolutionField, damping: float = 1.0):
     F = scheme.residual(v, sigma)
     before = float(np.abs(F).max())
     trial, _, after = _line_search(
-        v, scheme.jacobian_step(v, F), float(damping), 1.0e-6, scheme.guard,
+        v, scheme.jacobian_step(v, F), scheme.guard,
         functools.partial(scheme.residual, sigma=sigma),
         lambda nt, t: nt <= before * (1.0 + 1.0e-12) + 1.0e-15,
         "single Newton step could not avoid a residual increase")

@@ -185,6 +185,54 @@ def test_jacobian_is_the_complex_step_derivative(domain, mesh, sigma):
 
 
 # ---------------------------------------------------------------------------
+# boundary ring
+# ---------------------------------------------------------------------------
+
+def _ring_jet_errors(domain, mesh):
+    """Boundary-ring jet errors of U = (1 + s^2)(2 + omega_1), whose chart
+    jet is known in closed form: for n = 3 on the latitudes next to the
+    poles (where the stencils wrap over the pole) and on the others, for
+    n = 2 on the whole ring."""
+    geo = gridsolver._GridGeometry(domain, mesh)
+    s, ph = geo.s_node, geo.ll * geo.hph
+    if geo.n == 3:
+        th = (geo.mm + 0.5) * geo.hth
+        a = np.sin(th) * np.cos(ph)
+        d1 = [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)]
+        d2 = [-a, -a]
+        mixed = [-np.cos(th) * np.sin(ph)]
+    else:
+        a = np.cos(ph)
+        d1, d2, mixed = [-np.sin(ph)], [-a], []
+    g = 1.0 + s ** 2
+    # jet order: u, u_s, angular Du, u_ss, angular diagonal D2u,
+    # radial-angular, angular-angular
+    exact = np.column_stack([g * (2 + a), 2 * s * (2 + a)]
+                            + [g * d for d in d1] + [2 * (2 + a)]
+                            + [g * d for d in d2] + [2 * s * d for d in d1]
+                            + [g * d for d in mixed])
+    ni = geo.n_int
+    err = np.abs(geo.boundary_jet(exact[:, 0]) - exact[ni:]).max(axis=1)
+    if geo.n == 2:
+        return [err.max()]
+    pole = (geo.mm[ni:] == 0) | (geo.mm[ni:] == geo.M - 1)
+    return [err[pole].max(), err[~pole].max()]
+
+
+@pytest.mark.parametrize("domain,coarse,fine", [
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(8, 16),
+     solver.PolarGridMesh(16, 32)),
+    (BALL3, solver.SphericalGridMesh(6, 12, 24),
+     solver.SphericalGridMesh(12, 24, 48))], ids=["n2", "n3"])
+def test_boundary_jet_is_second_order(domain, coarse, fine):
+    # radial differences are exact on a quadratic in s, so the error is
+    # the angular stencils' and the pole wrap's, O(h^2) on every slot
+    for e_coarse, e_fine in zip(_ring_jet_errors(domain, coarse),
+                                _ring_jet_errors(domain, fine)):
+        assert 3.5 <= e_coarse / e_fine <= 4.5
+
+
+# ---------------------------------------------------------------------------
 # field hooks shared with the radial side
 # ---------------------------------------------------------------------------
 

@@ -300,6 +300,15 @@ def test_walk_is_not_tried_when_it_would_repeat_the_failed_leg(monkeypatch, n):
     assert visited == [(0.5 * n, 1e-2)]
 
 
+def test_walk_is_not_tried_after_a_stalled_first_leg(monkeypatch):
+    # a stall at the residual's rounding floor is no cone failure, and no
+    # sigma walk moves that floor
+    visited = _stub_legs(monkeypatch, solver, lambda k: True)
+    with pytest.raises(NewtonDivergenceError):
+        _solve(sigma=0.2, nodes=101)
+    assert visited == [(0.2, 1e-2)]
+
+
 def test_radial_explicit_sigma_path_lands_on_direct_solution():
     direct = _solve(sigma=1.0)
     walked = _solve(sigma=1.0, sigma_path=(1.5, 1.0))
