@@ -345,7 +345,10 @@ def _domain_label(domain) -> str:
 def _sweep_domains(args, cfg, n: int):
     listed = _pick(None, cfg, ("domains",))
     if listed is not None:
-        return [domain_from_config(d) for d in listed]
+        # entries without their own n take the sweep's
+        return [domain_from_config(
+                    {**d, "params": {"n": n, **d.get("params", {})}})
+                for d in listed]
     out = []
     kinds = args.domains.split(",") if args.domains else []
     for kind in kinds:
@@ -409,6 +412,7 @@ def _run_sweep(args) -> int:
                     "eps": fld.convergence.eps_bdry,
                     "max_kappa_interior": kmax_int,
                     "max_kappa_boundary": kmax_bdry,
+                    "witness": kmax_int - audit_mod.BOUND_C2 * kmax_bdry,
                     "nu_min": float(fld.nu_vertical.min()),
                     "Q_max": float(q.max()),
                     "rw_minK_max": rw.min_k_max,

@@ -13,7 +13,10 @@ exposes rho together with its first and second angle derivatives:
 
 Angle conventions: n = 2 uses theta in [0, 2pi); n = 3 uses latitude
 theta in (0, pi) and longitude phi in [0, 2pi) with
-omega = (sin t cos p, sin t sin p, cos t).
+omega = (sin t cos p, sin t sin p, cos t).  Both are the n = 2, 3 cases
+of omega(t_0, rest) = (sin t_0 * omega(rest), cos t_0).  omega_jet and
+rho_jet take a batch of directions, angles of shape (k, n - 1), and
+return the whole jet at once with no branch on n.
 """
 
 from __future__ import annotations
@@ -35,20 +38,42 @@ __all__ = [
 ]
 
 
-def omega_jet(theta: float, phi: float):
-    """Unit vector on S^2 with first and second angle derivatives.
+def _omega_phases(n: int) -> np.ndarray:
+    """Factor table of omega: component j is the product over angles a
+    of cos(t_a) (phase 0), sin(t_a) (phase 3) or 1 (phase -1)."""
+    if n == 2:
+        return np.array([[0], [3]])
+    inner = _omega_phases(n - 1)
+    return np.vstack([np.column_stack([np.full(n - 1, 3), inner]),
+                      [[0] + [-1] * (n - 2)]])
 
-    Returns (omega, [w_t, w_p], [[w_tt, w_tp], [w_tp, w_pp]]).
+
+def omega_jet(angles):
+    """Unit directions with their first and second angle derivatives.
+
+    angles has shape (k, n - 1); returns w (k, n), dw (k, n - 1, n) with
+    dw[:, a] = dw/dt_a, and ddw (k, n - 1, n - 1, n), exactly symmetric
+    in its two angle axes.  Every component is a product of cos and sin
+    factors, one per angle, and d/dt walks each factor along the cycle
+    cos -> -sin -> -cos -> sin -> cos, so all three come from one
+    product over the angles at derivative orders 0, e_a and e_a + e_b.
     """
-    st, ct = math.sin(theta), math.cos(theta)
-    sp, cp = math.sin(phi), math.cos(phi)
-    w = np.array([st * cp, st * sp, ct])
-    w_t = np.array([ct * cp, ct * sp, -st])
-    w_p = np.array([-st * sp, st * cp, 0.0])
-    w_tt = -w
-    w_tp = np.array([-ct * sp, ct * cp, 0.0])
-    w_pp = np.array([-st * cp, -st * sp, 0.0])
-    return w, [w_t, w_p], [[w_tt, w_tp], [w_tp, w_pp]]
+    t = np.asarray(angles, dtype=float)
+    k, d = t.shape
+    phase = _omega_phases(d + 1)
+    cycle = np.stack([np.cos(t), -np.sin(t), -np.cos(t), np.sin(t)])
+    eye = np.eye(d, dtype=int)
+
+    def product(orders):
+        # (k, len(orders), n): each component differentiated orders[i] times
+        f = cycle[(phase + orders[:, None, :]) % 4, :, np.arange(d)]
+        f = np.where(phase[:, :, None] >= 0, f, (orders == 0)[:, None, :, None])
+        return f.prod(axis=2).transpose(2, 0, 1)
+
+    w = product(np.zeros((1, d), dtype=int))[:, 0]
+    dw = product(eye)
+    ddw = product((eye[:, None] + eye[None]).reshape(-1, d)).reshape(k, d, d, -1)
+    return w, dw, ddw
 
 
 @dataclass(frozen=True)
@@ -80,72 +105,30 @@ class DomainSpec:
         theta = math.atan2(omega[1], omega[0]) % (2.0 * math.pi)
         return float(self._star_spline(theta))
 
-    def rho_jet(self, theta: float, phi: float | None = None):
-        """rho with first/second angle derivatives at the given angles.
+    def rho_jet(self, angles):
+        """rho with its first and second angle derivatives.
 
-        n = 2: returns (rho, rho_t, rho_tt) scalars.
-        n = 3: returns (rho, grad, hess) with grad = [rho_t, rho_p] and
-        hess the symmetric 2x2 of second derivatives.
+        angles has shape (k, n - 1), as for omega_jet; returns rho (k,),
+        grad (k, n - 1) and hess (k, n - 1, n - 1), hess exactly symmetric.
+        Ellipsoids differentiate rho = (w^T M w)^{-1/2} through omega_jet.
         """
-        if self.n == 2:
-            if self.kind == "ball":
-                return self.radius, 0.0, 0.0
-            if self.kind == "star":
-                s = self._star_spline
-                return float(s(theta)), float(s(theta, 1)), float(s(theta, 2))
-            w = np.array([math.cos(theta), math.sin(theta)])
-            dw = [np.array([-math.sin(theta), math.cos(theta)])]
-            ddw = [[-w]]
-            rho, g, H = self._quadratic_rho_jet(w, dw, ddw)
-            return rho, g[0], H[0, 0]
+        t = np.asarray(angles, dtype=float)
+        k, d = t.shape
         if self.kind == "ball":
-            return self.radius, np.zeros(2), np.zeros((2, 2))
-        w, dw, ddw = omega_jet(theta, phi)
-        return self._quadratic_rho_jet(w, dw, ddw)
-
-    def _quadratic_rho_jet(self, w, dw, ddw):
+            return np.full(k, float(self.radius)), np.zeros((k, d)), \
+                np.zeros((k, d, d))
+        if self.kind == "star":
+            s = self._star_spline
+            return s(t[:, 0]), s(t[:, 0], 1)[:, None], s(t[:, 0], 2)[:, None, None]
         M = 1.0 / np.asarray(self.semi_axes, dtype=float) ** 2
-
-        def m(a, b):
-            return float((M * a) @ b)
-
-        rho = 1.0 / math.sqrt(m(w, w))
-        k = len(dw)
-        grad = np.empty(k)
-        hess = np.empty((k, k))
-        for i in range(k):
-            grad[i] = -rho ** 3 * m(w, dw[i])
-        for i in range(k):
-            for j in range(i, k):
-                val = 3.0 * rho ** 5 * m(w, dw[i]) * m(w, dw[j]) \
-                    - rho ** 3 * (m(dw[i], dw[j]) + m(w, ddw[i][j] if j >= i else ddw[j][i]))
-                hess[i, j] = hess[j, i] = val
-        return rho, grad, hess
-
-    # -- containment and distance ------------------------------------------
-
-    def map_parameter(self, x) -> float:
-        """s(x) = |x| / rho(x/|x|); the boundary is s = 1."""
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        if r == 0.0:
-            return 0.0
-        return r / self.support(x / r)
-
-    def boundary_distance_estimate(self, x) -> float:
-        """First-order estimate (1 - s)/|grad s| of dist(x, boundary)."""
-        x = np.asarray(x, dtype=float)
-        s = self.map_parameter(x)
-        h = 1.0e-6 * (1.0 + float(np.linalg.norm(x)))
-        g = np.empty(self.n)
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = h
-            g[i] = (self.map_parameter(x + e) - self.map_parameter(x - e)) / (2.0 * h)
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            return (1.0 - s) * self.support(np.ones(self.n) / math.sqrt(self.n))
-        return (1.0 - s) / gn
+        w, dw, ddw = omega_jet(t)
+        rho = 1.0 / np.sqrt(((M * w) * w).sum(axis=1))
+        mwd = np.einsum("kn,kan->ka", M * w, dw)
+        grad = -rho[:, None] ** 3 * mwd
+        hess = 3.0 * rho[:, None, None] ** 5 * mwd[:, :, None] * mwd[:, None, :] \
+            - rho[:, None, None] ** 3 * (np.einsum("kan,kbn->kab", M * dw, dw)
+                                         + np.einsum("kn,kabn->kab", M * w, ddw))
+        return rho, grad, 0.5 * (hess + hess.swapaxes(1, 2))
 
     # -- boundary mean curvature --------------------------------------------
 
@@ -164,26 +147,24 @@ class DomainSpec:
             rho, d1, d2 = s(theta), s(theta, 1), s(theta, 2)
             num = rho ** 2 + 2.0 * d1 ** 2 - rho * d2
             return float((num / (rho ** 2 + d1 ** 2) ** 1.5).min())
-        M = 1.0 / np.asarray(self.semi_axes, dtype=float) ** 2
-        worst = math.inf
+        # on x^T M x = 1 the shape operator is P M P / |Mx| on the tangent
+        # space (P projects out the normal N = Mx / |Mx|), so its mean
+        # eigenvalue is (tr M - N^T M N) / ((n - 1) |Mx|)
         if self.n == 2:
-            dirs = [np.array([math.cos(t), math.sin(t)])
-                    for t in np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)]
+            w = omega_jet(np.linspace(0.0, 2.0 * math.pi, 720,
+                                      endpoint=False)[:, None])[0]
         else:
-            dirs = []
-            for t in np.linspace(0.05, math.pi - 0.05, 60):
-                for p in np.linspace(0.0, 2.0 * math.pi, 120, endpoint=False):
-                    dirs.append(omega_jet(t, p)[0])
-            dirs += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-        for w in dirs:
-            x = self.support(w) * w
-            grad = 2.0 * M * x
-            nrm = grad / np.linalg.norm(grad)
-            P = np.eye(self.n) - np.outer(nrm, nrm)
-            S = P @ np.diag(2.0 * M) @ P / float(np.linalg.norm(grad))
-            eigs = np.sort(np.linalg.eigvalsh(S))
-            worst = min(worst, float(eigs[1:].mean()))
-        return worst
+            grid = np.meshgrid(np.linspace(0.05, math.pi - 0.05, 60),
+                               np.linspace(0.0, 2.0 * math.pi, 120, endpoint=False),
+                               indexing="ij")
+            w = np.vstack([omega_jet(np.stack(grid, axis=-1).reshape(-1, 2))[0],
+                           [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        M = 1.0 / np.asarray(self.semi_axes, dtype=float) ** 2
+        Mx = M * w / np.sqrt(((M * w) * w).sum(axis=1))[:, None]
+        norm = np.linalg.norm(Mx, axis=1)
+        N = Mx / norm[:, None]
+        mean = (M.sum() - ((M * N) * N).sum(axis=1)) / ((self.n - 1) * norm)
+        return float(mean.min())
 
 
 def make_ball(n: int, radius: float) -> DomainSpec:

@@ -92,13 +92,22 @@ class _GridGeometry:
             if not isinstance(mesh, SphericalGridMesh):
                 raise ValueError("n = 3 grid solves need a SphericalGridMesh")
             self.J, self.M, self.L = mesh.radial, mesh.lat, mesh.lon
+            self.hth = math.pi / self.M
+            lat, lat_h = [(np.arange(self.M) + 0.5) * self.hth], [self.hth]
         else:
             if not isinstance(mesh, PolarGridMesh):
                 raise ValueError("n = 2 grid solves need a PolarGridMesh")
             self.J, self.L = mesh.radial, mesh.angular
             self.M = 1
+            lat, lat_h = [], []
         J, M, L = self.J, self.M, self.L
+        self.hph = 2.0 * math.pi / L
         self.hs = 1.0 / (J - 0.5)
+        self.h = (self.hs, *lat_h, self.hph)
+        # the M * L grid directions, latitude-major like the node index
+        self.angles = np.stack(np.meshgrid(*lat, np.arange(L) * self.hph,
+                                           indexing="ij"),
+                               axis=-1).reshape(M * L, self.n - 1)
         self.s = (np.arange(1, J + 1) - 0.5) * self.hs
         self.n_all = J * M * L
         self.n_int = (J - 1) * M * L
@@ -115,58 +124,30 @@ class _GridGeometry:
     # -- map tensors ---------------------------------------------------------
 
     def _build_map_tensors(self):
-        n, J, M, L = self.n, self.J, self.M, self.L
-        if n == 3:
-            self.hth = math.pi / M
-            self.hph = 2.0 * math.pi / L
-            theta = (np.arange(M) + 0.5) * self.hth
-            phi = np.arange(L) * self.hph
-        else:
-            self.hph = 2.0 * math.pi / L
-            phi = np.arange(L) * self.hph
+        """Jacobian Xc, second derivatives Xcc and positions of the map
+        x = s q(angles), q = rho(omega) omega, in chart order (s, angles).
 
-        Xc = np.empty((self.n_all, n, n))
-        Xcc = np.zeros((self.n_all, n, n, n))
-        xyz = np.empty((self.n_all, n))
+        One chain rule over the M * L grid directions gives q, q_a and
+        q_ab; node i sits on direction i % (M * L) at radius s_node[i].
+        """
+        n = self.n
+        w, dw, ddw = omega_jet(self.angles)
+        rho, grad, hess = self.domain.rho_jet(self.angles)
+        q = rho[:, None] * w
+        q_a = grad[:, :, None] * w[:, None, :] + rho[:, None, None] * dw
+        cross = grad[:, :, None, None] * dw[:, None, :, :]
+        q_ab = hess[..., None] * w[:, None, None, :] \
+            + (cross + cross.swapaxes(1, 2)) + rho[:, None, None, None] * ddw
+
+        direction = np.arange(self.n_all) % (self.M * self.L)
         s_node = self.s[self.jj - 1]
-        if n == 3:
-            for m in range(M):
-                for l in range(L):
-                    w, dw, ddw = omega_jet(theta[m], phi[l])
-                    rho, dr, ddr = self.domain.rho_jet(theta[m], phi[l])
-                    q = rho * w
-                    q_t = dr[0] * w + rho * dw[0]
-                    q_p = dr[1] * w + rho * dw[1]
-                    q_tt = ddr[0, 0] * w + 2.0 * dr[0] * dw[0] + rho * ddw[0][0]
-                    q_tp = ddr[0, 1] * w + dr[0] * dw[1] + dr[1] * dw[0] + rho * ddw[0][1]
-                    q_pp = ddr[1, 1] * w + 2.0 * dr[1] * dw[1] + rho * ddw[1][1]
-                    sel = (self.mm == m) & (self.ll == l)
-                    sv = s_node[sel]
-                    Xc[sel, :, 0] = q
-                    Xc[sel, :, 1] = sv[:, None] * q_t
-                    Xc[sel, :, 2] = sv[:, None] * q_p
-                    Xcc[sel, :, 0, 1] = Xcc[sel, :, 1, 0] = q_t
-                    Xcc[sel, :, 0, 2] = Xcc[sel, :, 2, 0] = q_p
-                    Xcc[sel, :, 1, 1] = sv[:, None] * q_tt
-                    Xcc[sel, :, 1, 2] = Xcc[sel, :, 2, 1] = sv[:, None] * q_tp
-                    Xcc[sel, :, 2, 2] = sv[:, None] * q_pp
-                    xyz[sel] = sv[:, None] * q
-        else:
-            for l in range(L):
-                p = phi[l]
-                w = np.array([math.cos(p), math.sin(p)])
-                w_p = np.array([-math.sin(p), math.cos(p)])
-                rho, dr, ddr = self.domain.rho_jet(p)
-                q = rho * w
-                q_p = dr * w + rho * w_p
-                q_pp = ddr * w + 2.0 * dr * w_p - rho * w
-                sel = self.ll == l
-                sv = s_node[sel]
-                Xc[sel, :, 0] = q
-                Xc[sel, :, 1] = sv[:, None] * q_p
-                Xcc[sel, :, 0, 1] = Xcc[sel, :, 1, 0] = q_p
-                Xcc[sel, :, 1, 1] = sv[:, None] * q_pp
-                xyz[sel] = sv[:, None] * q
+        sv = s_node[:, None, None]
+        Xc = np.empty((self.n_all, n, n))
+        Xc[:, :, 0] = q[direction]
+        Xc[:, :, 1:] = sv * q_a[direction].swapaxes(1, 2)
+        Xcc = np.zeros((self.n_all, n, n, n))
+        Xcc[:, :, 0, 1:] = Xcc[:, :, 1:, 0] = q_a[direction].swapaxes(1, 2)
+        Xcc[:, :, 1:, 1:] = sv[..., None] * np.moveaxis(q_ab[direction], 3, 1)
 
         det = np.linalg.det(Xc)
         if np.abs(det).min() < 1.0e-12:
@@ -175,7 +156,7 @@ class _GridGeometry:
                 f"(min |det| = {np.abs(det).min():.3e})")
         self.A = np.linalg.inv(Xc)
         self.Xcc = Xcc
-        self.xyz = xyz
+        self.xyz = s_node[:, None] * q[direction]
         self.s_node = s_node
 
     # -- wrapped stencil indices ---------------------------------------------
@@ -238,8 +219,7 @@ class _GridGeometry:
 
     def _jet_from(self, g: dict) -> np.ndarray:
         """Packed jet (u, Du, D2u over _jet_pairs) from neighbor values."""
-        n = self.n
-        h = (self.hs, self.hth, self.hph) if n == 3 else (self.hs, self.hph)
+        n, h = self.n, self.h
 
         def at(*steps):
             off = [0] * n

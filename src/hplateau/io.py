@@ -130,8 +130,8 @@ def write_json(payload, path):
 
 def sweep_header() -> tuple:
     return ("domain", "n", "sigma", "eps", "max_kappa_interior",
-            "max_kappa_boundary", "nu_min", "Q_max", "rw_minK_max",
-            "iterations", "residual", "status")
+            "max_kappa_boundary", "witness", "nu_min", "Q_max",
+            "rw_minK_max", "iterations", "residual", "status")
 
 
 def write_sweep_csv(rows, path):

@@ -9,83 +9,101 @@ from hplateau import domains
 
 
 def _fd_jet_2d(dom, theta, h=1e-5):
-    f = lambda t: dom.rho_jet(t)[0]
+    f = lambda t: dom.rho_jet(np.array([[t]]))[0][0]
     d1 = (f(theta + h) - f(theta - h)) / (2 * h)
     d2 = (f(theta + h) - 2 * f(theta) + f(theta - h)) / (h * h)
     return d1, d2
 
 
 def test_omega_jet_is_a_unit_vector_path():
-    w, dw, ddw = domains.omega_jet(0.7, 1.9)
+    at = np.array([[0.7, 1.9]])
+    w, dw, ddw = (x[0] for x in domains.omega_jet(at))
     assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-14)
     h = 1e-6
-    wp, _, _ = domains.omega_jet(0.7 + h, 1.9)
-    wm, _, _ = domains.omega_jet(0.7 - h, 1.9)
+    wp = domains.omega_jet(at + [h, 0.0])[0][0]
+    wm = domains.omega_jet(at - [h, 0.0])[0][0]
     assert np.allclose((wp - wm) / (2 * h), dw[0], atol=1e-9)
     assert np.allclose((wp - 2 * w + wm) / (h * h), ddw[0][0], atol=1e-4)
-    vp, _, _ = domains.omega_jet(0.7, 1.9 + h)
-    vm, _, _ = domains.omega_jet(0.7, 1.9 - h)
+    vp = domains.omega_jet(at + [0.0, h])[0][0]
+    vm = domains.omega_jet(at - [0.0, h])[0][0]
     assert np.allclose((vp - vm) / (2 * h), dw[1], atol=1e-9)
+    assert np.array_equal(ddw[0][1], ddw[1][0])
+
+
+def test_omega_jet_circle_is_the_equator_of_the_sphere():
+    # omega_n(t, rest) = (sin t omega_{n-1}(rest), cos t): at t = pi/2 the
+    # sphere's longitude jet is the circle's jet
+    phi = np.linspace(0.0, 2 * math.pi, 7)
+    w2, dw2, ddw2 = domains.omega_jet(phi[:, None])
+    assert np.array_equal(w2, np.column_stack([np.cos(phi), np.sin(phi)]))
+    assert np.array_equal(dw2[:, 0], np.column_stack([-np.sin(phi),
+                                                      np.cos(phi)]))
+    assert np.array_equal(ddw2[:, 0, 0], -w2)
+    w3, dw3, ddw3 = domains.omega_jet(
+        np.column_stack([np.full(7, math.pi / 2), phi]))
+    assert np.allclose(w3[:, :2], w2, rtol=0, atol=1e-16)
+    assert np.allclose(dw3[:, 1, :2], dw2[:, 0], rtol=0, atol=1e-16)
+    assert np.allclose(ddw3[:, 1, 1, :2], ddw2[:, 0, 0], rtol=0, atol=1e-16)
 
 
 def test_ball_jet_is_constant():
     ball = domains.make_ball(3, 2.5)
-    rho, g, H = ball.rho_jet(0.4, 1.1)
-    assert rho == 2.5
-    assert np.array_equal(g, np.zeros(2))
-    assert np.array_equal(H, np.zeros((2, 2)))
+    rho, g, H = ball.rho_jet(np.array([[0.4, 1.1], [2.0, 5.0]]))
+    assert np.array_equal(rho, [2.5, 2.5])
+    assert np.array_equal(g, np.zeros((2, 2)))
+    assert np.array_equal(H, np.zeros((2, 2, 2)))
     assert ball.support(np.array([0.0, 0.0, 1.0])) == 2.5
 
 
 def test_ellipsoid_jet_matches_finite_differences_3d():
     dom = domains.make_ellipsoid((1.3, 1.0, 0.8))
-    for theta, phi in ((0.6, 0.3), (1.2, 2.8), (2.4, 5.0)):
-        rho, g, H = dom.rho_jet(theta, phi)
-        w = domains.omega_jet(theta, phi)[0]
-        assert rho == pytest.approx(dom.support(w), rel=1e-13)
-        h = 1e-5
-        ft = lambda t, p: dom.rho_jet(t, p)[0]
-        assert g[0] == pytest.approx(
-            (ft(theta + h, phi) - ft(theta - h, phi)) / (2 * h), abs=1e-8)
-        assert g[1] == pytest.approx(
-            (ft(theta, phi + h) - ft(theta, phi - h)) / (2 * h), abs=1e-8)
-        assert H[0, 0] == pytest.approx(
-            (ft(theta + h, phi) - 2 * rho + ft(theta - h, phi)) / (h * h),
-            abs=1e-4)
-        assert H[1, 1] == pytest.approx(
-            (ft(theta, phi + h) - 2 * rho + ft(theta, phi - h)) / (h * h),
-            abs=1e-4)
-        mixed = (ft(theta + h, phi + h) - ft(theta + h, phi - h)
-                 - ft(theta - h, phi + h) + ft(theta - h, phi - h)) / (4 * h * h)
-        assert H[0, 1] == pytest.approx(mixed, abs=1e-4)
-        assert H[1, 0] == H[0, 1]
+    at = np.array([(0.6, 0.3), (1.2, 2.8), (2.4, 5.0)])
+    rho, g, H = dom.rho_jet(at)
+    w = domains.omega_jet(at)[0]
+    h = 1e-5
+    ft = lambda dt, dp: dom.rho_jet(at + [dt, dp])[0]
+    for i in range(len(at)):
+        assert rho[i] == pytest.approx(dom.support(w[i]), rel=1e-13)
+    assert np.allclose(g[:, 0], (ft(h, 0) - ft(-h, 0)) / (2 * h),
+                       rtol=0, atol=1e-8)
+    assert np.allclose(g[:, 1], (ft(0, h) - ft(0, -h)) / (2 * h),
+                       rtol=0, atol=1e-8)
+    assert np.allclose(H[:, 0, 0], (ft(h, 0) - 2 * rho + ft(-h, 0)) / (h * h),
+                       rtol=0, atol=1e-4)
+    assert np.allclose(H[:, 1, 1], (ft(0, h) - 2 * rho + ft(0, -h)) / (h * h),
+                       rtol=0, atol=1e-4)
+    mixed = (ft(h, h) - ft(h, -h) - ft(-h, h) + ft(-h, -h)) / (4 * h * h)
+    assert np.allclose(H[:, 0, 1], mixed, rtol=0, atol=1e-4)
+    assert np.array_equal(H[:, 1, 0], H[:, 0, 1])
 
 
 def test_ellipse_jet_matches_finite_differences_2d():
     dom = domains.make_ellipsoid((1.4, 0.9))
-    for theta in (0.0, 0.5, 2.2, 4.9):
-        rho, d1, d2 = dom.rho_jet(theta)
+    thetas = (0.0, 0.5, 2.2, 4.9)
+    rho, d1, d2 = dom.rho_jet(np.array(thetas)[:, None])
+    for i, theta in enumerate(thetas):
         fd1, fd2 = _fd_jet_2d(dom, theta)
-        assert d1 == pytest.approx(fd1, abs=1e-8)
-        assert d2 == pytest.approx(fd2, abs=1e-4)
+        assert d1[i, 0] == pytest.approx(fd1, abs=1e-8)
+        assert d2[i, 0, 0] == pytest.approx(fd2, abs=1e-4)
 
 
 def test_star_jet_matches_finite_differences():
     samples = 1.0 + 0.15 * np.cos(3 * np.linspace(0, 2 * math.pi, 24,
                                                   endpoint=False))
     dom = domains.make_star2d(samples)
-    for theta in (0.3, 1.7, 3.9):
-        rho, d1, d2 = dom.rho_jet(theta)
+    thetas = (0.3, 1.7, 3.9)
+    rho, d1, d2 = dom.rho_jet(np.array(thetas)[:, None])
+    for i, theta in enumerate(thetas):
         fd1, fd2 = _fd_jet_2d(dom, theta)
-        assert d1 == pytest.approx(fd1, abs=1e-7)
-        assert d2 == pytest.approx(fd2, abs=1e-3)
+        assert d1[i, 0] == pytest.approx(fd1, abs=1e-7)
+        assert d2[i, 0, 0] == pytest.approx(fd2, abs=1e-3)
 
 
 def test_constant_star_is_a_circle():
     dom = domains.make_star2d([1.7] * 16)
-    rho, d1, d2 = dom.rho_jet(2.0)
-    assert rho == pytest.approx(1.7, rel=1e-12)
-    assert abs(d1) < 1e-10 and abs(d2) < 1e-8
+    rho, d1, d2 = dom.rho_jet(np.array([[2.0]]))
+    assert rho[0] == pytest.approx(1.7, rel=1e-12)
+    assert abs(d1[0, 0]) < 1e-10 and abs(d2[0, 0, 0]) < 1e-8
     assert dom.boundary_mean_curvature_min == pytest.approx(1.0 / 1.7, rel=1e-8)
 
 
@@ -103,22 +121,44 @@ def test_mean_curvature_floor_prolate_ellipsoid():
     assert dom.boundary_mean_curvature_min == pytest.approx(expect, rel=1e-4)
 
 
+def test_mean_curvature_floor_ellipse():
+    # the flattest point of the (a, b) ellipse is the end of its minor
+    # axis, curvature b / a^2, and it is in the screen's direction sample
+    dom = domains.make_ellipsoid((1.3, 1.0))
+    assert dom.boundary_mean_curvature_min == pytest.approx(1.0 / 1.3 ** 2,
+                                                           rel=1e-12)
+
+
+def _projected_hessian_mean(axes, w):
+    """Mean tangential eigenvalue of the level set x^T M x = 1 at the
+    boundary point on direction w, by eigvalsh of P (2M) P / |2Mx|."""
+    M = np.diag(1.0 / np.asarray(axes) ** 2)
+    x = w / math.sqrt(w @ M @ w)
+    grad = 2.0 * M @ x
+    nrm = grad / np.linalg.norm(grad)
+    P = np.eye(len(w)) - np.outer(nrm, nrm)
+    eigs = np.linalg.eigvalsh(P @ (2.0 * M) @ P / np.linalg.norm(grad))
+    return eigs[1:].mean()
+
+
+def test_mean_curvature_floor_triaxial_ellipsoid():
+    axes = (1.3, 1.0, 0.8)
+    screen = domains.make_ellipsoid(axes).boundary_mean_curvature_min
+    # the floor sits at the ends of the shortest axis, both in the sample
+    assert screen == pytest.approx(
+        _projected_hessian_mean(axes, np.array([0.0, 0.0, 1.0])), rel=1e-12)
+    rng = np.random.default_rng(3)
+    for w in np.vstack([np.eye(3), rng.standard_normal((8, 3))]):
+        w /= np.linalg.norm(w)
+        assert screen <= _projected_hessian_mean(axes, w) + 1e-12
+
+
 def test_wavy_star_can_lose_convexity():
     theta = np.linspace(0, 2 * math.pi, 32, endpoint=False)
     dom = domains.make_star2d(1.0 + 0.45 * np.cos(5 * theta))
     assert dom.boundary_mean_curvature_min < 0.0
     mild = domains.make_star2d(1.0 + 0.08 * np.cos(3 * theta))
     assert mild.boundary_mean_curvature_min > 0.0
-
-
-def test_map_parameter_and_distance():
-    dom = domains.make_ellipsoid((1.3, 1.0, 1.0))
-    assert dom.map_parameter(np.zeros(3)) == 0.0
-    assert dom.map_parameter(np.array([1.3, 0.0, 0.0])) == pytest.approx(1.0)
-    assert dom.map_parameter(np.array([0.0, 0.5, 0.0])) == pytest.approx(0.5)
-    ball = domains.make_ball(2, 2.0)
-    x = np.array([0.6, 0.8])
-    assert ball.boundary_distance_estimate(x) == pytest.approx(1.0, rel=1e-4)
 
 
 def test_constructor_validation():

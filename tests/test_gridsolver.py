@@ -185,6 +185,55 @@ def test_jacobian_is_the_complex_step_derivative(domain, mesh, sigma):
 
 
 # ---------------------------------------------------------------------------
+# map tensors
+# ---------------------------------------------------------------------------
+
+def _mapped_points(domain, chart):
+    """x = s support(omega) omega at chart rows (s, angles), with omega
+    written out here rather than taken from domains.omega_jet."""
+    s, t = chart[:, 0], chart[:, 1:]
+    if domain.n == 3:
+        w = np.column_stack([np.sin(t[:, 0]) * np.cos(t[:, 1]),
+                             np.sin(t[:, 0]) * np.sin(t[:, 1]),
+                             np.cos(t[:, 0])])
+    else:
+        w = np.column_stack([np.cos(t[:, 0]), np.sin(t[:, 0])])
+    rho = np.array([domain.support(v) for v in w])
+    return (s * rho)[:, None] * w
+
+
+# the star's grid angles sit on spline knots, where the third derivative
+# of rho jumps, so the second differences there carry an O(h) error of
+# about 1e-4
+@pytest.mark.parametrize("domain,mesh,xcc_tol", [
+    (domains.make_ellipsoid((1.3, 1.0, 0.8)), solver.SphericalGridMesh(4, 4, 8),
+     1e-5),
+    (domains.make_ellipsoid((1.3, 1.0)), solver.PolarGridMesh(4, 8), 1e-5),
+    (STAR, solver.PolarGridMesh(4, 8), 2e-4)],
+    ids=["ellipsoid3", "ellipse2", "star2"])
+def test_map_tensors_match_central_differences(domain, mesh, xcc_tol):
+    geo = gridsolver._GridGeometry(domain, mesh)
+    n = geo.n
+    angles = [(geo.mm + 0.5) * geo.hth] if n == 3 else []
+    chart = np.column_stack([geo.s_node, *angles, geo.ll * geo.hph])
+    x = lambda c: _mapped_points(domain, c)
+    assert np.allclose(geo.xyz, x(chart), rtol=0, atol=1e-14)
+
+    h1, h2 = 1e-6, 1e-4
+    e = np.eye(n)
+    Xc = np.stack([(x(chart + h1 * e[a]) - x(chart - h1 * e[a])) / (2 * h1)
+                   for a in range(n)], axis=-1)
+    Xcc = np.stack([np.stack(
+        [(x(chart + h2 * (e[a] + e[b])) - x(chart + h2 * (e[a] - e[b]))
+          - x(chart - h2 * (e[a] - e[b])) + x(chart - h2 * (e[a] + e[b])))
+         / (4 * h2 * h2) for b in range(n)], axis=-1) for a in range(n)],
+        axis=-2)
+    assert np.abs(np.linalg.inv(geo.A) - Xc).max() <= 1e-8
+    assert np.abs(geo.Xcc - Xcc).max() <= xcc_tol
+    assert np.array_equal(geo.Xcc, geo.Xcc.swapaxes(2, 3))
+
+
+# ---------------------------------------------------------------------------
 # boundary ring
 # ---------------------------------------------------------------------------
 

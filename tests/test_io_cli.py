@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hplateau import cli, domains, geometry, io, solver
+from hplateau import audit, cli, domains, geometry, io, solver
 from hplateau.errors import (AuditPreconditionError, ConePreconditionError,
                              ConeViolationError, GridDegeneracyError,
                              HPlateauError, InvalidHeightError)
@@ -114,7 +114,7 @@ def test_write_json_normalises_payload(tmp_path):
 def test_sweep_header_shape():
     assert io.sweep_header() == (
         "domain", "n", "sigma", "eps", "max_kappa_interior",
-        "max_kappa_boundary", "nu_min", "Q_max", "rw_minK_max",
+        "max_kappa_boundary", "witness", "nu_min", "Q_max", "rw_minK_max",
         "iterations", "residual", "status")
 
 
@@ -252,6 +252,30 @@ def test_sweep_rows_and_determinism(tmp_path, monkeypatch):
     status_col = header.index("status")
     assert [r[eps_col] for r in rows] == ["0.1", "0.01"]
     assert all(r[status_col] == "ok" for r in rows)
+
+
+def test_sweep_config_domains_take_the_sweep_dimension(tmp_path, monkeypatch):
+    # a ball listed without its own n is built at the sweep's n, here 2
+    monkeypatch.chdir(tmp_path)
+    cfg = {"domains": [{"kind": "ball", "params": {"radius": 1.0}}],
+           "sigmas": [1.0], "eps_schedule": [0.1], "mesh": {"nodes": 51}}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["sweep", "--n", "2", "--config", "cfg.json"]) == 0
+    header, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [r[header.index("n")] for r in rows] == ["2"]
+    assert rows[0][header.index("status")] == "ok"
+
+
+def test_sweep_witness_column(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--domains", "ball", "--n", "3",
+                     "--sigmas", "1.5", "--eps-schedule", "0.1",
+                     "--nodes", "51"]) == 0
+    header, rows = _read_csv(tmp_path / "sweep.csv")
+    row = dict(zip(header, rows[0]))
+    assert float(row["witness"]) == (float(row["max_kappa_interior"])
+                                     - audit.BOUND_C2
+                                     * float(row["max_kappa_boundary"]))
 
 
 def test_config_file_layering(tmp_path, monkeypatch):
