@@ -1,12 +1,27 @@
 """Batch command line front end.
 
 Subcommands: solve-radial, solve-grid, oracle-cap, verify-cone, renwang,
-audit, sweep.  Parameters come from flags, optionally layered over a
-JSON config file ({n, sigma, domain:{kind,params}, eps_schedule,
-mesh:{...}, newton:{max_iters, residual_tol}, audit:{...},
-out:{csv,json}}); a flag always overrides the file.  The sampling
-subcommands verify-cone and renwang also take a seed (--seed, or seed
-in the file).
+audit, sweep.  Every value comes from its flag if given, else from the
+JSON config file (--config), else from the library's own default (the
+field default of NewtonParams, AuditConfig, RadialMesh,
+SphericalGridMesh or PolarGridMesh).  File keys, by subcommand:
+
+* every subcommand: n (default 3), out:{csv, json};
+* solve-radial: sigma, eps_schedule, sigma_path, domain:{kind,
+  params:{radius}} (the kind must be ball), mesh:{nodes},
+  newton:{max_iters, residual_tol};
+* solve-grid: sigma, eps_schedule, domain:{kind, params:{radius,
+  semi_axes, samples}}, mesh:{radial, lat, lon} (n = 3) or
+  mesh:{radial, angular} (n = 2), newton:{...};
+* oracle-cap: sigma, eps_schedule (its first entry is the boundary
+  height), domain:{params:{radius}}, mesh:{nodes};
+* verify-cone: k, samples, seed, level;
+* renwang: samples, seed, level, audit:{eps_rw};
+* audit: the solve-grid keys, plus mesh:{nodes} for balls and
+  audit:{N, eps_rw, rw_sample_cap, fd_step};
+* sweep: sigmas, eps_schedule, domains:[{kind, params}] (used when
+  --domains is not given; entries without their own n take the sweep's),
+  domain:{params:{...}}, mesh:{...}, newton:{...}, audit:{...}.
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver
 non-convergence, 4 cone-guard failure, 5 a verification subcommand
@@ -16,6 +31,7 @@ found a violation.  Failures also emit one JSON record on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -69,22 +85,41 @@ def _pick(flag, cfg: dict, path: tuple, default=None):
     return node
 
 
+def _build(cls, args, cfg, section: str):
+    """A cls dataclass from flags, then cfg[section], then its defaults.
+
+    Each field takes the flag of the same name, else the file value;
+    a field set by neither keeps the dataclass default, whose type the
+    given value is converted to.
+    """
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        value = _pick(getattr(args, f.name, None), cfg, (section, f.name))
+        if value is not None:
+            kwargs[f.name] = type(f.default)(value)
+    return cls(**kwargs)
+
+
+def _listed(args, cfg, key: str) -> tuple:
+    """A comma-list flag if given, else the file's list, else ()."""
+    return tuple(float(v) for v in (getattr(args, key, None)
+                                    or _pick(None, cfg, (key,)) or ()))
+
+
+def _sigma(args, cfg):
+    sigma = _pick(args.sigma, cfg, ("sigma",))
+    if sigma is None:
+        raise ValueError("sigma is required (flag --sigma or config)")
+    return sigma
+
+
 def _resolve_out(args, cfg, stem: str):
     csv = _pick(args.out_csv, cfg, ("out", "csv"), f"{stem}.csv")
     js = _pick(args.out_json, cfg, ("out", "json"), f"{stem}.json")
     return csv, js
 
 
-def _newton_params(args, cfg) -> NewtonParams:
-    return NewtonParams(
-        max_iters=int(_pick(getattr(args, "max_iters", None), cfg,
-                            ("newton", "max_iters"), 40)),
-        residual_tol=float(_pick(getattr(args, "residual_tol", None), cfg,
-                                 ("newton", "residual_tol"), 1.0e-10)),
-    )
-
-
-def _eps_schedule(args, cfg):
+def _eps_schedule(args, cfg, default=DEFAULT_EPS_SCHEDULE):
     if getattr(args, "eps", None) is not None:
         return (float(args.eps),)
     if getattr(args, "eps_schedule", None) is not None:
@@ -92,20 +127,7 @@ def _eps_schedule(args, cfg):
     sched = _pick(None, cfg, ("eps_schedule",))
     if sched is not None:
         return tuple(float(x) for x in sched)
-    return DEFAULT_EPS_SCHEDULE
-
-
-def _audit_config(args, cfg) -> audit_mod.AuditConfig:
-    return audit_mod.AuditConfig(
-        N=float(_pick(getattr(args, "test_exponent", None), cfg,
-                      ("audit", "N"), 50.0)),
-        eps_rw=float(_pick(getattr(args, "eps_rw", None), cfg,
-                           ("audit", "eps_rw"), 0.1)),
-        rw_sample_cap=int(_pick(getattr(args, "rw_sample_cap", None), cfg,
-                                ("audit", "rw_sample_cap"), 256)),
-        fd_step=float(_pick(getattr(args, "fd_step", None), cfg,
-                            ("audit", "fd_step"), 1.0e-3)),
-    )
+    return default
 
 
 def _domain_from_args(args, cfg, n: int):
@@ -133,23 +155,38 @@ def _domain_from_args(args, cfg, n: int):
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def _grid_mesh(args, cfg, n: int):
-    if n == 3:
-        return SphericalGridMesh(
-            radial=int(_pick(getattr(args, "radial", None), cfg,
-                             ("mesh", "radial"), 20)),
-            lat=int(_pick(getattr(args, "lat", None), cfg,
-                          ("mesh", "lat"), 12)),
-            lon=int(_pick(getattr(args, "lon", None), cfg,
-                          ("mesh", "lon"), 24)))
-    return PolarGridMesh(
-        radial=int(_pick(getattr(args, "radial", None), cfg,
-                         ("mesh", "radial"), 48)),
-        angular=int(_pick(getattr(args, "angular", None), cfg,
-                          ("mesh", "angular"), 64)))
+def _solve_config(args, cfg, n: int, sigma, radial: bool) -> SolveConfig:
+    if radial:
+        mesh_cls = RadialMesh
+    else:
+        mesh_cls = SphericalGridMesh if n == 3 else PolarGridMesh
+    return SolveConfig(
+        n=n, sigma_target=float(sigma),
+        eps_schedule=_eps_schedule(args, cfg),
+        mesh=_build(mesh_cls, args, cfg, "mesh"),
+        newton=_build(NewtonParams, args, cfg, "newton"),
+        # only solve-radial (the one subcommand with --sigma-path) reads
+        # a sigma path, from the flag or the file
+        sigma_path=_listed(args, cfg, "sigma_path")
+        if hasattr(args, "sigma_path") else ())
 
 
-def _summarize(field, csv_path, json_path) -> None:
+def _solve(config: SolveConfig, domain, radial: bool):
+    return (solve_radial_path if radial else solve_graph_path)(config, domain)
+
+
+# ---------------------------------------------------------------------------
+# subcommand runners: each takes the parsed flags, the config file's
+# contents and the dimension n
+# ---------------------------------------------------------------------------
+
+def _run_solve(args, cfg, n: int) -> int:
+    radial = args.subcommand == "solve-radial"
+    config = _solve_config(args, cfg, n, _sigma(args, cfg), radial)
+    field = _solve(config, _domain_from_args(args, cfg, n), radial)[-1]
+    csv_path, json_path = _resolve_out(args, cfg, args.subcommand)
+    io.write_field_csv(field, csv_path)
+    io.write_sidecar_json(field, json_path)
     conv = field.convergence
     print(f"converged eps={io.format_value(conv.eps_bdry)} "
           f"sigma={io.format_value(conv.sigma)} "
@@ -157,76 +194,22 @@ def _summarize(field, csv_path, json_path) -> None:
           f"residual={io.format_value(conv.residual)} "
           f"cone_ok={io.format_value(field.cone_ok)}")
     print(f"wrote {csv_path} and {json_path}")
-
-
-# ---------------------------------------------------------------------------
-# subcommand runners
-# ---------------------------------------------------------------------------
-
-def _run_solve_radial(args) -> int:
-    cfg = _load_config(args.config)
-    n = int(_pick(args.n, cfg, ("n",), 3))
-    sigma = _pick(args.sigma, cfg, ("sigma",))
-    if sigma is None:
-        raise ValueError("sigma is required (flag --sigma or config)")
-    solve_cfg = SolveConfig(
-        n=n, sigma_target=float(sigma),
-        eps_schedule=_eps_schedule(args, cfg),
-        mesh=RadialMesh(nodes=int(_pick(args.nodes, cfg,
-                                        ("mesh", "nodes"), 401))),
-        newton=_newton_params(args, cfg),
-        sigma_path=tuple(args.sigma_path) if args.sigma_path else
-        tuple(_pick(None, cfg, ("sigma_path",), ()) or ()))
-    radius = float(_pick(args.radius, cfg, ("domain", "params", "radius"),
-                         1.0))
-    domain = make_ball(n, radius)
-    field = solve_radial_path(solve_cfg, domain)[-1]
-    csv_path, json_path = _resolve_out(args, cfg, "solve-radial")
-    io.write_field_csv(field, csv_path)
-    io.write_sidecar_json(field, json_path)
-    _summarize(field, csv_path, json_path)
     return EXIT_OK
 
 
-def _run_solve_grid(args) -> int:
-    cfg = _load_config(args.config)
-    n = int(_pick(args.n, cfg, ("n",), 3))
-    sigma = _pick(args.sigma, cfg, ("sigma",))
-    if sigma is None:
-        raise ValueError("sigma is required (flag --sigma or config)")
-    solve_cfg = SolveConfig(
-        n=n, sigma_target=float(sigma),
-        eps_schedule=_eps_schedule(args, cfg),
-        mesh=_grid_mesh(args, cfg, n),
-        newton=_newton_params(args, cfg))
-    domain = _domain_from_args(args, cfg, n)
-    field = solve_graph_path(solve_cfg, domain)[-1]
-    csv_path, json_path = _resolve_out(args, cfg, "solve-grid")
-    io.write_field_csv(field, csv_path)
-    io.write_sidecar_json(field, json_path)
-    _summarize(field, csv_path, json_path)
-    return EXIT_OK
-
-
-def _run_oracle_cap(args) -> int:
-    cfg = _load_config(args.config)
-    n = int(_pick(args.n, cfg, ("n",), 3))
-    sigma = _pick(args.sigma, cfg, ("sigma",))
-    if sigma is None:
-        raise ValueError("sigma is required (flag --sigma or config)")
+def _run_oracle_cap(args, cfg, n: int) -> int:
+    sigma = _sigma(args, cfg)
     radius = float(_pick(args.radius, cfg, ("domain", "params", "radius"),
                          1.0))
-    eps = float(_pick(args.eps, cfg, ("eps_schedule",), [1.0e-2])[0]
-                if args.eps is None else args.eps)
-    nodes = int(_pick(args.nodes, cfg, ("mesh", "nodes"), 401))
+    schedule = _eps_schedule(args, cfg, default=(1.0e-2,))
+    if not schedule:
+        raise ValueError("eps_schedule must be nonempty")
+    eps = float(schedule[0])
+    nodes = int(_pick(args.nodes, cfg, ("mesh", "nodes"), RadialMesh.nodes))
     cap = exact_cap(n, float(sigma), radius, eps)
-    radii = np.linspace(0.0, radius, nodes)
-    header, rows = io.cap_csv_rows(cap, radii)
     csv_path, json_path = _resolve_out(args, cfg, "oracle-cap")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(io.format_value(v) for v in row) + "\n")
+    io.write_csv(csv_path, *io.cap_csv_rows(cap,
+                                            np.linspace(0.0, radius, nodes)))
     io.write_json({
         "n": n, "sigma": float(sigma), "radius": radius, "eps": eps,
         "lam": cap.lam, "sphere_radius": cap.a, "center_offset": cap.d,
@@ -236,9 +219,7 @@ def _run_oracle_cap(args) -> int:
     return EXIT_OK
 
 
-def _run_verify_cone(args) -> int:
-    cfg = _load_config(args.config)
-    n = int(_pick(args.n, cfg, ("n",), 3))
+def _run_verify_cone(args, cfg, n: int) -> int:
     k = int(_pick(args.k, cfg, ("k",), n - 1))
     count = int(_pick(args.samples, cfg, ("samples",), 100000))
     seed = int(_pick(args.seed, cfg, ("seed",), 0))
@@ -265,12 +246,11 @@ def _run_verify_cone(args) -> int:
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
 
 
-def _run_renwang(args) -> int:
-    cfg = _load_config(args.config)
-    n = int(_pick(args.n, cfg, ("n",), 3))
+def _run_renwang(args, cfg, n: int) -> int:
     count = int(_pick(args.samples, cfg, ("samples",), 10000))
     seed = int(_pick(args.seed, cfg, ("seed",), 0))
-    eps_rw = float(_pick(args.eps_rw, cfg, ("audit", "eps_rw"), 0.1))
+    eps_rw = float(_pick(args.eps_rw, cfg, ("audit", "eps_rw"),
+                         audit_mod.AuditConfig.eps_rw))
     level = _pick(args.level, cfg, ("level",))
     rows = cones.sample_cone(n, n - 1, count, seed,
                              level=None if level is None else float(level))
@@ -291,30 +271,13 @@ def _run_renwang(args) -> int:
     return EXIT_OK if report["uncertified"] == 0 else EXIT_VIOLATION
 
 
-def _solve_for_domain(solve_cfg: SolveConfig, domain):
-    if domain.kind == "ball":
-        return solve_radial_path(solve_cfg, domain)
-    return solve_graph_path(solve_cfg, domain)
-
-
-def _run_audit(args) -> int:
-    cfg = _load_config(args.config)
-    n = int(_pick(args.n, cfg, ("n",), 3))
-    sigma = _pick(args.sigma, cfg, ("sigma",))
-    if sigma is None:
-        raise ValueError("sigma is required (flag --sigma or config)")
+def _run_audit(args, cfg, n: int) -> int:
+    sigma = _sigma(args, cfg)
     domain = _domain_from_args(args, cfg, n)
-    if domain.kind == "ball":
-        mesh = RadialMesh(nodes=int(_pick(args.nodes, cfg,
-                                          ("mesh", "nodes"), 401)))
-    else:
-        mesh = _grid_mesh(args, cfg, n)
-    solve_cfg = SolveConfig(
-        n=n, sigma_target=float(sigma),
-        eps_schedule=_eps_schedule(args, cfg),
-        mesh=mesh, newton=_newton_params(args, cfg))
-    fields = _solve_for_domain(solve_cfg, domain)
-    audit_cfg = _audit_config(args, cfg)
+    radial = domain.kind == "ball"
+    fields = _solve(_solve_config(args, cfg, n, sigma, radial), domain,
+                    radial)
+    audit_cfg = _build(audit_mod.AuditConfig, args, cfg, "audit")
     bundle = audit_mod.audit_bundle(fields, audit_cfg)
 
     final = fields[-1]
@@ -343,79 +306,56 @@ def _domain_label(domain) -> str:
 
 
 def _sweep_domains(args, cfg, n: int):
-    listed = _pick(None, cfg, ("domains",))
-    if listed is not None:
-        # entries without their own n take the sweep's
-        return [domain_from_config(
-                    {**d, "params": {"n": n, **d.get("params", {})}})
-                for d in listed]
-    out = []
-    kinds = args.domains.split(",") if args.domains else []
-    for kind in kinds:
-        kind = kind.strip()
-        if not kind:
-            continue
-        sub = argparse.Namespace(domain=kind, radius=args.radius,
-                                 semi_axes=args.semi_axes,
-                                 star_samples=args.star_samples)
-        out.append(_domain_from_args(sub, cfg, n))
-    return out
+    if args.domains:
+        kinds = [k.strip() for k in args.domains.split(",") if k.strip()]
+        return [_domain_from_args(
+                    argparse.Namespace(**{**vars(args), "domain": kind}),
+                    cfg, n)
+                for kind in kinds]
+    # entries without their own n take the sweep's
+    return [domain_from_config({**d, "params": {"n": n,
+                                                **d.get("params", {})}})
+            for d in _pick(None, cfg, ("domains",)) or ()]
 
 
-def _run_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    n = int(_pick(args.n, cfg, ("n",), 3))
-    sigmas = tuple(args.sigmas) if args.sigmas else \
-        tuple(float(s) for s in (_pick(None, cfg, ("sigmas",)) or ()))
+def _run_sweep(args, cfg, n: int) -> int:
+    sigmas = _listed(args, cfg, "sigmas")
     schedule = _eps_schedule(args, cfg)
     domains = _sweep_domains(args, cfg, n)
     if not sigmas or not domains or not schedule:
         raise ValueError("sweep needs nonempty domains, sigmas and "
                          "eps_schedule")
-    audit_cfg = _audit_config(args, cfg)
-    newton = _newton_params(args, cfg)
+    audit_cfg = _build(audit_mod.AuditConfig, args, cfg, "audit")
 
     rows = []
-    any_diverged = False
-    any_cone = False
+    failed = set()
     for domain in domains:
         label = _domain_label(domain)
+        radial = domain.kind == "ball"
         for sigma in sigmas:
-            if domain.kind == "ball":
-                mesh = RadialMesh(nodes=int(_pick(args.nodes, cfg,
-                                                  ("mesh", "nodes"), 401)))
-            else:
-                mesh = _grid_mesh(args, cfg, n)
-            solve_cfg = SolveConfig(n=n, sigma_target=float(sigma),
-                                    eps_schedule=schedule, mesh=mesh,
-                                    newton=newton)
+            config = _solve_config(args, cfg, n, sigma, radial)
             try:
-                fields = _solve_for_domain(solve_cfg, domain)
-            except ConeViolationError:
-                any_cone = True
-                for eps in schedule:
-                    rows.append({"domain": label, "n": n, "sigma": sigma,
-                                 "eps": eps, "status": "cone_violation"})
-                continue
-            except NewtonDivergenceError:
-                any_diverged = True
-                for eps in schedule:
-                    rows.append({"domain": label, "n": n, "sigma": sigma,
-                                 "eps": eps, "status": "newton_divergence"})
+                fields = _solve(config, domain, radial)
+            except (ConeViolationError, NewtonDivergenceError) as exc:
+                status = ("cone_violation"
+                          if isinstance(exc, ConeViolationError)
+                          else "newton_divergence")
+                failed.add(status)
+                rows += [{"domain": label, "n": n, "sigma": sigma,
+                          "eps": eps, "status": status} for eps in schedule]
                 continue
             for fld in fields:
-                kmax_int, kmax_bdry = audit_mod._kappa_maxima(fld)
-                q = audit_mod.test_function_field(fld, audit_cfg)
-                rw = audit_mod.rw_on_solution(fld, audit_cfg)
+                est = audit_mod.estimate_report(fld, audit_cfg,
+                                                sweep_exponents=())
                 rows.append({
                     "domain": label, "n": n, "sigma": sigma,
                     "eps": fld.convergence.eps_bdry,
-                    "max_kappa_interior": kmax_int,
-                    "max_kappa_boundary": kmax_bdry,
-                    "witness": kmax_int - audit_mod.BOUND_C2 * kmax_bdry,
-                    "nu_min": float(fld.nu_vertical.min()),
-                    "Q_max": float(q.max()),
-                    "rw_minK_max": rw.min_k_max,
+                    "max_kappa_interior": est.max_kappa_interior,
+                    "max_kappa_boundary": est.max_kappa_boundary,
+                    "witness": est.bound_constant_witness,
+                    "nu_min": est.nu_min,
+                    "Q_max": est.q_max,
+                    "rw_minK_max": est.rw_min_k_max,
                     "iterations": fld.convergence.iterations,
                     "residual": fld.convergence.residual,
                     "status": "ok",
@@ -424,55 +364,78 @@ def _run_sweep(args) -> int:
     csv_path = _pick(args.out_csv, cfg, ("out", "csv"), "sweep.csv")
     io.write_sweep_csv(rows, csv_path)
     print(f"{len(rows)} rows -> {csv_path}")
-    if any_cone:
+    if "cone_violation" in failed:
         return EXIT_CONE
-    if any_diverged:
+    if failed:
         return EXIT_DIVERGED
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one spec per flag, one flag list per subcommand
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--out-csv", dest="out_csv")
-    p.add_argument("--out-json", dest="out_json")
+_FLAGS = {
+    "--config": dict(help="JSON config file; flags override it"),
+    "--out-csv": {},
+    "--out-json": {},
+    "--n": dict(type=int),
+    "--sigma": dict(type=float),
+    "--sigmas": dict(type=_float_list),
+    "--eps": dict(type=float,
+                  help="single boundary height (one-leg schedule)"),
+    "--eps-schedule": dict(type=_float_list),
+    "--sigma-path": dict(type=_float_list),
+    "--max-iters": dict(type=int),
+    "--residual-tol": dict(type=float),
+    "--domain": dict(choices=["ball", "ellipsoid", "star", "star_shaped",
+                              "star2d"]),
+    "--domains": dict(help="comma list of kinds, e.g. ball,ellipsoid"),
+    "--radius": dict(type=float),
+    "--semi-axes": dict(type=_float_list),
+    "--star-samples": dict(type=_float_list),
+    "--nodes": dict(type=int, help="radial nodes (ball domains)"),
+    "--radial": dict(type=int, help="radial rings (grid domains)"),
+    "--lat": dict(type=int),
+    "--lon": dict(type=int),
+    "--angular": dict(type=int),
+    "--test-exponent": dict(type=float, dest="N", metavar="TEST_EXPONENT",
+                            help="exponent N in Q = ln kappa_1 - N ln nu"),
+    "--eps-rw": dict(type=float),
+    "--rw-sample-cap": dict(type=int),
+    "--fd-step": dict(type=float),
+    "--k": dict(type=int),
+    "--samples": dict(type=int),
+    "--seed": dict(type=int),
+    "--level": dict(type=float),
+}
 
+_SOLVE = ("--n", "--sigma", "--eps", "--eps-schedule", "--max-iters",
+          "--residual-tol")
+_DOMAIN = ("--domain", "--radius", "--semi-axes", "--star-samples")
+_GRID = ("--radial", "--lat", "--lon", "--angular")
+_AUDIT = ("--test-exponent", "--eps-rw", "--rw-sample-cap", "--fd-step")
 
-def _add_solve_flags(p, radial: bool):
-    p.add_argument("--n", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--eps", type=float,
-                   help="single boundary height (one-leg schedule)")
-    p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--residual-tol", dest="residual_tol", type=float)
-    if radial:
-        p.add_argument("--radius", type=float)
-        p.add_argument("--nodes", type=int)
-        p.add_argument("--sigma-path", dest="sigma_path", type=_float_list)
-    else:
-        p.add_argument("--domain",
-                       choices=["ball", "ellipsoid", "star", "star_shaped",
-                                "star2d"])
-        p.add_argument("--radius", type=float)
-        p.add_argument("--semi-axes", dest="semi_axes", type=_float_list)
-        p.add_argument("--star-samples", dest="star_samples",
-                       type=_float_list)
-        p.add_argument("--radial", type=int, help="radial rings")
-        p.add_argument("--lat", type=int)
-        p.add_argument("--lon", type=int)
-        p.add_argument("--angular", type=int)
-
-
-def _add_audit_flags(p):
-    p.add_argument("--test-exponent", dest="test_exponent", type=float,
-                   help="exponent N in Q = ln kappa_1 - N ln nu")
-    p.add_argument("--eps-rw", dest="eps_rw", type=float)
-    p.add_argument("--rw-sample-cap", dest="rw_sample_cap", type=int)
-    p.add_argument("--fd-step", dest="fd_step", type=float)
+_SUBCOMMANDS = {
+    "solve-radial": ("radially symmetric solve on a ball", _run_solve,
+                     _SOLVE + ("--radius", "--nodes", "--sigma-path")),
+    "solve-grid": ("mapped-grid solve on a domain", _run_solve,
+                   _SOLVE + _DOMAIN + _GRID),
+    "oracle-cap": ("emit the closed-form cap", _run_oracle_cap,
+                   ("--n", "--sigma", "--radius", "--eps", "--nodes")),
+    "verify-cone": ("sampled Garding-cone inequality checks",
+                    _run_verify_cone,
+                    ("--n", "--k", "--samples", "--seed", "--level")),
+    "renwang": ("quadratic-form certification over cone samples",
+                _run_renwang,
+                ("--n", "--samples", "--seed", "--level", "--eps-rw")),
+    "audit": ("solve, then audit the estimates", _run_audit,
+              _SOLVE + _DOMAIN + _GRID + ("--nodes",) + _AUDIT),
+    "sweep": ("batch solve+audit over a grid", _run_sweep,
+              ("--n", "--sigmas", "--eps-schedule", "--domains",
+               "--radius", "--semi-axes", "--star-samples", "--nodes")
+              + _GRID + _AUDIT),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,71 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="asymptotic Plateau solves and curvature-estimate "
                     "audits for vertical graphs over the half-space model")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("solve-radial",
-                       help="radially symmetric solve on a ball")
-    _add_common(p)
-    _add_solve_flags(p, radial=True)
-    p.set_defaults(runner=_run_solve_radial)
-
-    p = sub.add_parser("solve-grid", help="mapped-grid solve on a domain")
-    _add_common(p)
-    _add_solve_flags(p, radial=False)
-    p.set_defaults(runner=_run_solve_grid)
-
-    p = sub.add_parser("oracle-cap", help="emit the closed-form cap")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--nodes", type=int)
-    p.set_defaults(runner=_run_oracle_cap)
-
-    p = sub.add_parser("verify-cone",
-                       help="sampled Garding-cone inequality checks")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--level", type=float)
-    p.set_defaults(runner=_run_verify_cone)
-
-    p = sub.add_parser("renwang",
-                       help="quadratic-form certification over cone samples")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--level", type=float)
-    p.add_argument("--eps-rw", dest="eps_rw", type=float)
-    p.set_defaults(runner=_run_renwang)
-
-    p = sub.add_parser("audit", help="solve, then audit the estimates")
-    _add_common(p)
-    _add_solve_flags(p, radial=False)
-    p.add_argument("--nodes", type=int, help="radial nodes for ball domains")
-    _add_audit_flags(p)
-    p.set_defaults(runner=_run_audit)
-
-    p = sub.add_parser("sweep", help="batch solve+audit over a grid")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sigmas", type=_float_list)
-    p.add_argument("--eps-schedule", dest="eps_schedule", type=_float_list)
-    p.add_argument("--domains",
-                   help="comma list of kinds, e.g. ball,ellipsoid")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--semi-axes", dest="semi_axes", type=_float_list)
-    p.add_argument("--star-samples", dest="star_samples", type=_float_list)
-    p.add_argument("--nodes", type=int)
-    p.add_argument("--radial", type=int)
-    p.add_argument("--lat", type=int)
-    p.add_argument("--lon", type=int)
-    p.add_argument("--angular", type=int)
-    _add_audit_flags(p)
-    p.set_defaults(runner=_run_sweep)
+    for name, (help_text, runner, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in ("--config", "--out-csv", "--out-json") + flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(runner=runner)
     return ap
 
 
@@ -553,7 +456,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.runner(args)
+        cfg = _load_config(args.config)
+        return args.runner(args, cfg, int(_pick(args.n, cfg, ("n",), 3)))
     except NewtonDivergenceError as exc:
         _emit_error(exc)
         return EXIT_DIVERGED

@@ -193,6 +193,12 @@ def make_star2d(samples) -> DomainSpec:
     return DomainSpec(kind="star", n=2, star_samples=vals)
 
 
+def _required(params: dict, key: str, kind: str):
+    if key not in params:
+        raise ValueError(f"{kind} domains need params.{key}")
+    return params[key]
+
+
 def domain_from_config(cfg: dict) -> DomainSpec:
     """Build a DomainSpec from the CLI JSON shape {kind, params}."""
     kind = cfg.get("kind")
@@ -200,9 +206,9 @@ def domain_from_config(cfg: dict) -> DomainSpec:
     if kind == "ball":
         return make_ball(int(params.get("n", 3)), float(params.get("radius", 1.0)))
     if kind == "ellipsoid":
-        return make_ellipsoid(params["semi_axes"])
+        return make_ellipsoid(_required(params, "semi_axes", kind))
     if kind in ("star", "star_shaped", "star2d"):
         if int(params.get("n", 2)) != 2:
             raise ValueError("star-shaped domains are supported for n = 2 only")
-        return make_star2d(params["samples"])
+        return make_star2d(_required(params, "samples", kind))
     raise ValueError(f"unknown domain kind {kind!r}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .solver import SolutionField
 
-__all__ = ["format_value", "field_csv_rows", "write_field_csv",
+__all__ = ["format_value", "write_csv", "field_csv_rows", "write_field_csv",
            "write_sidecar_json", "write_json", "sweep_header",
            "write_sweep_csv", "cap_csv_rows"]
 
@@ -80,12 +80,16 @@ def field_csv_rows(field: SolutionField, extra: dict | None = None):
     return tuple(names), rows()
 
 
-def write_field_csv(field: SolutionField, path, extra: dict | None = None):
-    header, rows = field_csv_rows(field, extra)
+def write_csv(path, header, rows):
+    """One header line, then one line of format_value cells per row."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_value(v) for v in row) + "\n")
+
+
+def write_field_csv(field: SolutionField, path, extra: dict | None = None):
+    write_csv(path, *field_csv_rows(field, extra))
 
 
 def write_sidecar_json(field: SolutionField, path):
@@ -137,10 +141,7 @@ def sweep_header() -> tuple:
 def write_sweep_csv(rows, path):
     """rows: iterable of dicts keyed by sweep_header names."""
     header = sweep_header()
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(row.get(k)) for k in header) + "\n")
+    write_csv(path, header, ([row.get(k) for k in header] for row in rows))
 
 
 def cap_csv_rows(cap, radii) -> tuple:

@@ -278,6 +278,44 @@ def test_sweep_witness_column(tmp_path, monkeypatch):
                                      * float(row["max_kappa_boundary"]))
 
 
+def test_sweep_domains_flag_beats_config_list(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"domains": [{"kind": "ellipsoid",
+                        "params": {"semi_axes": [1.3, 1.0]}}]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert cli.main(["sweep", "--n", "2", "--domains", "ball",
+                     "--nodes", "51", "--sigmas", "1.0",
+                     "--eps-schedule", "0.1", "--config", "cfg.json"]) == 0
+    header, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [r[header.index("domain")] for r in rows] == ["ball:1.0"]
+
+
+def test_sweep_newton_settings_come_from_the_file(tmp_path, monkeypatch):
+    # sweep has no --max-iters; only the file reaches its Newton settings
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps({"newton": {"max_iters": 1}}))
+    assert cli.main(["sweep", "--domains", "ball", "--n", "3",
+                     "--sigmas", "1.5", "--nodes", "51",
+                     "--eps-schedule", "0.1", "--config", "f.json"]) == 3
+    header, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [r[header.index("status")] for r in rows] == ["newton_divergence"]
+
+
+def test_audit_test_exponent_flag_beats_file(tmp_path, monkeypatch,
+                                             small_field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.json").write_text(json.dumps({"audit": {"N": 5}}))
+    argv = ["audit", "--n", "3", "--sigma", "1.5", "--nodes", "51",
+            "--eps", "0.01", "--config", "f.json"]
+    for extra, exponent in (([], 5.0), (["--test-exponent", "50"], 50.0)):
+        assert cli.main(argv + extra) == 0
+        header, rows = _read_csv(tmp_path / "audit.csv")
+        q = [float(r[header.index("Q")]) for r in rows]
+        expected = audit.test_function_field(
+            small_field, audit.AuditConfig(N=exponent))
+        assert q == expected.tolist()
+
+
 def test_config_file_layering(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = {
@@ -314,6 +352,43 @@ def test_invalid_sigma_exits_2(tmp_path, monkeypatch, capsys):
     rec = _stderr_record(capsys)
     assert rec["error"] == "ValueError"
     assert "sigma" in rec["message"]
+
+
+def test_solve_radial_rejects_a_non_ball_config_domain(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = {"n": 2, "sigma": 1.0, "eps_schedule": [0.1], "mesh": {"nodes": 51},
+           "domain": {"kind": "ellipsoid",
+                      "params": {"semi_axes": [1.3, 1.0]}}}
+    (tmp_path / "e.json").write_text(json.dumps(cfg))
+    assert cli.main(["solve-radial", "--config", "e.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec == {"error": "ValueError",
+                   "message": "solve_radial requires a ball domain"}
+    assert not (tmp_path / "solve-radial.csv").exists()
+
+
+def test_oracle_cap_empty_schedule_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.json").write_text(json.dumps({"eps_schedule": []}))
+    assert cli.main(["oracle-cap", "--n", "3", "--sigma", "1.5",
+                     "--config", "e.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert "eps_schedule" in rec["message"]
+
+
+@pytest.mark.parametrize("kind,key", [("ellipsoid", "semi_axes"),
+                                      ("star", "samples")])
+def test_sweep_domain_entry_missing_key_exits_2(tmp_path, monkeypatch, capsys,
+                                                kind, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.json").write_text(json.dumps({"domains": [{"kind": kind}]}))
+    assert cli.main(["sweep", "--n", "2", "--sigmas", "1.0",
+                     "--config", "e.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert key in rec["message"]
 
 
 def test_missing_config_file_exits_2(tmp_path, monkeypatch, capsys):
