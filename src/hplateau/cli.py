@@ -312,10 +312,17 @@ def _sweep_domains(args, cfg, n: int):
                     argparse.Namespace(**{**vars(args), "domain": kind}),
                     cfg, n)
                 for kind in kinds]
+    entries = _pick(None, cfg, ("domains",)) or []
+    if not isinstance(entries, list):
+        raise ValueError(f"sweep config domains must be a list, got {entries!r}")
+    for d in entries:
+        if not (isinstance(d, dict) and isinstance(d.get("params", {}), dict)):
+            raise ValueError("sweep config domains entries must be objects "
+                             f"with an object params, got {d!r}")
     # entries without their own n take the sweep's
     return [domain_from_config({**d, "params": {"n": n,
                                                 **d.get("params", {})}})
-            for d in _pick(None, cfg, ("domains",)) or ()]
+            for d in entries]
 
 
 def _run_sweep(args, cfg, n: int) -> int:

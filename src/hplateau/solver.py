@@ -188,7 +188,9 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
                   params: NewtonParams):
     """Guarded, damped Newton iteration on the unknown vector v.
 
-    jacobian_solver(v, F) must return the Newton step s with J(v) s = -F.
+    jacobian_solver(v, F) must return the Newton step s with J(v) s = -F,
+    solved exactly or, for an inexact Newton step, to a relative residual
+    well below 1; it may raise NewtonDivergenceError carrying v.
     Returns (v, iterations, final_residual_norm).  A step whose entire
     backtracking sweep fails the cone guard raises ConeViolationError;
     any other failure to reduce the residual raises
@@ -236,7 +238,8 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
 
     * residual(v, sigma), guard(v) and jacobian_step(v, F): the discrete
       equation, the positivity/cone guard, and the step s solving
-      J(v) s = -F;
+      J(v) s = -F (exactly on the radial side, by preconditioned GMRES
+      to a relative tolerance on the grid);
     * initial_guess(sigma, eps): a first iterate inside the guard;
     * cap_height(sigma, eps): the umbilic cap family on the unknowns,
       along which a converged v is transported to a new (sigma, eps);

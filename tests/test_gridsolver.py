@@ -6,9 +6,12 @@ import math
 import dataclasses
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from hplateau import cli, domains, geometry, gridsolver, solver
-from hplateau.errors import ConeViolationError, GridDegeneracyError
+from hplateau.errors import (ConeViolationError, GridDegeneracyError,
+                             NewtonDivergenceError)
 
 BALL3 = domains.make_ball(3, 1.0)
 ELL = domains.make_ellipsoid((1.3, 1.0, 1.0))
@@ -182,6 +185,96 @@ def test_jacobian_is_the_complex_step_derivative(domain, mesh, sigma):
         d = np.random.default_rng(seed).standard_normal(v.size)
         cs = scheme.residual(v + 1e-20j * d, sigma).imag * 1e20
         assert np.abs(J @ d - cs).max() <= 1e-12 * np.abs(cs).max()
+
+
+# ---------------------------------------------------------------------------
+# inexact Newton step: GMRES preconditioned by a path-scoped ILU
+# ---------------------------------------------------------------------------
+
+_SPILU = scipy.sparse.linalg.spilu
+
+
+@pytest.fixture
+def spilu_calls(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _SPILU(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", counted)
+    return calls
+
+
+@pytest.fixture
+def ell_iterate():
+    """A smooth, guard-admissible non-solution on the default n = 3 mesh."""
+    geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh())
+    scheme = gridsolver._GridScheme(geo, 0.1)
+    x = geo.xyz[:geo.n_int]
+    v = gridsolver.initial_grid_guess(geo, 1.5, 0.1) \
+        * (1.0 + 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]))
+    assert scheme.guard(v)
+    return scheme, v, scheme.residual(v, 1.5)
+
+
+def _meets_forcing_term(scheme, v, F, s):
+    # GMRES stops on this same 2-norm of J s + F; the margin covers a
+    # different summation order in the recomputed product
+    J = scheme.jacobian(v)
+    return (np.linalg.norm(J @ s + F)
+            <= gridsolver.GMRES_RTOL * np.linalg.norm(F) * (1.0 + 1e-9))
+
+
+def _diagonal_ilu(scheme, v):
+    """ILU of diag(J): too weak for GMRES to reach GMRES_RTOL in its
+    cycles on the default mesh."""
+    return _SPILU(scipy.sparse.diags(scheme.jacobian(v).diagonal()).tocsc())
+
+
+@pytest.mark.parametrize("case", ["ball16", "ell_iterate"])
+def test_step_meets_the_forcing_term(case, request, monkeypatch):
+    if case == "ball16":
+        field = request.getfixturevalue("ball16")
+        scheme = field.meta["scheme"]
+        v = field.u[field.interior]
+        F = scheme.residual(v, field.convergence.sigma)
+    else:
+        scheme, v, F = request.getfixturevalue("ell_iterate")
+    monkeypatch.setattr(scheme.geo, "ilu", None)  # restored on teardown
+    assert _meets_forcing_term(scheme, v, F, scheme.jacobian_step(v, F))
+
+
+def test_path_builds_one_ilu_and_frees_it(spilu_calls):
+    cfg = solver.SolveConfig(n=3, sigma_target=1.0,
+                             mesh=solver.SphericalGridMesh(10, 8, 16))
+    fields = gridsolver.solve_graph_path(cfg, ELL)
+    assert len(fields) == len(solver.DEFAULT_EPS_SCHEDULE)
+    assert len(spilu_calls) == 1
+    geo = fields[-1].meta["scheme"].geo
+    assert geo.ilu is None
+    # a later step on a returned field builds its own
+    stepped, (before, after) = solver.newton_step(fields[-1])
+    assert after <= before * (1.0 + 1e-12) + 1e-15
+    assert len(spilu_calls) == 2
+
+
+def test_stale_ilu_is_rebuilt(ell_iterate, spilu_calls):
+    scheme, v, F = ell_iterate
+    weak = scheme.geo.ilu = _diagonal_ilu(scheme, v)
+    s = scheme.jacobian_step(v, F)
+    assert len(spilu_calls) == 1
+    assert scheme.geo.ilu is not weak
+    assert _meets_forcing_term(scheme, v, F, s)
+
+
+def test_step_fails_typed_when_a_fresh_ilu_misses(ell_iterate, monkeypatch):
+    scheme, v, F = ell_iterate
+    weak = _diagonal_ilu(scheme, v)
+    monkeypatch.setattr(scipy.sparse.linalg, "spilu", lambda *a, **k: weak)
+    with pytest.raises(NewtonDivergenceError) as err:
+        scheme.jacobian_step(v, F)
+    assert err.value.state is v
 
 
 # ---------------------------------------------------------------------------

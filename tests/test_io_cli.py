@@ -391,6 +391,20 @@ def test_sweep_domain_entry_missing_key_exits_2(tmp_path, monkeypatch, capsys,
     assert key in rec["message"]
 
 
+@pytest.mark.parametrize("domains", [["ball"], [{"kind": "ball", "params": 1}],
+                                     {"kind": "ball"}],
+                         ids=["entry", "params", "not-a-list"])
+def test_sweep_non_object_domain_entry_exits_2(tmp_path, monkeypatch, capsys,
+                                               domains):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.json").write_text(json.dumps({"domains": domains}))
+    assert cli.main(["sweep", "--n", "2", "--sigmas", "1.0",
+                     "--config", "e.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert "domains" in rec["message"]
+
+
 def test_missing_config_file_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["solve-radial", "--config", "nope.json"]) == 2
