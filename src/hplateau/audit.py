@@ -112,12 +112,22 @@ class CurvatureBoundReport:
 
 @dataclass(frozen=True)
 class RWSolutionReport:
+    """Ren-Wang certification on sampled solution spectra.
+
+    indices are the sampled node indices and min_k their minimal K, for
+    per-node output; io.write_json leaves both out of the JSON record.
+    """
+
     sampled: int
     min_k_low: float
     min_k_median: float
     min_k_max: float
     certified_at_max: bool
     ok: bool
+    indices: np.ndarray = field(repr=False, compare=False,
+                                metadata={"json": False})
+    min_k: np.ndarray = field(repr=False, compare=False,
+                              metadata={"json": False})
 
 
 @dataclass(frozen=True)
@@ -269,7 +279,8 @@ def rw_on_solution(solution: SolutionField,
         min_k_median=float(np.median(min_k)),
         min_k_max=k_star,
         certified_at_max=certified_at_max,
-        ok=finite and certified_at_max)
+        ok=finite and certified_at_max,
+        indices=idx, min_k=min_k)
 
 
 def _radial_interpolant(solution: SolutionField) -> RadialHeightField:

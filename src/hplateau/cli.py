@@ -282,11 +282,9 @@ def _run_audit(args, cfg, n: int) -> int:
 
     final = fields[-1]
     q = audit_mod.test_function_field(final, audit_cfg)
-    rw_idx = audit_mod._rw_sample_indices(final, audit_cfg.rw_sample_cap)
-    rw_vals = cones.ren_wang_min_k_batch(final.spectra[rw_idx],
-                                         audit_cfg.eps_rw)
+    rw = bundle["ren_wang"]
     rw_col = np.full(len(final.u), np.nan)
-    rw_col[rw_idx] = rw_vals
+    rw_col[rw.indices] = rw.min_k
     rw_cells = [None if np.isnan(v) else float(v) for v in rw_col]
     csv_path, json_path = _resolve_out(args, cfg, "audit")
     io.write_field_csv(final, csv_path,

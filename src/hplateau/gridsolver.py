@@ -34,10 +34,12 @@ and replaces the radial slots by one-sided differences.
 Every jet component is a fixed linear combination of the 19 (n = 3) or
 9 (n = 2) wrapped stencil neighbors, with one scalar weight per (jet
 component, stencil offset).  The Newton Jacobian is that chain: the
-pointwise derivative of the residual in each jet component, taken by
-complex step (exact to rounding, as no operation on the path is
-non-analytic), times the stencil weights, summed onto a sparsity
-pattern that is fixed per grid.
+pointwise derivative of the residual in each jet component, times the
+stencil weights, summed onto a sparsity pattern that is fixed per grid.
+S is linear in u and in D2u, so those derivatives are closed forms of
+the real shape pass (_jet_gradient); only the n first-derivative
+components, on which w and Ghalf depend, take a complex step (exact to
+rounding, as no operation on the path is non-analytic).
 
 The Newton step is inexact (Eisenstat and Walker 1996): GMRES on the
 exact Jacobian, stopped at ||J s + F||_2 <= GMRES_RTOL ||F||_2 and
@@ -317,11 +319,14 @@ class _GridGeometry:
 
 
 def _shape(u, p, P, A, Xcc):
-    """Shape matrices S and vertical normal components nu, per node.
+    """Shape matrices S = (u/w) Q + (1/w) I and their pieces, per node.
 
     (u, p, P) is the chart jet of u, A the inverse map Jacobian and Xcc
-    the map's second derivatives.  Only batched @ and analytic operations
-    are used, so a complex jet carries complex-step derivatives through.
+    the map's second derivatives.  Returns (S, w, B, Q) with
+    w = sqrt(1 + |Du|^2), B = A Ghalf and Q = B^T (P - C) B, where
+    C = Du . Xcc; w, B and C depend on p alone, so S is linear in u and
+    in P.  Only batched @ and analytic operations are used, so a complex
+    jet carries complex-step derivatives through.
     """
     n = p.shape[1]
     Du = (p[:, None, :] @ A)[:, 0]
@@ -329,9 +334,59 @@ def _shape(u, p, P, A, Xcc):
     w = np.sqrt(1.0 + (Du * Du).sum(axis=1))
     coef = 1.0 / (w * (w + 1.0))
     B = A @ (np.eye(n) - coef[:, None, None] * Du[:, :, None] * Du[:, None, :])
-    S = (u / w)[:, None, None] * (B.swapaxes(1, 2) @ (P - C) @ B) \
-        + (1.0 / w)[:, None, None] * np.eye(n)
-    return S, 1.0 / w
+    Q = B.swapaxes(1, 2) @ (P - C) @ B
+    S = (u / w)[:, None, None] * Q + (1.0 / w)[:, None, None] * np.eye(n)
+    return S, w, B, Q
+
+
+def _sigma(S):
+    """sigma_{n-1} of the eigenvalues of S for n in {2, 3}, from traces."""
+    t = np.trace(S, axis1=1, axis2=2)
+    if S.shape[-1] == 2:
+        return t
+    return 0.5 * (t * t - (S * S).sum(axis=(1, 2)))
+
+
+def _sigma_gradient(S):
+    """G = d sigma_{n-1} / dS of symmetric S for n in {2, 3}: I when
+    n = 2, tr(S) I - S when n = 3."""
+    n = S.shape[-1]
+    if n == 2:
+        return np.eye(n)
+    return np.trace(S, axis1=1, axis2=2)[:, None, None] * np.eye(n) - S
+
+
+def _jet_gradient(u, p, P, A, Xcc):
+    """dF/djet of F = sigma_{n-1}(S) per node, in packed jet order.
+
+    S = (u/w) Q + (1/w) I, and w, B and C depend on the first
+    derivatives p alone, so with G = dF/dS (_sigma_gradient) the u and
+    second-derivative slots are closed forms of one real _shape pass:
+
+        dF/du = <G, Q> / w,    dF/dP_ab = (u/w) (B G B^T)_ab,
+
+    the two symmetric entries summed when a != b.  <G, Q> is formed from
+    Q itself: recovering Q as (S - I/w)/u cancels where u is small, next
+    to the boundary.  The n first-derivative slots, where w, B and C
+    move, take one complex step each (exact to rounding, as no operation
+    in _shape is non-analytic).
+    """
+    n = p.shape[1]
+    pairs = _jet_pairs(n)
+    dF = np.empty((u.size, 1 + n + len(pairs)))
+    # complex passes first: the real pass's arrays are not held through them
+    pc = p.astype(complex)
+    for a in range(n):
+        pc[:, a] += 1.0e-20j
+        dF[:, 1 + a] = _sigma(_shape(u, pc, P, A, Xcc)[0]).imag * 1.0e20
+        pc[:, a] -= 1.0e-20j
+    S, w, B, Q = _shape(u, p, P, A, Xcc)
+    G = _sigma_gradient(S)
+    BGB = (u / w)[:, None, None] * (B @ G @ B.swapaxes(1, 2))
+    dF[:, 0] = (G * Q).sum(axis=(1, 2)) / w
+    for r, (a, b) in enumerate(pairs, 1 + n):
+        dF[:, r] = BGB[:, a, b] if a == b else BGB[:, a, b] + BGB[:, b, a]
+    return dF
 
 
 def _gmres(J, F, ilu):
@@ -342,14 +397,6 @@ def _gmres(J, F, ilu):
         J, -F, M=M, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
         maxiter=GMRES_MAXITER)
     return s if info == 0 else None
-
-
-def _sigma(S):
-    """sigma_{n-1} of the eigenvalues of S for n in {2, 3}, from traces."""
-    t = np.trace(S, axis1=1, axis2=2)
-    if S.shape[-1] == 2:
-        return t
-    return 0.5 * (t * t - (S * S).sum(axis=(1, 2)))
 
 
 class _GridScheme:
@@ -377,19 +424,22 @@ class _GridScheme:
     def initial_guess(self, sigma: float, eps: float) -> np.ndarray:
         return initial_grid_guess(self.geo, sigma, eps)
 
-    def _interior_shape(self, jet: np.ndarray) -> np.ndarray:
+    def _interior_jet(self, v: np.ndarray):
+        """(u, p, P): the unpacked chart jet at the interior nodes."""
+        return self.geo.unpack(self.geo.chart_jet(self.full_height(v)))
+
+    def _interior_shape(self, v: np.ndarray) -> np.ndarray:
         geo = self.geo
         ni = geo.n_int
-        return _shape(*geo.unpack(jet), geo.A[:ni], geo.Xcc[:ni])[0]
+        return _shape(*self._interior_jet(v), geo.A[:ni], geo.Xcc[:ni])[0]
 
     def residual(self, v: np.ndarray, sigma: float) -> np.ndarray:
-        jet = self.geo.chart_jet(self.full_height(v))
-        return _sigma(self._interior_shape(jet)) - sigma
+        return _sigma(self._interior_shape(v)) - sigma
 
     def guard(self, v: np.ndarray) -> bool:
         if not (v > 0.0).all():
             return False
-        S = self._interior_shape(self.geo.chart_jet(self.full_height(v)))
+        S = self._interior_shape(v)
         if not (np.trace(S, axis1=1, axis2=2) > 0.0).all():
             return False
         return self.geo.n == 2 or bool((_sigma(S) > 0.0).all())
@@ -398,17 +448,12 @@ class _GridScheme:
         """Exact Jacobian of the residual: the stencil chain.
 
         The residual at node i depends on its own chart jet only, so
-        dF_i/djet comes from one complex step per jet component (exact to
-        rounding, as the residual is analytic), and J[i, nbr[o, i]] sums
-        (dF_i/djet) @ coef[:, o] over the offsets o.
+        J[i, nbr[o, i]] sums (dF_i/djet) @ coef[:, o] over the offsets o,
+        with dF_i/djet from _jet_gradient.
         """
         geo = self.geo
-        jet = geo.chart_jet(self.full_height(v)).astype(complex)
-        dF = np.empty(jet.shape)
-        for k in range(jet.shape[1]):
-            jet[:, k] += 1.0e-20j
-            dF[:, k] = _sigma(self._interior_shape(jet)).imag * 1.0e20
-            jet[:, k] -= 1.0e-20j
+        ni = geo.n_int
+        dF = _jet_gradient(*self._interior_jet(v), geo.A[:ni], geo.Xcc[:ni])
         weights = geo.coef.T @ dF.T  # (offset, node), as jac_pos
         data = np.bincount(geo.jac_pos.ravel(), weights=weights.ravel(),
                            minlength=geo.jac_nnz + 1)[:geo.jac_nnz]
@@ -454,7 +499,7 @@ class _GridScheme:
         U = self.full_height(v)
         ni = geo.n_int
         jet = np.concatenate([geo.chart_jet(U), geo.boundary_jet(U)])
-        S_all, nu_all = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
+        S_all, w_all, _, _ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
         spectra = np.linalg.eigvalsh(S_all)[:, ::-1]
         boundary = np.zeros(geo.n_all, dtype=bool)
         boundary[ni:] = True
@@ -464,7 +509,7 @@ class _GridScheme:
             nodes=geo.xyz.copy(),
             u=U,
             boundary=boundary,
-            nu_vertical=nu_all,
+            nu_vertical=1.0 / w_all,
             spectra=spectra,
             residual_field=_sigma(S_all) - sigma,
             convergence=ConvergenceInfo(iterations=iterations, residual=resid,

@@ -104,8 +104,12 @@ def write_sidecar_json(field: SolutionField, path):
 
 
 def _jsonable(obj):
+    """Plain JSON material; dataclass fields with metadata json=False are
+    left out."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+                if f.metadata.get("json", True)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -53,6 +53,19 @@ ARMIJO_SLOPE = 1.0e-4
 
 #: The line search halves t from 1 and gives up below this step.
 MIN_STEP = 1.0e-6
+
+#: Residual tolerance of every continuation leg whose end is not a
+#: reported field (the first sigma-walk leg, the intermediate sigma legs
+#: and the first half of a split leg), applied as
+#: max(NewtonParams.residual_tol, WALK_TOL).  Such a leg only has to land
+#: inside Newton's basin for the next leg, whose start is moved along the
+#: cap family by far more than 1e-6; Newton contracts quadratically from
+#: there, so the reported fields still reach residual_tol.  Solving the
+#: walk legs to residual_tol instead spends the last steps of each near
+#: the float64 rounding floor, where the default-mesh n = 3 ellipsoid at
+#: sigma = 0.05 stalls at 1.1-1.4e-10 on two walk legs, which are then
+#: split and redone.
+WALK_TOL = 1.0e-6
 
 
 @dataclass(frozen=True)
@@ -260,6 +273,12 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     NewtonDivergenceError (a stall at the residual's rounding floor) is
     re-raised: no walk moves that floor.  Every later sigma leg, then
     every eps leg, goes through _leg.
+
+    Only the legs that end at sigma_target, one per scheduled eps, give
+    reported fields; they are solved to config.newton.residual_tol.  The
+    legs before them (the first leg when a path or walk follows it, and
+    the intermediate sigma legs) are solved only to the basin tolerance
+    of _walk_params (WALK_TOL).
     """
     params = config.newton
     target = config.sigma_target
@@ -268,11 +287,15 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     if not sig_path or sig_path[-1] != target:
         sig_path.append(target)
 
-    def first_leg(sigma):
-        return scheme.newton(scheme.initial_guess(sigma, eps0), sigma, params)
+    walk = _walk_params(params)
+
+    def first_leg(path):
+        sigma = path[0]
+        return scheme.newton(scheme.initial_guess(sigma, eps0), sigma,
+                             params if len(path) == 1 else walk)
 
     try:
-        v, total_it, res = first_leg(sig_path[0])
+        v, total_it, res = first_leg(sig_path)
     except ConeViolationError:
         easy = 0.5 * config.n
         if config.sigma_path or easy == target:
@@ -281,10 +304,12 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
         count = max(2, math.ceil(math.log(ratio) / math.log(2.0)) + 2)
         sig_path = list(np.geomspace(easy, target, count))
         sig_path[-1] = target
-        v, total_it, res = first_leg(sig_path[0])
-    for sig_a, sig_b in zip(sig_path, sig_path[1:]):
-        scheme, (v, it, res) = _leg(scheme, params, v, (sig_a, eps0),
-                                    (sig_b, eps0))
+        v, total_it, res = first_leg(sig_path)
+    last = len(sig_path) - 1
+    for k in range(1, last + 1):
+        scheme, (v, it, res) = _leg(scheme, params if k == last else walk, v,
+                                    (sig_path[k - 1], eps0),
+                                    (sig_path[k], eps0))
         total_it += it
 
     fields = [scheme.build_field(v, target, total_it, res)]
@@ -295,14 +320,22 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     return fields
 
 
+def _walk_params(params: NewtonParams) -> NewtonParams:
+    """params for a leg whose end is not a reported field: residual_tol
+    raised to WALK_TOL, a looser residual_tol kept."""
+    return replace(params, residual_tol=max(params.residual_tol, WALK_TOL))
+
+
 def _leg(scheme, params: NewtonParams, v, start, end, depth=0):
     """Converge from the solution v at start = (sigma, eps) to end.
 
     Re-pinning the boundary or moving sigma alone kinks the profile hard
     enough to leave the cone, so v is first moved along the cap family.
     A leg that fails is split at the geometric midpoint of (sigma, eps),
-    down to depth 3.  Returns the scheme at end and (v, iterations,
-    residual).
+    down to depth 3.  The first half ends at no reported field and is
+    solved to _walk_params(params); the second half ends where the leg
+    does and keeps params.  Returns the scheme at end and (v,
+    iterations, residual).
     """
     (sig_a, eps_a), (sig_b, eps_b) = start, end
     scheme = scheme.at_eps(eps_b)
@@ -313,7 +346,8 @@ def _leg(scheme, params: NewtonParams, v, start, end, depth=0):
         if depth >= 3:
             raise
         mid = (math.sqrt(sig_a * sig_b), math.sqrt(eps_a * eps_b))
-        _, (vm, it1, _) = _leg(scheme, params, v, start, mid, depth + 1)
+        _, (vm, it1, _) = _leg(scheme, _walk_params(params), v, start, mid,
+                               depth + 1)
         scheme, (v, it2, res) = _leg(scheme, params, vm, mid, end, depth + 1)
         return scheme, (v, it1 + it2, res)
 

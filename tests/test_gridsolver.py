@@ -187,6 +187,56 @@ def test_jacobian_is_the_complex_step_derivative(domain, mesh, sigma):
         assert np.abs(J @ d - cs).max() <= 1e-12 * np.abs(cs).max()
 
 
+@pytest.fixture(scope="module",
+                params=[(ELL, solver.SphericalGridMesh(8, 6, 12)),
+                        (domains.make_ellipsoid((1.3, 1.0)),
+                         solver.PolarGridMesh(12, 16))],
+                ids=["n3", "n2"])
+def eps4_jet(request):
+    """Chart jet of a converged eps = 1e-4 field on every node, the
+    boundary ring (u = 1e-4) included."""
+    domain, mesh = request.param
+    cfg = solver.SolveConfig(n=domain.n, sigma_target=1.0, mesh=mesh)
+    field = gridsolver.solve_graph_path(cfg, domain)[-1]
+    geo = field.meta["scheme"].geo
+    return geo, np.concatenate([geo.chart_jet(field.u),
+                                geo.boundary_jet(field.u)])
+
+
+def test_closed_form_slots_are_the_complex_step(eps4_jet):
+    # each closed-form slot (u and the second derivatives) against a
+    # complex step in that slot alone, row by row; forming <G, Q> from
+    # (S - I/w)/u instead cancels on the boundary ring and fails this
+    geo, jet = eps4_jet
+    assert jet[:, 0].min() == pytest.approx(1e-4)
+    dF = gridsolver._jet_gradient(*geo.unpack(jet), geo.A, geo.Xcc)
+    scale = np.abs(dF).max(axis=1)
+    cjet = jet.astype(complex)
+    for k in [0] + list(range(1 + geo.n, jet.shape[1])):
+        cjet[:, k] += 1e-20j
+        S = gridsolver._shape(*geo.unpack(cjet), geo.A, geo.Xcc)[0]
+        cjet[:, k] -= 1e-20j
+        cs = gridsolver._sigma(S).imag * 1e20
+        assert (np.abs(dF[:, k] - cs) <= 1e-13 * scale).all(), k
+
+
+@pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
+def test_jacobian_takes_one_complex_pass_per_first_derivative(
+        domain, mesh, sigma, monkeypatch):
+    scheme, v = _small_scheme(domain, mesh, sigma)
+    passes = []
+    real = gridsolver._shape
+
+    def counted(u, p, P, A, Xcc):
+        passes.append(any(np.iscomplexobj(x) for x in (u, p, P)))
+        return real(u, p, P, A, Xcc)
+
+    monkeypatch.setattr(gridsolver, "_shape", counted)
+    scheme.jacobian(v)
+    assert passes.count(True) == domain.n
+    assert passes.count(False) == 1
+
+
 # ---------------------------------------------------------------------------
 # inexact Newton step: GMRES preconditioned by a path-scoped ILU
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hplateau import audit, cli, domains, geometry, io, solver
+from hplateau import audit, cli, cones, domains, geometry, io, solver
 from hplateau.errors import (AuditPreconditionError, ConePreconditionError,
                              ConeViolationError, GridDegeneracyError,
                              HPlateauError, InvalidHeightError)
@@ -224,6 +224,14 @@ def test_renwang_certifies_sampled_spectra(tmp_path, monkeypatch):
 
 def test_audit_subcommand_bundles_checks(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    searches = []
+    real = cones.ren_wang_min_k_batch
+
+    def counted(rows, eps_rw):
+        searches.append(len(rows))
+        return real(rows, eps_rw)
+
+    monkeypatch.setattr(cones, "ren_wang_min_k_batch", counted)
     assert cli.main(["audit", "--domain", "ball", "--n", "3",
                      "--sigma", "1.5", "--nodes", "101",
                      "--eps-schedule", "0.1,0.01"]) == 0
@@ -232,8 +240,17 @@ def test_audit_subcommand_bundles_checks(tmp_path, monkeypatch):
     assert rep["nu_lower_bound"]["ok"] is True
     assert rep["curvature_bound"]["ok"] is True
     assert rep["ren_wang"]["certified_at_max"] is True
+    # the per-sample K stays out of the JSON record
+    assert set(rep["ren_wang"]) == {"sampled", "min_k_low", "min_k_median",
+                                    "min_k_max", "certified_at_max", "ok"}
     header, rows = _read_csv(tmp_path / "audit.csv")
     assert "Q" in header and "rw_minK" in header
+    # the CSV column reuses the bundle's one K search
+    assert searches == [rep["ren_wang"]["sampled"]]
+    col = header.index("rw_minK")
+    ks = [float(r[col]) for r in rows if r[col]]
+    assert len(ks) == rep["ren_wang"]["sampled"]
+    assert max(ks) == rep["ren_wang"]["min_k_max"]
 
 
 def test_sweep_rows_and_determinism(tmp_path, monkeypatch):

@@ -317,6 +317,46 @@ def test_radial_explicit_sigma_path_lands_on_direct_solution():
     assert np.abs(walked.u - direct.u).max() <= 1e-9
 
 
+WALKS = {
+    # (module, path solver, domain, mesh, sigma, eps schedule): targets
+    # whose first leg leaves the cone, so that the sigma walk fires
+    "radial": (solver, solver.solve_radial_path, domains.make_ball(2, 1.0),
+               solver.RadialMesh(51), 0.01, (1e-1,)),
+    "grid": (gridsolver, gridsolver.solve_graph_path,
+             domains.make_ellipsoid((1.3, 1.0, 1.0)),
+             solver.SphericalGridMesh(10, 8, 16), 0.05, (1e-1, 1e-2)),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-4])
+@pytest.mark.parametrize("kind", list(WALKS))
+def test_only_reported_legs_are_solved_to_residual_tol(monkeypatch, kind,
+                                                       tol):
+    # legs that end at a reported field keep residual_tol; the walk legs
+    # and first halves of split legs get max(residual_tol, WALK_TOL), so
+    # a residual_tol looser than WALK_TOL holds on every leg
+    module, solve, domain, mesh, sigma, schedule = WALKS[kind]
+    legs = []
+    real = module.damped_newton
+
+    def recorded(v0, residual_fn, guard_fn, jacobian_solver, params):
+        legs.append((residual_fn.keywords["sigma"], guard_fn.__self__.eps_bdry,
+                     params.residual_tol))
+        return real(v0, residual_fn, guard_fn, jacobian_solver, params)
+
+    monkeypatch.setattr(module, "damped_newton", recorded)
+    fields = solve(solver.SolveConfig(
+        n=domain.n, sigma_target=sigma, eps_schedule=schedule, mesh=mesh,
+        newton=solver.NewtonParams(residual_tol=tol)), domain)
+    assert len({s for s, _, _ in legs}) > 2  # the walk fired
+    for s, eps, leg_tol in legs:
+        reported = s == sigma and eps in schedule
+        assert leg_tol == (tol if reported else max(tol, solver.WALK_TOL))
+    assert [f.convergence.eps_bdry for f in fields] == list(schedule)
+    assert all(f.convergence.residual <= tol and f.convergence.sigma == sigma
+               for f in fields)
+
+
 def _count_newton(monkeypatch, module):
     calls = []
     real = module.damped_newton
