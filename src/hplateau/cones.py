@@ -426,11 +426,10 @@ def _diagonal_shift(n: int, k: int) -> float:
 
 
 def sample_cone(n: int, k: int, count: int, seed: int,
-                level: float | None = None,
-                shift: float | None = None) -> np.ndarray:
+                level: float | None = None) -> np.ndarray:
     """Draw ``count`` spectra from Gamma_k, rows sorted descending.
 
-    Gaussian proposals (optionally shifted toward the diagonal) are
+    Gaussian proposals shifted toward the diagonal by _diagonal_shift are
     sorted and rejection-filtered on strict cone membership.  With
     ``level`` set, accepted rows are rescaled by t = (level/sigma_k)^(1/k)
     onto the level set sigma_k = level; positive homogeneity keeps them
@@ -443,7 +442,7 @@ def sample_cone(n: int, k: int, count: int, seed: int,
         raise ValueError("count must be positive")
     if level is not None and level <= 0.0:
         raise ValueError("level must be positive")
-    mu = _diagonal_shift(n, k) if shift is None else float(shift)
+    mu = _diagonal_shift(n, k)
     rng = np.random.default_rng(seed)
     chunks = []
     have = 0

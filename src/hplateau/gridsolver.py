@@ -104,15 +104,21 @@ GMRES_RTOL = 1.0e-8
 GMRES_RESTART = 40
 GMRES_MAXITER = 3
 
-_OFFSETS3 = [(0, 0, 0),
-             (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-             (0, 0, 1), (0, 0, -1),
-             (1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0),
-             (1, 0, 1), (1, 0, -1), (-1, 0, 1), (-1, 0, -1),
-             (0, 1, 1), (0, 1, -1), (0, -1, 1), (0, -1, -1)]
 
-_OFFSETS2 = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
-             (1, 1), (1, -1), (-1, 1), (-1, -1)]
+def _offset(n: int, *steps) -> tuple:
+    """The chart offset with off[axis] = step per (axis, step)."""
+    off = [0] * n
+    for axis, step in steps:
+        off[axis] = step
+    return tuple(off)
+
+
+def _offsets(n: int) -> list:
+    """Stencil offsets: the centre, then +-e_a, then +-e_a +- e_b."""
+    pm = (1, -1)
+    return [_offset(n)] + [_offset(n, (a, s)) for a in range(n) for s in pm] \
+        + [_offset(n, (a, s), (b, t)) for a, b in
+           itertools.combinations(range(n), 2) for s in pm for t in pm]
 
 
 def _jet_pairs(n: int) -> list:
@@ -205,29 +211,22 @@ class _GridGeometry:
 
     # -- wrapped stencil indices ---------------------------------------------
 
-    def _wrap_flat(self, dj: int, dm: int, dl: int) -> np.ndarray:
-        J, M, L = self.J, self.M, self.L
+    def _wrap_flat(self, off) -> np.ndarray:
+        """Flat index of each node's neighbor at off = (dj, dm, dl), or
+        (dj, dl) for n = 2, whose one latitude row never wraps a pole."""
+        M, L = self.M, self.L
+        dj, *dm, dl = off
         jj = self.jj + dj
-        mm = self.mm + dm
+        mm = self.mm + sum(dm)
         ll = self.ll + dl
-        if self.n == 3:
-            center = jj == 0
-            if center.any():
-                mm = np.where(center, M - 1 - mm, mm)
-                ll = np.where(center, ll + L // 2, ll)
-                jj = np.where(center, 1, jj)
-            low = mm == -1
-            mm = np.where(low, 0, mm)
-            ll = np.where(low, ll + L // 2, ll)
-            high = mm == M
-            mm = np.where(high, M - 1, mm)
-            ll = np.where(high, ll + L // 2, ll)
-        else:
-            center = jj == 0
-            if center.any():
-                ll = np.where(center, ll + L // 2, ll)
-                jj = np.where(center, 1, jj)
-        ll = ll % L
+        center = jj == 0
+        if center.any():
+            mm = np.where(center, M - 1 - mm, mm)
+            ll = np.where(center, ll + L // 2, ll)
+            jj = np.where(center, 1, jj)
+        pole = (mm == -1) | (mm == M)
+        mm = np.clip(mm, 0, M - 1)
+        ll = np.where(pole, ll + L // 2, ll) % L
         return (jj - 1) * M * L + mm * L + ll
 
     def _build_stencil(self):
@@ -241,10 +240,8 @@ class _GridGeometry:
         boundary ring).
         """
         n, ni = self.n, self.n_int
-        self.offsets = _OFFSETS3 if n == 3 else _OFFSETS2
-        self.nbr = np.stack([self._wrap_flat(*off) if n == 3
-                             else self._wrap_flat(off[0], 0, off[1])
-                             for off in self.offsets])
+        self.offsets = _offsets(n)
+        self.nbr = np.stack([self._wrap_flat(off) for off in self.offsets])
         unit = np.eye(len(self.offsets))
         self.coef = self._jet_from(dict(zip(self.offsets, unit))).T
         self.sym = np.empty((n, n), dtype=np.intp)
@@ -266,10 +263,7 @@ class _GridGeometry:
         n, h = self.n, self.h
 
         def at(*steps):
-            off = [0] * n
-            for axis, step in steps:
-                off[axis] = step
-            return g[tuple(off)]
+            return g[_offset(n, *steps)]
 
         pairs = _jet_pairs(n)
         u0 = at()
@@ -442,7 +436,7 @@ class _GridScheme:
         S = self._interior_shape(v)
         if not (np.trace(S, axis1=1, axis2=2) > 0.0).all():
             return False
-        return self.geo.n == 2 or bool((_sigma(S) > 0.0).all())
+        return bool((_sigma(S) > 0.0).all())
 
     def jacobian(self, v: np.ndarray) -> scipy.sparse.csc_matrix:
         """Exact Jacobian of the residual: the stencil chain.
@@ -516,8 +510,7 @@ class _GridScheme:
                                         eps_bdry=self.eps_bdry, sigma=sigma),
             cone_ok=cone_ok,
             meta={"kind": "grid", "scheme": self,
-                  "near_boundary": geo.jj >= geo.J - 1,
-                  "s_node": geo.s_node.copy()},
+                  "near_boundary": geo.jj >= geo.J - 1},
         )
 
 

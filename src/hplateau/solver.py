@@ -63,9 +63,15 @@ MIN_STEP = 1.0e-6
 #: there, so the reported fields still reach residual_tol.  Solving the
 #: walk legs to residual_tol instead spends the last steps of each near
 #: the float64 rounding floor, where the default-mesh n = 3 ellipsoid at
-#: sigma = 0.05 stalls at 1.1-1.4e-10 on two walk legs, which are then
-#: split and redone.
+#: sigma = 0.05 stalls at 1.2e-10 on the walk half 1.5 -> 0.27, which is
+#: then split and redone.
 WALK_TOL = 1.0e-6
+
+#: Depth to which _leg splits a failed leg.  The sigma walk is one leg,
+#: so its points come out of this budget too: at depth 4 the 12x8x16
+#: (1.3, 1, 1) ellipsoid at sigma = 0.005 and (2, 1, 1) one at 0.01 fail;
+#: at 5 they solve, as does the n = 2 ball at 0.01 (splits four deep).
+MAX_SPLIT_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -266,19 +272,17 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     The first leg solves at sigma_path[0] (sigma_target when no path is
     given).  Extreme targets (very steep or very flat caps) can place
     every direct guess outside the cone, so when that leg fails the cone
-    guard and no explicit sigma_path was given, sigma is walked
-    geometrically from n/2 instead; an explicit path is not
-    second-guessed, and a walk that would start where the failed leg
-    started is not tried.  A first leg that fails with
-    NewtonDivergenceError (a stall at the residual's rounding floor) is
-    re-raised: no walk moves that floor.  Every later sigma leg, then
-    every eps leg, goes through _leg.
+    guard and no explicit sigma_path was given, it is solved at n/2 and
+    sigma is walked by the one leg n/2 -> sigma_target, whose splits pick
+    the walk points; an explicit path is not second-guessed, and a walk
+    that would start where the failed leg started is not tried.  A first
+    leg that fails with NewtonDivergenceError (a stall at the residual's
+    rounding floor) is re-raised: no walk moves that floor.  Every later
+    sigma leg, then every eps leg, goes through _leg.
 
     Only the legs that end at sigma_target, one per scheduled eps, give
-    reported fields; they are solved to config.newton.residual_tol.  The
-    legs before them (the first leg when a path or walk follows it, and
-    the intermediate sigma legs) are solved only to the basin tolerance
-    of _walk_params (WALK_TOL).
+    reported fields; they are solved to config.newton.residual_tol, and
+    every other leg only to the basin tolerance of _walk_params.
     """
     params = config.newton
     target = config.sigma_target
@@ -300,10 +304,7 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
         easy = 0.5 * config.n
         if config.sigma_path or easy == target:
             raise
-        ratio = max(easy, target) / min(easy, target)
-        count = max(2, math.ceil(math.log(ratio) / math.log(2.0)) + 2)
-        sig_path = list(np.geomspace(easy, target, count))
-        sig_path[-1] = target
+        sig_path = [easy, target]
         v, total_it, res = first_leg(sig_path)
     last = len(sig_path) - 1
     for k in range(1, last + 1):
@@ -332,10 +333,11 @@ def _leg(scheme, params: NewtonParams, v, start, end, depth=0):
     Re-pinning the boundary or moving sigma alone kinks the profile hard
     enough to leave the cone, so v is first moved along the cap family.
     A leg that fails is split at the geometric midpoint of (sigma, eps),
-    down to depth 3.  The first half ends at no reported field and is
-    solved to _walk_params(params); the second half ends where the leg
-    does and keeps params.  Returns the scheme at end and (v,
-    iterations, residual).
+    its halves likewise down to MAX_SPLIT_DEPTH: the one step rule, for
+    eps legs and the sigma walk alike.  The first half ends at no
+    reported field and is solved to _walk_params(params); the second
+    half ends where the leg does and keeps params.  Returns the scheme
+    at end and (v, iterations, residual).
     """
     (sig_a, eps_a), (sig_b, eps_b) = start, end
     scheme = scheme.at_eps(eps_b)
@@ -343,7 +345,7 @@ def _leg(scheme, params: NewtonParams, v, start, end, depth=0):
     try:
         return scheme, scheme.newton(v + shift, sig_b, params)
     except (NewtonDivergenceError, ConeViolationError):
-        if depth >= 3:
+        if depth >= MAX_SPLIT_DEPTH:
             raise
         mid = (math.sqrt(sig_a * sig_b), math.sqrt(eps_a * eps_b))
         _, (vm, it1, _) = _leg(scheme, _walk_params(params), v, start, mid,
@@ -508,8 +510,8 @@ class _RadialScheme:
             convergence=ConvergenceInfo(iterations=iterations, residual=resid,
                                         eps_bdry=self.eps_bdry, sigma=sigma),
             cone_ok=bool(cone_mask_batch(rows[:-1], n - 1).all()),
-            meta={"kind": "radial", "scheme": self, "h": self.h, "du": du,
-                  "d2u": d2u, "kappa_rad": krad, "kappa_ang": kang,
+            meta={"kind": "radial", "scheme": self, "du": du, "d2u": d2u,
+                  "kappa_rad": krad, "kappa_ang": kang,
                   "near_boundary": near},
         )
 

@@ -256,32 +256,49 @@ def test_failed_leg_splits_at_geometric_midpoint(monkeypatch, make):
     visited.clear()
     solver._leg(scheme, params, v, (1.5, 1e-2), (1.5, 1e-4))
     assert visited == [(1.5, 1e-4), (1.5, math.sqrt(1e-2 * 1e-4)), (1.5, 1e-4)]
-    # three splits at most, then the error propagates
+    # MAX_SPLIT_DEPTH splits at most, then the error propagates
     visited.clear()
     always_fail = True
     with pytest.raises(NewtonDivergenceError):
         solver._leg(scheme, params, v, (1.0, 0.1), (0.25, 0.1))
-    assert len(visited) == 4
+    assert len(visited) == solver.MAX_SPLIT_DEPTH + 1
 
 
 def test_radial_walk_fires_when_first_leg_fails(monkeypatch):
     real = solver.damped_newton
     visited = []
 
-    def fails_once(v0, residual_fn, guard_fn, jacobian_solver, params):
+    def fails_first_and_walk(v0, residual_fn, guard_fn, jacobian_solver,
+                             params):
         visited.append(residual_fn.keywords["sigma"])
-        if len(visited) == 1:
+        if len(visited) in (1, 3):
             raise ConeViolationError("stub", state=v0)
         return real(v0, residual_fn, guard_fn, jacobian_solver, params)
 
-    monkeypatch.setattr(solver, "damped_newton", fails_once)
+    monkeypatch.setattr(solver, "damped_newton", fails_first_and_walk)
     f = _solve(sigma=0.2, nodes=101)
-    # ratio 1.5 / 0.2 = 7.5: ceil(log2(7.5)) + 2 = 5 walk values
-    assert visited[0] == 0.2
-    assert np.array_equal(visited[1:], np.geomspace(1.5, 0.2, 5))
+    # the failed first leg, the first leg at n/2 = 1.5, the walk as one
+    # leg 1.5 -> 0.2, and once that fails, its halves through the
+    # geometric midpoint
+    assert visited == [0.2, 1.5, 0.2, math.sqrt(1.5 * 0.2), 0.2]
     assert f.convergence.sigma == 0.2
     assert f.convergence.residual <= 1e-10
     assert f.cone_ok
+
+
+def test_plane_walk_reaches_small_sigma():
+    # the eps leg 0.1 -> 0.01 leaves the cone unless it is split four
+    # levels deep
+    fields = solver.solve_radial_path(
+        solver.SolveConfig(n=2, sigma_target=0.01,
+                           mesh=solver.RadialMesh(101)),
+        domains.make_ball(2, 1.0))
+    assert [f.convergence.eps_bdry for f in fields] == \
+        list(solver.DEFAULT_EPS_SCHEDULE)
+    for f in fields:
+        assert f.cone_ok
+        assert f.convergence.sigma == 0.01
+        assert f.convergence.residual <= 1e-10
 
 
 def test_radial_explicit_sigma_path_is_not_second_guessed(monkeypatch):
