@@ -36,24 +36,28 @@ Every jet component is a fixed linear combination of the 19 (n = 3) or
 component, stencil offset).  The Newton Jacobian is that chain: the
 pointwise derivative of the residual in each jet component, times the
 stencil weights, summed onto a sparsity pattern that is fixed per grid.
-S is linear in u and in D2u, so those derivatives are closed forms of
-the real shape pass (_jet_gradient); only the n first-derivative
-components, on which w and Ghalf depend, take a complex step (exact to
-rounding, as no operation on the path is non-analytic).
+All of those derivatives are closed forms of one real shape pass
+(_jet_gradient): S is linear in u and in D2u, and w, Ghalf and the map
+term depend on Du alone, which is linear in the first chart
+derivatives.  The solver does no complex arithmetic; the tests hold the
+closed forms to a complex step through _shape.
 
 The Newton step is inexact (Eisenstat and Walker 1996): GMRES on the
 exact Jacobian, stopped at ||J s + F||_2 <= GMRES_RTOL ||F||_2 and
-preconditioned by an incomplete LU (Saad 2003).  The ILU is built by the
-first step that needs one and held on the _GridGeometry, which every
-scheme of a path shares, so the first leg, the sigma walk, split legs
-and the eps descent all reuse it.  When GMRES misses GMRES_RTOL, the ILU
-is rebuilt from the current Jacobian and GMRES runs once more; when a
-fresh ILU misses as well, the step raises NewtonDivergenceError with the
-iterate it started from, and the continuation driver splits the leg.
-The forcing term stays loose because a tight one is not reachable: the
-relative residual of J s + F bottoms out at a few 1e-12 in float64.
-solve_graph_path drops the ILU when it returns, so the returned fields
-do not keep it alive.
+right-preconditioned by an incomplete LU (Saad 2003).  _gmres is a lean
+restarted GMRES: the Krylov basis is one array, so each Gram-Schmidt
+pass is two BLAS products, and only the small Givens and triangular
+work stays in Python.  The ILU is built by the first step that needs
+one and held on the _GridGeometry, which every scheme of a path shares,
+so the first leg, the sigma walk, split legs and the eps descent all
+reuse it.  When GMRES misses GMRES_RTOL, the ILU is rebuilt from the
+current Jacobian and GMRES runs once more; when a fresh ILU misses as
+well, the step raises NewtonDivergenceError with the iterate it started
+from, and the continuation driver splits the leg.  The forcing term
+stays loose because a tight one is not reachable: the relative residual
+of J s + F bottoms out at a few 1e-12 in float64.  solve_graph_path
+drops the ILU when it returns, so the returned fields do not keep it
+alive.
 
 _GridScheme packages all of this in the scheme interface of
 solver._solve_path, the continuation driver the radial solver uses as
@@ -83,24 +87,27 @@ __all__ = ["solve_graph", "solve_graph_path", "initial_grid_guess"]
 
 #: Drop tolerance of the incomplete LU that preconditions every GMRES
 #: solve of a path.  At 1e-2 one ILU, built on the path's first leg,
-#: still solves the eps = 1e-4 systems in about 30 inner iterations, and
-#: its build takes less than half the time of a full sparse LU on the
-#: default n = 3 mesh.
+#: still solves the eps = 1e-4 systems in about 25 inner iterations on
+#: the default n = 3 mesh (the (1.3, 1, 1) ellipsoid at sigma = 1.5), and
+#: its build takes less than half the time of a full sparse LU there.
 ILU_DROP_TOL = 1.0e-2
 
 #: Forcing term of the inexact Newton step: GMRES stops once
 #: ||J s + F||_2 <= GMRES_RTOL ||F||_2.  A tighter one cannot be reached:
-#: on the default n = 3 mesh that ratio bottoms out near 2.5e-12 in
-#: float64 (a full LU gives 7e-12), so at 1e-12 GMRES stagnates and
-#: misses.  At 1e-8 the probed paths take the Newton steps of an exact
-#: solve (fewer on one whose exact step stalled at the residual floor)
-#: and end within 5e-15 of its heights.
+#: at the first step of that path the ratio bottoms out near 2.5e-12 in
+#: float64 (a full LU gives 6.5e-12), so at 2e-12 GMRES stagnates and
+#: misses.  At 1e-8 a path mostly takes the Newton steps of an exact LU
+#: step and ends within 1e-15 of its heights; where a leg takes one step
+#: more on one side, or stalls at the residual floor on one side only,
+#: the two end a few 1e-12 apart (the (2, 1, 1) ellipsoid at
+#: sigma = 0.5: 20 LU steps, 41 GMRES steps, 4.6e-12).
 GMRES_RTOL = 1.0e-8
 
 #: Krylov basis size per GMRES cycle, and the cycles allowed before the
-#: ILU counts as stale and is rebuilt.  The slowest solve seen on the
-#: probed paths (n = 3 ellipsoid walked to sigma = 0.01) took 75 inner
-#: iterations.
+#: ILU counts as stale and is rebuilt.  The slowest solve seen on 29
+#: probed default-mesh paths (n = 3 ellipsoids of aspect 1.3 to 3 and
+#: n = 2 ellipses, sigma 0.05 to n - 0.05) took 96 inner iterations, on
+#: the (2, 1, 1) ellipsoid walked to sigma = 0.05; none missed.
 GMRES_RESTART = 40
 GMRES_MAXITER = 3
 
@@ -320,7 +327,9 @@ def _shape(u, p, P, A, Xcc):
     w = sqrt(1 + |Du|^2), B = A Ghalf and Q = B^T (P - C) B, where
     C = Du . Xcc; w, B and C depend on p alone, so S is linear in u and
     in P.  Only batched @ and analytic operations are used, so a complex
-    jet carries complex-step derivatives through.
+    jet carries complex-step derivatives through: the solver never passes
+    one, but the tests hold _jet_gradient and the Jacobian to that
+    complex step, which needs _shape to stay analytic.
     """
     n = p.shape[1]
     Du = (p[:, None, :] @ A)[:, 0]
@@ -351,46 +360,122 @@ def _sigma_gradient(S):
 
 
 def _jet_gradient(u, p, P, A, Xcc):
-    """dF/djet of F = sigma_{n-1}(S) per node, in packed jet order.
+    """dF/djet of F = sigma_{n-1}(S) per node, in packed jet order, in
+    closed form from one real _shape pass.
 
     S = (u/w) Q + (1/w) I, and w, B and C depend on the first
     derivatives p alone, so with G = dF/dS (_sigma_gradient) the u and
-    second-derivative slots are closed forms of one real _shape pass:
+    second-derivative slots are
 
         dF/du = <G, Q> / w,    dF/dP_ab = (u/w) (B G B^T)_ab,
 
     the two symmetric entries summed when a != b.  <G, Q> is formed from
     Q itself: recovering Q as (S - I/w)/u cancels where u is small, next
-    to the boundary.  The n first-derivative slots, where w, B and C
-    move, take one complex step each (exact to rounding, as no operation
-    in _shape is non-analytic).
+    to the boundary.  In the first-derivative slot a, Du = p A moves by
+    the row A[a, :], so dw_a = (A Du)_a / w, dC_a = sum_k A_ak Xcc_k and
+    B = A Ghalf moves by A dGhalf_a, with Ghalf = I - c Du Du^T and
+    c = 1 / (w (w + 1)).  With G and Q symmetric,
+
+        dF/dp_a = -(dw_a / w^2) (u <G, Q> + tr G)
+                  + (u/w) (2 <dGhalf_a, A^T (P - C) B G> - <B G B^T, dC_a>),
+
+    and <dGhalf_a, Y> = -dc_a Du^T Y Du - c (A (Y + Y^T) Du)_a.
     """
     n = p.shape[1]
     pairs = _jet_pairs(n)
     dF = np.empty((u.size, 1 + n + len(pairs)))
-    # complex passes first: the real pass's arrays are not held through them
-    pc = p.astype(complex)
-    for a in range(n):
-        pc[:, a] += 1.0e-20j
-        dF[:, 1 + a] = _sigma(_shape(u, pc, P, A, Xcc)[0]).imag * 1.0e20
-        pc[:, a] -= 1.0e-20j
     S, w, B, Q = _shape(u, p, P, A, Xcc)
     G = _sigma_gradient(S)
-    BGB = (u / w)[:, None, None] * (B @ G @ B.swapaxes(1, 2))
-    dF[:, 0] = (G * Q).sum(axis=(1, 2)) / w
+    BG = B @ G
+    uw = u / w
+    BGB = uw[:, None, None] * (BG @ B.swapaxes(1, 2))
+    GQ = (G * Q).sum(axis=(1, 2))
+    dF[:, 0] = GQ / w
     for r, (a, b) in enumerate(pairs, 1 + n):
         dF[:, r] = BGB[:, a, b] if a == b else BGB[:, a, b] + BGB[:, b, a]
+
+    Du = (p[:, None, :] @ A)[:, 0]
+    C = (Du[:, None, :] @ Xcc.reshape(-1, n, n * n)).reshape(-1, n, n)
+    c = 1.0 / (w * (w + 1.0))
+    dw = (A @ Du[:, :, None])[:, :, 0] / w[:, None]
+    dc = -(2.0 * w + 1.0)[:, None] * c[:, None] ** 2 * dw
+    Y = A.swapaxes(1, 2) @ (P - C) @ BG
+    YDu = (Y @ Du[:, :, None])[:, :, 0]
+    YtDu = (Du[:, None, :] @ Y)[:, 0]
+    dGhalf_Y = -dc * (Du * YDu).sum(axis=1)[:, None] \
+        - c[:, None] * (A @ (YDu + YtDu)[:, :, None])[:, :, 0]
+    BGB_dC = (A @ Xcc.reshape(-1, n, n * n)) @ BGB.reshape(-1, n * n, 1)
+    trG = np.trace(G, axis1=-2, axis2=-1)
+    dF[:, 1:1 + n] = -(dw / w[:, None] ** 2) * (u * GQ + trG)[:, None] \
+        + 2.0 * uw[:, None] * dGhalf_Y - BGB_dC[:, :, 0]
     return dF
 
 
 def _gmres(J, F, ilu):
     """s with ||J s + F||_2 <= GMRES_RTOL ||F||_2, or None if GMRES
-    preconditioned by ilu misses that within its cycles."""
-    M = scipy.sparse.linalg.LinearOperator(J.shape, ilu.solve)
-    s, info = scipy.sparse.linalg.gmres(
-        J, -F, M=M, rtol=GMRES_RTOL, atol=0.0, restart=GMRES_RESTART,
-        maxiter=GMRES_MAXITER)
-    return s if info == 0 else None
+    preconditioned by ilu misses that within GMRES_MAXITER cycles.
+
+    Restarted GMRES on J M^-1 y = -F with M^-1 = ilu.solve (right
+    preconditioning, Saad 2003, sections 6.5 and 9.3), so its estimate
+    is the unpreconditioned residual.  Each Arnoldi step orthogonalizes
+    by classical Gram-Schmidt with one reorthogonalization, as two BLAS
+    products against the basis each time; the Givens rotations that
+    reduce the Hessenberg columns and the small triangular solve run on
+    Python floats.  A cycle ends when the estimate meets the tolerance,
+    the basis is full, or the Krylov space is invariant (a zero
+    subdiagonal: the cycle's least-squares solution is then exact); one
+    ilu.solve maps its correction back.  Only the true residual of the
+    step accepts it.
+    """
+    b = -F
+    beta = np.linalg.norm(b)
+    s = np.zeros(F.size)
+    if beta == 0.0:
+        return s
+    tol = GMRES_RTOL * beta
+    V = np.empty((GMRES_RESTART + 1, F.size))
+    r = b
+    for _ in range(GMRES_MAXITER):
+        V[0] = r / beta
+        g = [beta]
+        cs, sn, R = [], [], []  # R[k] is column k of the triangular factor
+        for k in range(GMRES_RESTART):
+            w = J @ ilu.solve(V[k])
+            basis = V[:k + 1]
+            h = basis @ w
+            w -= h @ basis
+            h2 = basis @ w
+            w -= h2 @ basis
+            h = (h + h2).tolist()
+            h_next = float(np.linalg.norm(w))
+            for i in range(k):
+                h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                                  cs[i] * h[i + 1] - sn[i] * h[i])
+            rho = math.hypot(h[k], h_next)
+            if rho == 0.0:  # J M^-1 is singular on the Krylov space
+                break
+            cs.append(h[k] / rho)
+            sn.append(h_next / rho)
+            h[k] = rho
+            R.append(h)
+            g.append(-sn[k] * g[k])
+            g[k] *= cs[k]
+            # an invariant Krylov space (h_next = 0) has g[k + 1] = 0
+            if abs(g[k + 1]) <= tol:
+                break
+            V[k + 1] = w / h_next
+        if not R:
+            return None
+        y = g[:len(R)]
+        for i in reversed(range(len(R))):
+            y[i] = (y[i] - sum(R[j][i] * y[j]
+                               for j in range(i + 1, len(R)))) / R[i][i]
+        s = s + ilu.solve(np.asarray(y) @ V[:len(R)])
+        r = b - J @ s
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return s
+    return None
 
 
 class _GridScheme:

@@ -161,8 +161,7 @@ JAC_CASES = [(STAR, solver.PolarGridMesh(6, 8), 1.2),
 
 @pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
 def test_jacobian_matches_central_differences(domain, mesh, sigma):
-    # a non-analytic operation (abs, maximum, a real cast) in the shape
-    # matrices corrupts the complex step and fails this
+    # an independent check of the closed-form slots and their assembly
     scheme, v = _small_scheme(domain, mesh, sigma)
     J = scheme.jacobian(v).toarray()
     fd = np.empty_like(J)
@@ -204,15 +203,17 @@ def eps4_jet(request):
 
 
 def test_closed_form_slots_are_the_complex_step(eps4_jet):
-    # each closed-form slot (u and the second derivatives) against a
-    # complex step in that slot alone, row by row; forming <G, Q> from
-    # (S - I/w)/u instead cancels on the boundary ring and fails this
+    # every closed-form slot (u, the first and the second derivatives)
+    # against a complex step in that slot alone, row by row; forming
+    # <G, Q> from (S - I/w)/u instead cancels on the boundary ring and
+    # fails this
     geo, jet = eps4_jet
     assert jet[:, 0].min() == pytest.approx(1e-4)
     dF = gridsolver._jet_gradient(*geo.unpack(jet), geo.A, geo.Xcc)
+    assert dF.shape[1] == 1 + geo.n + len(gridsolver._jet_pairs(geo.n))
     scale = np.abs(dF).max(axis=1)
     cjet = jet.astype(complex)
-    for k in [0] + list(range(1 + geo.n, jet.shape[1])):
+    for k in range(jet.shape[1]):
         cjet[:, k] += 1e-20j
         S = gridsolver._shape(*geo.unpack(cjet), geo.A, geo.Xcc)[0]
         cjet[:, k] -= 1e-20j
@@ -220,21 +221,33 @@ def test_closed_form_slots_are_the_complex_step(eps4_jet):
         assert (np.abs(dF[:, k] - cs) <= 1e-13 * scale).all(), k
 
 
-@pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
-def test_jacobian_takes_one_complex_pass_per_first_derivative(
-        domain, mesh, sigma, monkeypatch):
-    scheme, v = _small_scheme(domain, mesh, sigma)
+@pytest.fixture
+def shape_passes(monkeypatch):
+    """One entry per _shape call: whether its jet was complex."""
     passes = []
     real = gridsolver._shape
 
-    def counted(u, p, P, A, Xcc):
+    def recorded(u, p, P, A, Xcc):
         passes.append(any(np.iscomplexobj(x) for x in (u, p, P)))
         return real(u, p, P, A, Xcc)
 
-    monkeypatch.setattr(gridsolver, "_shape", counted)
+    monkeypatch.setattr(gridsolver, "_shape", recorded)
+    return passes
+
+
+@pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
+def test_jacobian_takes_one_real_shape_pass(domain, mesh, sigma, shape_passes):
+    scheme, v = _small_scheme(domain, mesh, sigma)
+    shape_passes.clear()  # the initial guess ran the guard
     scheme.jacobian(v)
-    assert passes.count(True) == domain.n
-    assert passes.count(False) == 1
+    assert shape_passes == [False]
+
+
+def test_no_complex_array_reaches_shape_in_a_solve(shape_passes):
+    cfg = solver.SolveConfig(n=2, sigma_target=1.2, eps_schedule=(1e-1, 1e-2),
+                             mesh=solver.PolarGridMesh(12, 16))
+    gridsolver.solve_graph_path(cfg, domains.make_ellipsoid((1.3, 1.0)))
+    assert shape_passes and not any(shape_passes)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +306,54 @@ def test_step_meets_the_forcing_term(case, request, monkeypatch):
         scheme, v, F = request.getfixturevalue("ell_iterate")
     monkeypatch.setattr(scheme.geo, "ilu", None)  # restored on teardown
     assert _meets_forcing_term(scheme, v, F, scheme.jacobian_step(v, F))
+
+
+class _CountedILU:
+    """An ILU whose solve calls are counted."""
+
+    def __init__(self, ilu):
+        self.ilu, self.calls = ilu, 0
+
+    def solve(self, x):
+        self.calls += 1
+        return self.ilu.solve(x)
+
+
+def test_gmres_zero_residual_is_the_zero_step(ell_iterate):
+    scheme, v, F = ell_iterate
+    J = scheme.jacobian(v)
+    ilu = _CountedILU(_SPILU(J, drop_tol=gridsolver.ILU_DROP_TOL))
+    s = gridsolver._gmres(J, np.zeros_like(F), ilu)
+    assert np.array_equal(s, np.zeros_like(F))
+    assert ilu.calls == 0
+
+
+@pytest.mark.parametrize("case", ["scaled_identity", "ell_diagonal"])
+def test_gmres_exact_preconditioner_breaks_down_luckily(case, ell_iterate):
+    # with M = J the Krylov space is invariant after one step: the
+    # subdiagonal entry is zero (exactly so for 2 I and a vector of ones)
+    if case == "scaled_identity":
+        F = np.ones(16)
+        J = scipy.sparse.identity(16, format="csc") * 2.0
+    else:
+        scheme, v, F = ell_iterate
+        J = scipy.sparse.diags(scheme.jacobian(v).diagonal()).tocsc()
+    s = gridsolver._gmres(J, F, _SPILU(J))
+    assert s is not None and np.isfinite(s).all()
+    assert (np.linalg.norm(J @ s + F)
+            <= gridsolver.GMRES_RTOL * np.linalg.norm(F))
+
+
+def test_gmres_restarts_still_meet_the_forcing_term(ell_iterate, monkeypatch):
+    scheme, v, F = ell_iterate
+    monkeypatch.setattr(gridsolver, "GMRES_RESTART", 6)
+    monkeypatch.setattr(gridsolver, "GMRES_MAXITER", 40)
+    J = scheme.jacobian(v)
+    ilu = _CountedILU(_SPILU(J, drop_tol=gridsolver.ILU_DROP_TOL))
+    s = gridsolver._gmres(J, F, ilu)
+    # each cycle makes at most GMRES_RESTART + 1 solves
+    assert ilu.calls > 2 * (gridsolver.GMRES_RESTART + 1)
+    assert _meets_forcing_term(scheme, v, F, s)
 
 
 def test_path_builds_one_ilu_and_frees_it(spilu_calls):
