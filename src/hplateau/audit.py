@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.interpolate
 
 from . import cones
 from .errors import AuditPreconditionError
@@ -289,12 +288,15 @@ def rw_on_solution(solution: SolutionField,
 
 
 def _radial_interpolant(solution: SolutionField) -> RadialHeightField:
+    # imported here: scipy.interpolate drags in scipy.special/optimize/fft
+    from scipy.interpolate import InterpolatedUnivariateSpline
+
     r = np.asarray(solution.nodes, dtype=float).ravel()
     u = np.asarray(solution.u, dtype=float)
     # even extension through the axis keeps the interpolant smooth at 0
     r_ext = np.concatenate([-r[:0:-1], r])
     u_ext = np.concatenate([u[:0:-1], u])
-    sp = scipy.interpolate.InterpolatedUnivariateSpline(r_ext, u_ext, k=5)
+    sp = InterpolatedUnivariateSpline(r_ext, u_ext, k=5)
     d1 = sp.derivative(1)
     d2 = sp.derivative(2)
     dim = solution.domain.n

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "DomainSpec",
@@ -88,6 +87,9 @@ class DomainSpec:
 
     @cached_property
     def _star_spline(self):
+        # imported here: scipy.interpolate drags in scipy.special/optimize/fft
+        from scipy.interpolate import CubicSpline
+
         vals = np.asarray(self.star_samples, dtype=float)
         theta = np.linspace(0.0, 2.0 * math.pi, vals.size + 1)
         return CubicSpline(theta, np.append(vals, vals[0]), bc_type="periodic")

@@ -618,8 +618,11 @@ def initial_grid_guess(geo: _GridGeometry, sigma: float, eps: float) -> np.ndarr
     distance profile eps + sqrt(1-lam^2)/lam * dist(x, boundary) with
     one neighbor-averaging pass, which tracks the cap's boundary growth;
     its center crease can poke out of the cone, so the guess is blended
-    toward the (always admissible) mean-radius cap profile until the
-    guard accepts it.
+    toward the mean-radius cap profile until the guard accepts it.  After
+    40 blends the cap itself is returned unchecked, and it need not pass
+    the guard either: on the n = 2 (3, 1) ellipse with the default
+    PolarGridMesh at eps 0.1 it fails at sigma 0.3 and 1.0 (it passes at
+    1.5), so the first leg there raises ConeViolationError.
     """
     ni = geo.n_int
     if geo.domain.kind == "ball":
