@@ -222,14 +222,14 @@ def nu_lower_bound_check(solutions) -> NuLowerBoundReport:
                               floor=floor, oracle=oracle, ok=ok)
 
 
-def curvature_bound_check(solutions, c1: float = BOUND_C1,
-                          c2: float = BOUND_C2) -> CurvatureBoundReport:
+def curvature_bound_check(solutions) -> CurvatureBoundReport:
     """Interior curvature bounded by the boundary maximum, frozen line.
 
-    witness = max_kappa_interior - c2 * max_kappa_boundary must stay at
-    or below c1 for every field, and the interior maximum must drift by
-    less than 10% across the last two boundary heights.
+    witness = max_kappa_interior - BOUND_C2 * max_kappa_boundary must
+    stay at or below BOUND_C1 for every field, and the interior maximum
+    must drift by less than 10% across the last two boundary heights.
     """
+    c1, c2 = BOUND_C1, BOUND_C2
     solutions = list(solutions)
     if not solutions:
         raise AuditPreconditionError("curvature_bound_check needs fields")

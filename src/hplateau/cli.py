@@ -6,22 +6,26 @@ JSON config file (--config), else from the library's own default (the
 field default of NewtonParams, AuditConfig, RadialMesh,
 SphericalGridMesh or PolarGridMesh).  File keys, by subcommand:
 
-* every subcommand: n (default 3), out:{csv, json};
-* solve-radial: sigma, eps_schedule, sigma_path, domain:{kind,
-  params:{radius}} (the kind must be ball), mesh:{nodes},
-  newton:{max_iters, residual_tol};
+* every subcommand: n (default 3);
+* solve-radial: sigma, eps_schedule, domain:{kind, params:{radius}}
+  (the kind must be ball), mesh:{nodes}, newton:{max_iters,
+  residual_tol}, out:{csv, json};
 * solve-grid: sigma, eps_schedule, domain:{kind, params:{radius,
   semi_axes, samples}}, mesh:{radial, lat, lon} (n = 3) or
-  mesh:{radial, angular} (n = 2), newton:{...};
+  mesh:{radial, angular} (n = 2), newton:{...}, out:{csv, json};
 * oracle-cap: sigma, eps_schedule (its first entry is the boundary
-  height), domain:{params:{radius}}, mesh:{nodes};
-* verify-cone: k, samples, seed, level;
-* renwang: samples, seed, level, audit:{eps_rw};
+  height), domain:{params:{radius}}, mesh:{nodes}, out:{csv, json};
+* verify-cone: k, samples, seed, level, out:{json};
+* renwang: samples, seed, level, audit:{eps_rw}, out:{json};
 * audit: the solve-grid keys, plus mesh:{nodes} for balls and
   audit:{N, eps_rw, rw_sample_cap, fd_step};
 * sweep: sigmas, eps_schedule, domains:[{kind, params}] (used when
   --domains is not given; entries without their own n take the sweep's),
-  domain:{params:{...}}, mesh:{...}, newton:{...}, audit:{...}.
+  domain:{params:{...}}, mesh:{...}, newton:{...}, audit:{...},
+  out:{csv}.
+
+A subcommand takes --out-csv and --out-json only for the files it
+writes.
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver
 non-convergence, 4 cone-guard failure, 5 a verification subcommand
@@ -113,10 +117,13 @@ def _sigma(args, cfg):
     return sigma
 
 
+def _out_path(flag, cfg, ext: str, stem: str) -> str:
+    return _pick(flag, cfg, ("out", ext), f"{stem}.{ext}")
+
+
 def _resolve_out(args, cfg, stem: str):
-    csv = _pick(args.out_csv, cfg, ("out", "csv"), f"{stem}.csv")
-    js = _pick(args.out_json, cfg, ("out", "json"), f"{stem}.json")
-    return csv, js
+    return (_out_path(args.out_csv, cfg, "csv", stem),
+            _out_path(args.out_json, cfg, "json", stem))
 
 
 def _eps_schedule(args, cfg, default=DEFAULT_EPS_SCHEDULE):
@@ -164,11 +171,7 @@ def _solve_config(args, cfg, n: int, sigma, radial: bool) -> SolveConfig:
         n=n, sigma_target=float(sigma),
         eps_schedule=_eps_schedule(args, cfg),
         mesh=_build(mesh_cls, args, cfg, "mesh"),
-        newton=_build(NewtonParams, args, cfg, "newton"),
-        # only solve-radial (the one subcommand with --sigma-path) reads
-        # a sigma path, from the flag or the file
-        sigma_path=_listed(args, cfg, "sigma_path")
-        if hasattr(args, "sigma_path") else ())
+        newton=_build(NewtonParams, args, cfg, "newton"))
 
 
 def _solve(config: SolveConfig, domain, radial: bool):
@@ -240,7 +243,7 @@ def _run_verify_cone(args, cfg, n: int) -> int:
         if neg_finite.size else "inf",
         "negative_top_count": int(np.isfinite(neg).sum()),
     }
-    _, json_path = _resolve_out(args, cfg, "verify-cone")
+    json_path = _out_path(args.out_json, cfg, "json", "verify-cone")
     io.write_json(report, json_path)
     print(f"samples={count} violations={violations} -> {json_path}")
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
@@ -264,7 +267,7 @@ def _run_renwang(args, cfg, n: int) -> int:
         if finite.any() else "inf",
         "min_k_low": float(min_k[finite].min()) if finite.any() else "inf",
     }
-    _, json_path = _resolve_out(args, cfg, "renwang")
+    json_path = _out_path(args.out_json, cfg, "json", "renwang")
     io.write_json(report, json_path)
     print(f"samples={count} uncertified={report['uncertified']} "
           f"-> {json_path}")
@@ -366,7 +369,7 @@ def _run_sweep(args, cfg, n: int) -> int:
                     "status": "ok",
                 })
     rows.sort(key=lambda r: (r["domain"], r["n"], r["sigma"], -r["eps"]))
-    csv_path = _pick(args.out_csv, cfg, ("out", "csv"), "sweep.csv")
+    csv_path = _out_path(args.out_csv, cfg, "csv", "sweep")
     io.write_sweep_csv(rows, csv_path)
     print(f"{len(rows)} rows -> {csv_path}")
     if "cone_violation" in failed:
@@ -390,7 +393,6 @@ _FLAGS = {
     "--eps": dict(type=float,
                   help="single boundary height (one-leg schedule)"),
     "--eps-schedule": dict(type=_float_list),
-    "--sigma-path": dict(type=_float_list),
     "--max-iters": dict(type=int),
     "--residual-tol": dict(type=float),
     "--domain": dict(choices=["ball", "ellipsoid", "star", "star_shaped",
@@ -415,29 +417,33 @@ _FLAGS = {
     "--level": dict(type=float),
 }
 
-_SOLVE = ("--n", "--sigma", "--eps", "--eps-schedule", "--max-iters",
-          "--residual-tol")
+_OUT = ("--out-csv", "--out-json")
+_SOLVE = _OUT + ("--n", "--sigma", "--eps", "--eps-schedule", "--max-iters",
+                 "--residual-tol")
 _DOMAIN = ("--domain", "--radius", "--semi-axes", "--star-samples")
 _GRID = ("--radial", "--lat", "--lon", "--angular")
 _AUDIT = ("--test-exponent", "--eps-rw", "--rw-sample-cap", "--fd-step")
 
 _SUBCOMMANDS = {
     "solve-radial": ("radially symmetric solve on a ball", _run_solve,
-                     _SOLVE + ("--radius", "--nodes", "--sigma-path")),
+                     _SOLVE + ("--radius", "--nodes")),
     "solve-grid": ("mapped-grid solve on a domain", _run_solve,
                    _SOLVE + _DOMAIN + _GRID),
     "oracle-cap": ("emit the closed-form cap", _run_oracle_cap,
-                   ("--n", "--sigma", "--radius", "--eps", "--nodes")),
+                   _OUT + ("--n", "--sigma", "--radius", "--eps",
+                           "--nodes")),
     "verify-cone": ("sampled Garding-cone inequality checks",
                     _run_verify_cone,
-                    ("--n", "--k", "--samples", "--seed", "--level")),
+                    ("--out-json", "--n", "--k", "--samples", "--seed",
+                     "--level")),
     "renwang": ("quadratic-form certification over cone samples",
                 _run_renwang,
-                ("--n", "--samples", "--seed", "--level", "--eps-rw")),
+                ("--out-json", "--n", "--samples", "--seed", "--level",
+                 "--eps-rw")),
     "audit": ("solve, then audit the estimates", _run_audit,
               _SOLVE + _DOMAIN + _GRID + ("--nodes",) + _AUDIT),
     "sweep": ("batch solve+audit over a grid", _run_sweep,
-              ("--n", "--sigmas", "--eps-schedule", "--domains",
+              ("--out-csv", "--n", "--sigmas", "--eps-schedule", "--domains",
                "--radius", "--semi-axes", "--star-samples", "--nodes")
               + _GRID + _AUDIT),
 }
@@ -451,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, runner, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for flag in ("--config", "--out-csv", "--out-json") + flags:
+        for flag in ("--config",) + flags:
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(runner=runner)
     return ap

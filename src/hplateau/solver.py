@@ -55,8 +55,8 @@ ARMIJO_SLOPE = 1.0e-4
 MIN_STEP = 1.0e-6
 
 #: Residual tolerance of every continuation leg whose end is not a
-#: reported field (the first sigma-walk leg, the intermediate sigma legs
-#: and the first half of a split leg), applied as
+#: reported field (the n/2 start of the sigma walk and the first half of
+#: a split leg), applied as
 #: max(NewtonParams.residual_tol, WALK_TOL).  Such a leg only has to land
 #: inside Newton's basin for the next leg, whose start is moved along the
 #: cap family by far more than 1e-6; Newton contracts quadratically from
@@ -125,7 +125,6 @@ class SolveConfig:
     eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
     mesh: object = None
     newton: NewtonParams = NewtonParams()
-    sigma_path: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.n < 2:
@@ -141,9 +140,6 @@ class SolveConfig:
         if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
             raise ValueError("eps_schedule must be strictly decreasing")
         object.__setattr__(self, "eps_schedule", eps)
-        for s in self.sigma_path:
-            if not 0.0 < s < self.n:
-                raise ValueError("sigma_path values must lie in (0, n)")
 
 
 @dataclass(frozen=True)
@@ -269,16 +265,14 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     * build_field(v, sigma, iterations, residual): the SolutionField,
       holding the scheme in meta["scheme"].
 
-    The first leg solves at sigma_path[0] (sigma_target when no path is
-    given).  Extreme targets (very steep or very flat caps) can place
-    every direct guess outside the cone, so when that leg fails the cone
-    guard and no explicit sigma_path was given, it is solved at n/2 and
-    sigma is walked by the one leg n/2 -> sigma_target, whose splits pick
-    the walk points; an explicit path is not second-guessed, and a walk
-    that would start where the failed leg started is not tried.  A first
-    leg that fails with NewtonDivergenceError (a stall at the residual's
-    rounding floor) is re-raised: no walk moves that floor.  Every later
-    sigma leg, then every eps leg, goes through _leg.
+    The first leg solves at sigma_target.  Extreme targets (very steep
+    or very flat caps) can place every direct guess outside the cone, so
+    when that leg fails the cone guard it is solved at n/2 instead and
+    sigma is walked by the one leg n/2 -> sigma_target, whose splits
+    pick the walk points; when the target is n/2 itself the failure is
+    re-raised.  A first leg that fails with NewtonDivergenceError (a
+    stall at the residual's rounding floor) is re-raised too: no walk
+    moves that floor.  Every eps leg then goes through _leg.
 
     Only the legs that end at sigma_target, one per scheduled eps, give
     reported fields; they are solved to config.newton.residual_tol, and
@@ -287,30 +281,17 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     params = config.newton
     target = config.sigma_target
     eps0 = config.eps_schedule[0]
-    sig_path = list(config.sigma_path)
-    if not sig_path or sig_path[-1] != target:
-        sig_path.append(target)
-
-    walk = _walk_params(params)
-
-    def first_leg(path):
-        sigma = path[0]
-        return scheme.newton(scheme.initial_guess(sigma, eps0), sigma,
-                             params if len(path) == 1 else walk)
-
     try:
-        v, total_it, res = first_leg(sig_path)
+        v, total_it, res = scheme.newton(scheme.initial_guess(target, eps0),
+                                         target, params)
     except ConeViolationError:
         easy = 0.5 * config.n
-        if config.sigma_path or easy == target:
+        if easy == target:
             raise
-        sig_path = [easy, target]
-        v, total_it, res = first_leg(sig_path)
-    last = len(sig_path) - 1
-    for k in range(1, last + 1):
-        scheme, (v, it, res) = _leg(scheme, params if k == last else walk, v,
-                                    (sig_path[k - 1], eps0),
-                                    (sig_path[k], eps0))
+        v, total_it, _ = scheme.newton(scheme.initial_guess(easy, eps0),
+                                       easy, _walk_params(params))
+        scheme, (v, it, res) = _leg(scheme, params, v, (easy, eps0),
+                                    (target, eps0))
         total_it += it
 
     fields = [scheme.build_field(v, target, total_it, res)]

@@ -123,8 +123,10 @@ def test_curvature_bound_on_ball_schedule(ball_path):
     assert rep.drift < audit.STABILITY_DRIFT_LIMIT
 
 
-def test_curvature_bound_can_fail(ball_path):
-    rep = audit.curvature_bound_check(ball_path, c1=-10.0, c2=0.0)
+def test_curvature_bound_can_fail(ball_path, monkeypatch):
+    monkeypatch.setattr(audit, "BOUND_C1", -10.0)
+    monkeypatch.setattr(audit, "BOUND_C2", 0.0)
+    rep = audit.curvature_bound_check(ball_path)
     assert not rep.ok
     assert all(w > -10.0 for w in rep.witnesses)
 

@@ -110,14 +110,6 @@ def test_steep_target_walks_sigma_automatically():
     assert f.convergence.sigma == 0.05
 
 
-def test_explicit_sigma_path_is_not_second_guessed():
-    cfg = solver.SolveConfig(n=3, sigma_target=0.05, eps_schedule=(1e-1,),
-                             sigma_path=(0.05,),
-                             mesh=solver.SphericalGridMesh(10, 8, 16))
-    with pytest.raises(ConeViolationError):
-        gridsolver.solve_graph(cfg, ELL)
-
-
 def test_solve_is_deterministic():
     cfg = solver.SolveConfig(n=3, sigma_target=1.5, eps_schedule=(1e-2,),
                              mesh=solver.SphericalGridMesh(8, 8, 16))

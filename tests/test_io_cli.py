@@ -257,10 +257,8 @@ def test_sweep_rows_and_determinism(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["sweep", "--domains", "ball", "--n", "3", "--sigmas", "1.0",
             "--eps-schedule", "0.1,0.01", "--nodes", "51"]
-    assert cli.main(argv + ["--out-csv", "a.csv",
-                            "--out-json", "a.json"]) == 0
-    assert cli.main(argv + ["--out-csv", "b.csv",
-                            "--out-json", "b.json"]) == 0
+    assert cli.main(argv + ["--out-csv", "a.csv"]) == 0
+    assert cli.main(argv + ["--out-csv", "b.csv"]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     header, rows = _read_csv(tmp_path / "a.csv")
     assert tuple(header) == io.sweep_header()
@@ -452,3 +450,18 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as info:
         cli.main(["bogus"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--domains", "ball", "--n", "2", "--sigmas", "1.0",
+     "--nodes", "51", "--out-json", "s.json"],
+    ["verify-cone", "--n", "3", "--samples", "10", "--out-csv", "v.csv"],
+    ["renwang", "--n", "3", "--samples", "10", "--out-csv", "r.csv"],
+], ids=["sweep", "verify-cone", "renwang"])
+def test_output_flag_a_subcommand_never_writes_exits_2(tmp_path, monkeypatch,
+                                                        argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []

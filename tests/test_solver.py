@@ -301,13 +301,6 @@ def test_plane_walk_reaches_small_sigma():
         assert f.convergence.residual <= 1e-10
 
 
-def test_radial_explicit_sigma_path_is_not_second_guessed(monkeypatch):
-    visited = _stub_legs(monkeypatch, solver, lambda k: k == 1)
-    with pytest.raises(NewtonDivergenceError):
-        _solve(sigma=0.2, nodes=101, sigma_path=(0.2,))
-    assert visited == [(0.2, 1e-2)]
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_walk_is_not_tried_when_it_would_repeat_the_failed_leg(monkeypatch, n):
     # the walk starts at n/2, so at sigma = n/2 it would rerun the first leg
@@ -326,9 +319,22 @@ def test_walk_is_not_tried_after_a_stalled_first_leg(monkeypatch):
     assert visited == [(0.2, 1e-2)]
 
 
-def test_radial_explicit_sigma_path_lands_on_direct_solution():
+def test_radial_explicit_sigma_path_lands_on_direct_solution(monkeypatch):
+    # the sigma path n/2 = 1.5 -> 1.0, forced by a first leg that leaves
+    # the cone, ends on the field a direct solve at sigma = 1.0 finds
     direct = _solve(sigma=1.0)
-    walked = _solve(sigma=1.0, sigma_path=(1.5, 1.0))
+    real = solver.damped_newton
+    visited = []
+
+    def fails_first(v0, residual_fn, guard_fn, jacobian_solver, params):
+        visited.append(residual_fn.keywords["sigma"])
+        if len(visited) == 1:
+            raise ConeViolationError("stub", state=v0)
+        return real(v0, residual_fn, guard_fn, jacobian_solver, params)
+
+    monkeypatch.setattr(solver, "damped_newton", fails_first)
+    walked = _solve(sigma=1.0)
+    assert visited == [1.0, 1.5, 1.0]
     assert walked.convergence.sigma == 1.0
     assert walked.convergence.residual <= 1e-10
     assert np.abs(walked.u - direct.u).max() <= 1e-9
@@ -416,8 +422,6 @@ def test_solve_config_validation():
         solver.SolveConfig(n=3, sigma_target=1.0, eps_schedule=(1e-2, 1e-1))
     with pytest.raises(ValueError):
         solver.SolveConfig(n=3, sigma_target=1.0, eps_schedule=(1e-2, -1e-3))
-    with pytest.raises(ValueError):
-        solver.SolveConfig(n=3, sigma_target=1.0, sigma_path=(3.5,))
 
 
 def test_mesh_validation():
