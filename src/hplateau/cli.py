@@ -25,7 +25,9 @@ SphericalGridMesh or PolarGridMesh).  File keys, by subcommand:
   out:{csv}.
 
 A subcommand takes --out-csv and --out-json only for the files it
-writes.
+writes.  Any other top-level file key, or an out key for a file it does
+not write, exits 2 before any work; nested keys are not checked (a sweep
+file may carry radial and grid mesh keys).
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver
 non-convergence, 4 cone-guard failure, 5 a verification subcommand
@@ -75,6 +77,21 @@ def _load_config(path):
         return {}
     with open(path) as fh:
         return json.load(fh)
+
+
+def _check_keys(cfg, subcommand: str) -> None:
+    """Refuse file keys that subcommand never reads (module docstring)."""
+    out = cfg.get("out", {}) if isinstance(cfg, dict) else None
+    if not isinstance(out, dict):
+        raise ValueError("the config file and its out entry must be "
+                         "JSON objects")
+    _, _, flags, keys = _SUBCOMMANDS[subcommand]
+    writes = {flag[6:] for flag in flags if flag.startswith("--out-")}
+    unread = sorted(set(cfg) - {"n", "out", *keys}) \
+        + [f"out.{key}" for key in sorted(set(out) - writes)]
+    if unread:
+        raise ValueError(f"{subcommand} never reads config keys "
+                         f"{', '.join(unread)}")
 
 
 def _pick(flag, cfg: dict, path: tuple, default=None):
@@ -380,7 +397,7 @@ def _run_sweep(args, cfg, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser: one spec per flag, one flag list per subcommand
+# parser: one spec per flag; flags and top-level file keys per subcommand
 # ---------------------------------------------------------------------------
 
 _FLAGS = {
@@ -423,29 +440,36 @@ _SOLVE = _OUT + ("--n", "--sigma", "--eps", "--eps-schedule", "--max-iters",
 _DOMAIN = ("--domain", "--radius", "--semi-axes", "--star-samples")
 _GRID = ("--radial", "--lat", "--lon", "--angular")
 _AUDIT = ("--test-exponent", "--eps-rw", "--rw-sample-cap", "--fd-step")
+_SOLVE_KEYS = ("sigma", "eps_schedule", "domain", "mesh", "newton")
 
 _SUBCOMMANDS = {
     "solve-radial": ("radially symmetric solve on a ball", _run_solve,
-                     _SOLVE + ("--radius", "--nodes")),
+                     _SOLVE + ("--radius", "--nodes"), _SOLVE_KEYS),
     "solve-grid": ("mapped-grid solve on a domain", _run_solve,
-                   _SOLVE + _DOMAIN + _GRID),
+                   _SOLVE + _DOMAIN + _GRID, _SOLVE_KEYS),
     "oracle-cap": ("emit the closed-form cap", _run_oracle_cap,
                    _OUT + ("--n", "--sigma", "--radius", "--eps",
-                           "--nodes")),
+                           "--nodes"),
+                   ("sigma", "eps_schedule", "domain", "mesh")),
     "verify-cone": ("sampled Garding-cone inequality checks",
                     _run_verify_cone,
                     ("--out-json", "--n", "--k", "--samples", "--seed",
-                     "--level")),
+                     "--level"),
+                    ("k", "samples", "seed", "level")),
     "renwang": ("quadratic-form certification over cone samples",
                 _run_renwang,
                 ("--out-json", "--n", "--samples", "--seed", "--level",
-                 "--eps-rw")),
+                 "--eps-rw"),
+                ("samples", "seed", "level", "audit")),
     "audit": ("solve, then audit the estimates", _run_audit,
-              _SOLVE + _DOMAIN + _GRID + ("--nodes",) + _AUDIT),
+              _SOLVE + _DOMAIN + _GRID + ("--nodes",) + _AUDIT,
+              _SOLVE_KEYS + ("audit",)),
     "sweep": ("batch solve+audit over a grid", _run_sweep,
               ("--out-csv", "--n", "--sigmas", "--eps-schedule", "--domains",
                "--radius", "--semi-axes", "--star-samples", "--nodes")
-              + _GRID + _AUDIT),
+              + _GRID + _AUDIT,
+              ("sigmas", "eps_schedule", "domains", "domain", "mesh",
+               "newton", "audit")),
 }
 
 
@@ -455,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="asymptotic Plateau solves and curvature-estimate "
                     "audits for vertical graphs over the half-space model")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, runner, flags) in _SUBCOMMANDS.items():
+    for name, (help_text, runner, flags, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in ("--config",) + flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -468,6 +492,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _check_keys(cfg, args.subcommand)
         return args.runner(args, cfg, int(_pick(args.n, cfg, ("n",), 3)))
     except NewtonDivergenceError as exc:
         _emit_error(exc)

@@ -61,8 +61,10 @@ alive.
 
 _GridScheme packages all of this in the scheme interface of
 solver._solve_path, the continuation driver the radial solver uses as
-well (sigma walk, split legs, eps descent).  Its Newton legs call this
-module's damped_newton, so they stay apart from the radial ones.
+well (sigma walk, split legs, eps descent); every path starts on its cap
+family, the umbilic cap of the domain's mean-radius ball composed with
+s.  Its Newton legs call this module's damped_newton, so they stay apart
+from the radial ones.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ from .errors import GridDegeneracyError, NewtonDivergenceError
 from .geometry import exact_cap
 from .solver import (ConvergenceInfo, NewtonParams, PolarGridMesh, SolveConfig,
                      SolutionField, SphericalGridMesh, _solve_path,
-                     damped_newton, initial_profile_slope)
+                     damped_newton)
 
-__all__ = ["solve_graph", "solve_graph_path", "initial_grid_guess"]
+__all__ = ["solve_graph", "solve_graph_path"]
 
 #: Drop tolerance of the incomplete LU that preconditions every GMRES
 #: solve of a path.  At 1e-2 one ILU, built on the path's first leg,
@@ -323,13 +325,13 @@ def _shape(u, p, P, A, Xcc):
     """Shape matrices S = (u/w) Q + (1/w) I and their pieces, per node.
 
     (u, p, P) is the chart jet of u, A the inverse map Jacobian and Xcc
-    the map's second derivatives.  Returns (S, w, B, Q) with
-    w = sqrt(1 + |Du|^2), B = A Ghalf and Q = B^T (P - C) B, where
-    C = Du . Xcc; w, B and C depend on p alone, so S is linear in u and
-    in P.  Only batched @ and analytic operations are used, so a complex
-    jet carries complex-step derivatives through: the solver never passes
-    one, but the tests hold _jet_gradient and the Jacobian to that
-    complex step, which needs _shape to stay analytic.
+    the map's second derivatives.  Returns (S, w, B, Q, Du, C) with
+    Du = p A, w = sqrt(1 + |Du|^2), B = A Ghalf, C = Du . Xcc and
+    Q = B^T (P - C) B; w, B and C depend on p alone, so S is linear in u
+    and in P.  Only batched @ and analytic operations are used, so a
+    complex jet carries complex-step derivatives through: the solver
+    never passes one, but the tests hold _jet_gradient and the Jacobian
+    to that complex step, which needs _shape to stay analytic.
     """
     n = p.shape[1]
     Du = (p[:, None, :] @ A)[:, 0]
@@ -339,7 +341,7 @@ def _shape(u, p, P, A, Xcc):
     B = A @ (np.eye(n) - coef[:, None, None] * Du[:, :, None] * Du[:, None, :])
     Q = B.swapaxes(1, 2) @ (P - C) @ B
     S = (u / w)[:, None, None] * Q + (1.0 / w)[:, None, None] * np.eye(n)
-    return S, w, B, Q
+    return S, w, B, Q, Du, C
 
 
 def _sigma(S):
@@ -384,7 +386,7 @@ def _jet_gradient(u, p, P, A, Xcc):
     n = p.shape[1]
     pairs = _jet_pairs(n)
     dF = np.empty((u.size, 1 + n + len(pairs)))
-    S, w, B, Q = _shape(u, p, P, A, Xcc)
+    S, w, B, Q, Du, C = _shape(u, p, P, A, Xcc)
     G = _sigma_gradient(S)
     BG = B @ G
     uw = u / w
@@ -394,8 +396,6 @@ def _jet_gradient(u, p, P, A, Xcc):
     for r, (a, b) in enumerate(pairs, 1 + n):
         dF[:, r] = BGB[:, a, b] if a == b else BGB[:, a, b] + BGB[:, b, a]
 
-    Du = (p[:, None, :] @ A)[:, 0]
-    C = (Du[:, None, :] @ Xcc.reshape(-1, n, n * n)).reshape(-1, n, n)
     c = 1.0 / (w * (w + 1.0))
     dw = (A @ Du[:, :, None])[:, :, 0] / w[:, None]
     dc = -(2.0 * w + 1.0)[:, None] * c[:, None] ** 2 * dw
@@ -495,13 +495,11 @@ class _GridScheme:
         return U
 
     def cap_height(self, sigma: float, eps: float) -> np.ndarray:
-        """Umbilic cap profile of the mean-radius ball, composed with s."""
-        geo = self.geo
-        R = _reference_radius(geo.domain)
+        """Umbilic cap of the mean-radius ball (radius, mean semi-axis or
+        mean star sample R), composed with s: the exact cap on a ball."""
+        geo, dom = self.geo, self.geo.domain
+        R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
         return exact_cap(geo.n, sigma, R, eps).height(R * geo.s_node[:geo.n_int])
-
-    def initial_guess(self, sigma: float, eps: float) -> np.ndarray:
-        return initial_grid_guess(self.geo, sigma, eps)
 
     def _interior_jet(self, v: np.ndarray):
         """(u, p, P): the unpacked chart jet at the interior nodes."""
@@ -578,7 +576,7 @@ class _GridScheme:
         U = self.full_height(v)
         ni = geo.n_int
         jet = np.concatenate([geo.chart_jet(U), geo.boundary_jet(U)])
-        S_all, w_all, _, _ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
+        S_all, w_all, *_ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
         spectra = np.linalg.eigvalsh(S_all)[:, ::-1]
         boundary = np.zeros(geo.n_all, dtype=bool)
         boundary[ni:] = True
@@ -600,69 +598,8 @@ class _GridScheme:
 
 
 # ---------------------------------------------------------------------------
-# Initial guesses and entry points
+# Entry points
 # ---------------------------------------------------------------------------
-
-def _reference_radius(domain: DomainSpec) -> float:
-    if domain.kind == "ball":
-        return domain.radius
-    if domain.kind == "ellipsoid":
-        return float(np.mean(domain.semi_axes))
-    return float(np.mean(domain.star_samples))
-
-
-def initial_grid_guess(geo: _GridGeometry, sigma: float, eps: float) -> np.ndarray:
-    """Boundary-exact starting heights inside the cone guard.
-
-    Balls start on the exact cap.  Other domains start from the linear
-    distance profile eps + sqrt(1-lam^2)/lam * dist(x, boundary) with
-    one neighbor-averaging pass, which tracks the cap's boundary growth;
-    its center crease can poke out of the cone, so the guess is blended
-    toward the mean-radius cap profile until the guard accepts it.  After
-    40 blends the cap itself is returned unchecked, and it need not pass
-    the guard either: on the n = 2 (3, 1) ellipse with the default
-    PolarGridMesh at eps 0.1 it fails at sigma 0.3 and 1.0 (it passes at
-    1.5), so the first leg there raises ConeViolationError.
-    """
-    ni = geo.n_int
-    if geo.domain.kind == "ball":
-        cap = exact_cap(geo.n, sigma, geo.domain.radius, eps)
-        r = np.linalg.norm(geo.xyz[:ni], axis=1)
-        return cap.height(r)
-
-    slope = initial_profile_slope(geo.n, sigma)
-    # distance proxy (1 - s) * rho * cos(angle between ray and normal)
-    if geo.domain.kind == "ellipsoid":
-        Mdiag = 1.0 / np.asarray(geo.domain.semi_axes) ** 2
-        xb = geo.xyz / geo.s_node[:, None]  # boundary point along each ray
-        # cos(gamma) = rho * (omega . M omega) / |rho * M omega|
-        rho = np.linalg.norm(xb, axis=1)
-        omega = xb / rho[:, None]
-        momega = Mdiag[None, :] * omega
-        cosg = (np.einsum("ni,ni->n", omega, momega) * rho
-                / np.linalg.norm(momega * rho[:, None], axis=1))
-        dist = (1.0 - geo.s_node) * rho * cosg
-    else:
-        rho = np.linalg.norm(geo.xyz / geo.s_node[:, None], axis=1)
-        dist = (1.0 - geo.s_node) * rho
-    u0 = eps + slope * dist[:ni]
-
-    # one neighbor-averaging pass (boundary stays pinned at eps)
-    U = np.empty(geo.n_all)
-    U[:ni] = u0
-    U[ni:] = eps
-    axes = geo.nbr[1:1 + 2 * geo.n, :ni]  # the +-1 steps along each chart axis
-    u0 = 0.5 * u0 + 0.5 * U[axes].sum(axis=0) / axes.shape[0]
-
-    scheme = _GridScheme(geo, eps)
-    capg = scheme.cap_height(sigma, eps)
-    blend = u0
-    for _ in range(40):
-        if scheme.guard(blend):
-            return blend
-        blend = 0.5 * blend + 0.5 * capg
-    return capg
-
 
 def solve_graph_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionField]:
     """Continuation solve on the mapped grid; one field per scheduled eps."""

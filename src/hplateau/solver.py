@@ -1,11 +1,12 @@
 """Damped-Newton continuation solver for sigma_{n-1}(kappa[u]) = sigma.
 
 The Dirichlet approximation replaces the ideal-boundary condition u = 0
-by u = eps_bdry > 0 and walks eps_bdry down a schedule, warm-starting
-each solve from the previous height field.  Every Newton iterate is
-kept inside the ellipticity region by the cone guard: a trial step is
-accepted only if u stays positive and the hyperbolic spectrum stays in
-Gamma_{n-1} at every non-boundary node; otherwise the step is halved.
+by u = eps_bdry > 0 and walks eps_bdry down a schedule, starting on the
+closed-form umbilic cap and warm-starting each later solve from the
+previous height field.  Every Newton iterate is kept inside the
+ellipticity region by the cone guard: a trial step is accepted only if
+u stays positive and the hyperbolic spectrum stays in Gamma_{n-1} at
+every non-boundary node; otherwise the step is halved.
 
 This module owns the config/result types, the Newton engine, the one
 continuation driver (sigma walk, leg splitting and eps descent) with
@@ -39,7 +40,6 @@ __all__ = [
     "SolutionField",
     "DEFAULT_EPS_SCHEDULE",
     "damped_newton",
-    "initial_profile_slope",
     "solve_radial",
     "solve_radial_path",
     "pde_residual",
@@ -234,18 +234,12 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
         state=v)
 
 
-def initial_profile_slope(n: int, sigma: float) -> float:
-    """Boundary growth rate sqrt(1-lam^2)/lam of the umbilic cap family."""
-    lam = (sigma / n) ** (1.0 / (n - 1))
-    return math.sqrt(1.0 - lam * lam) / lam
-
-
 # ---------------------------------------------------------------------------
 # Continuation driver
 # ---------------------------------------------------------------------------
 
 def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
-    """Continuation from a first guess to one field per scheduled eps.
+    """Continuation from the umbilic cap to one field per scheduled eps.
 
     scheme is a discretization at eps_bdry = config.eps_schedule[0].  Its
     unknowns v are the heights off the Dirichlet boundary, and it
@@ -255,9 +249,9 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
       equation, the positivity/cone guard, and the step s solving
       J(v) s = -F (exactly on the radial side, by preconditioned GMRES
       to a relative tolerance on the grid);
-    * initial_guess(sigma, eps): a first iterate inside the guard;
     * cap_height(sigma, eps): the umbilic cap family on the unknowns,
-      along which a converged v is transported to a new (sigma, eps);
+      which every path starts on and along which a converged v is
+      transported to a new (sigma, eps);
     * at_eps(eps): the same discretization with boundary height eps;
     * newton(v, sigma, params): damped_newton on this scheme, called
       through the scheme's own module global so that the radial and
@@ -265,14 +259,15 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     * build_field(v, sigma, iterations, residual): the SolutionField,
       holding the scheme in meta["scheme"].
 
-    The first leg solves at sigma_target.  Extreme targets (very steep
-    or very flat caps) can place every direct guess outside the cone, so
-    when that leg fails the cone guard it is solved at n/2 instead and
-    sigma is walked by the one leg n/2 -> sigma_target, whose splits
-    pick the walk points; when the target is n/2 itself the failure is
-    re-raised.  A first leg that fails with NewtonDivergenceError (a
-    stall at the residual's rounding floor) is re-raised too: no walk
-    moves that floor.  Every eps leg then goes through _leg.
+    The first leg starts on cap_height(sigma_target, eps0).  Extreme
+    targets (very steep or very flat caps) can put that start or its
+    Newton path outside the cone, so when the leg fails the cone guard
+    it starts on cap_height(n/2, eps0) instead and sigma is walked by
+    the one leg n/2 -> sigma_target, whose splits pick the walk points;
+    when the target is n/2 itself the failure is re-raised.  A first leg
+    that fails with NewtonDivergenceError (a stall at the residual's
+    rounding floor) is re-raised too: no walk moves that floor.  Every
+    eps leg then goes through _leg.
 
     Only the legs that end at sigma_target, one per scheduled eps, give
     reported fields; they are solved to config.newton.residual_tol, and
@@ -282,13 +277,13 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     target = config.sigma_target
     eps0 = config.eps_schedule[0]
     try:
-        v, total_it, res = scheme.newton(scheme.initial_guess(target, eps0),
+        v, total_it, res = scheme.newton(scheme.cap_height(target, eps0),
                                          target, params)
     except ConeViolationError:
         easy = 0.5 * config.n
         if easy == target:
             raise
-        v, total_it, _ = scheme.newton(scheme.initial_guess(easy, eps0),
+        v, total_it, _ = scheme.newton(scheme.cap_height(easy, eps0),
                                        easy, _walk_params(params))
         scheme, (v, it, res) = _leg(scheme, params, v, (easy, eps0),
                                     (target, eps0))
@@ -364,9 +359,6 @@ class _RadialScheme:
     def cap_height(self, sigma: float, eps: float) -> np.ndarray:
         return exact_cap(self.n, sigma, self.domain.radius,
                          eps).height(self.r[:-1])
-
-    def initial_guess(self, sigma: float, eps: float) -> np.ndarray:
-        return self.cap_height(sigma, eps)
 
     def _stencil(self, u: np.ndarray):
         """du, d2u, w = sqrt(1 + du^2), kappa_rad and kappa_ang at all m

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -465,3 +467,64 @@ def test_output_flag_a_subcommand_never_writes_exits_2(tmp_path, monkeypatch,
         cli.main(argv)
     assert info.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cfg", [
+    {"sigma_path": [1.5, 1.0], "out": {"csv": "x.csv"}},
+    {"sigma_path": [1.5, 1.0]},
+    {"out": {"csv": "x.csv"}},
+], ids=["both", "top-level", "out"])
+def test_config_key_a_subcommand_never_reads_exits_2(tmp_path, monkeypatch,
+                                                      capsys, cfg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert cli.main(["verify-cone", "--n", "3", "--samples", "10",
+                     "--config", "c.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    for key in ("sigma_path", "out.csv"):
+        assert (key in rec["message"]) == (key.split(".")[-1] in str(cfg))
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("cfg", [["k"], {"out": "x.json"}],
+                         ids=["file", "out"])
+def test_non_object_config_exits_2(tmp_path, monkeypatch, capsys, cfg):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert cli.main(["verify-cone", "--n", "3", "--samples", "10",
+                     "--config", "c.json"]) == 2
+    assert "JSON objects" in _stderr_record(capsys)["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_key_table():
+    """{subcommand: (top-level config keys, out keys)} from the README's
+    key table; "the `solve-grid` keys" expands to that row."""
+    table = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3 or not re.fullmatch(r"`[a-z-]+`", cells[0]):
+            continue
+        keys = set()
+        for row in re.findall(r"the `([a-z-]+)` keys", cells[1]):
+            keys |= table[row][0]
+        cell = re.sub(r"the `[a-z-]+` keys|\([^)]*\)", "", cells[1])
+        keys |= {token.split(":")[0] for token in re.findall(r"`([^`]*)`",
+                                                             cell)}
+        table[cells[0].strip("`")] = (keys,
+                                      set(re.findall(r"`(\w+)`", cells[2])))
+    return table
+
+
+def test_every_readme_config_key_is_accepted():
+    table = _readme_key_table()
+    assert set(table) == set(cli._SUBCOMMANDS)
+    for name, (keys, outs) in table.items():
+        cfg = dict.fromkeys(keys | {"n"})
+        cfg["out"] = dict.fromkeys(outs, "f")
+        cli._check_keys(cfg, name)
+        assert keys == set(cli._SUBCOMMANDS[name][3]), name

@@ -101,12 +101,6 @@ def test_sigma_extremes_converge():
         assert f.cone_ok
 
 
-def test_initial_profile_slope_is_cap_rim_slope():
-    cap = geometry.exact_cap(3, 1.5, 1.0, 0.0)
-    got = solver.initial_profile_slope(3, 1.5)
-    assert got == pytest.approx(-float(cap.height_d1(cap.R)), rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # field-level operations
 # ---------------------------------------------------------------------------
@@ -223,16 +217,20 @@ def _grid_scheme():
     return gridsolver, gridsolver._GridScheme(geo, 0.1)
 
 
-def _stub_legs(monkeypatch, module, fail):
+def _stub_legs(monkeypatch, module, fail, error=NewtonDivergenceError,
+               starts=None):
     """Replace module.damped_newton by a stub that records the (sigma, eps)
-    of every leg and fails the k-th leg (from 1) where fail(k) holds."""
+    of every leg, and its v0 in starts if given, and fails the k-th leg
+    (from 1) with error where fail(k) holds."""
     visited = []
 
     def fake_newton(v0, residual_fn, guard_fn, jacobian_solver, params):
         visited.append((residual_fn.keywords["sigma"],
                         guard_fn.__self__.eps_bdry))
+        if starts is not None:
+            starts.append(v0)
         if fail(len(visited)):
-            raise NewtonDivergenceError("stalled", state=v0)
+            raise error("stub", state=v0)
         return v0, 1, 0.0
 
     monkeypatch.setattr(module, "damped_newton", fake_newton)
@@ -262,6 +260,22 @@ def test_failed_leg_splits_at_geometric_midpoint(monkeypatch, make):
     with pytest.raises(NewtonDivergenceError):
         solver._leg(scheme, params, v, (1.0, 0.1), (0.25, 0.1))
     assert len(visited) == solver.MAX_SPLIT_DEPTH + 1
+
+
+@pytest.mark.parametrize("make", [_radial_scheme, _grid_scheme],
+                         ids=["radial", "grid"])
+def test_path_starts_on_the_cap_family(monkeypatch, make):
+    # the first leg starts on the target's cap; once it leaves the cone,
+    # the walk's first leg starts on the cap at n/2
+    module, scheme = make()
+    starts = []
+    visited = _stub_legs(monkeypatch, module, lambda k: k == 1,
+                         ConeViolationError, starts)
+    config = solver.SolveConfig(n=3, sigma_target=0.2, eps_schedule=(0.1,))
+    solver._solve_path(scheme, config)
+    assert visited[:2] == [(0.2, 0.1), (1.5, 0.1)]
+    assert np.array_equal(starts[0], scheme.cap_height(0.2, 0.1))
+    assert np.array_equal(starts[1], scheme.cap_height(1.5, 0.1))
 
 
 def test_radial_walk_fires_when_first_leg_fails(monkeypatch):
