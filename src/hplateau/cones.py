@@ -20,7 +20,7 @@ rather than by differentiating the recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

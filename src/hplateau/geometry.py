@@ -423,19 +423,24 @@ def nu_identity_residuals(surface, x, fd_step: float,
 # Gauss, Codazzi and the second-derivative commutator
 # ---------------------------------------------------------------------------
 
+def _central_differences(f, x: np.ndarray, h: float) -> np.ndarray:
+    """(f(x + h e_c) - f(x - h e_c)) / (2h) for each chart axis c,
+    stacked along a new first axis."""
+    out = []
+    for c in range(x.size):
+        step = np.zeros(x.size)
+        step[c] = h
+        out.append((f(x + step) - f(x - step)) / (2.0 * h))
+    return np.stack(out)
+
+
 def _riemann_lowered(field, x: np.ndarray, h: float) -> np.ndarray:
     """R4[a, b, c, d] = <R(e_a, e_b) e_c, e_d> of the induced metric.
 
     Christoffel symbols are analytic in the jet of u; their chart
     derivatives are taken by central differences with step h.
     """
-    n = x.size
-    dGam = np.empty((n, n, n, n))
-    for dax in range(n):
-        step = np.zeros(n)
-        step[dax] = h
-        dGam[dax] = (_christoffel_at(field, x + step)
-                     - _christoffel_at(field, x - step)) / (2.0 * h)
+    dGam = _central_differences(lambda y: _christoffel_at(field, y), x, h)
     Gam = _christoffel_at(field, x)
     X1 = np.transpose(dGam, (1, 0, 2, 3))  # [g,a,b,c] = d_a Gamma^g_bc
     X2 = np.transpose(dGam, (1, 2, 0, 3))  # [g,a,b,c] = d_b Gamma^g_ac
@@ -448,13 +453,8 @@ def _riemann_lowered(field, x: np.ndarray, h: float) -> np.ndarray:
 
 def _covariant_dh(field, y: np.ndarray, h: float) -> np.ndarray:
     """(nabla h)[a, b, c] = h_ab;c at y, central differences for d_c h_ab."""
-    n = y.size
-    dh = np.empty((n, n, n))
-    for c in range(n):
-        step = np.zeros(n)
-        step[c] = h
-        dh[:, :, c] = (_second_form_at(field, y + step)
-                       - _second_form_at(field, y - step)) / (2.0 * h)
+    dh = np.moveaxis(
+        _central_differences(lambda z: _second_form_at(field, z), y, h), 0, -1)
     Gam = _christoffel_at(field, y)
     hmat = _second_form_at(field, y)
     corr1 = np.einsum("mca,mb->abc", Gam, hmat)
@@ -464,13 +464,8 @@ def _covariant_dh(field, y: np.ndarray, h: float) -> np.ndarray:
 
 def _second_covariant_dh(field, x: np.ndarray, h: float) -> np.ndarray:
     """(nabla^2 h)[a, b, c, d] = h_ab;c;d at x."""
-    n = x.size
-    dB = np.empty((n, n, n, n))
-    for dax in range(n):
-        step = np.zeros(n)
-        step[dax] = h
-        dB[:, :, :, dax] = (_covariant_dh(field, x + step, h)
-                            - _covariant_dh(field, x - step, h)) / (2.0 * h)
+    dB = np.moveaxis(
+        _central_differences(lambda y: _covariant_dh(field, y, h), x, h), 0, -1)
     Gam = _christoffel_at(field, x)
     B = _covariant_dh(field, x, h)
     corr = (np.einsum("mda,mbc->abcd", Gam, B)

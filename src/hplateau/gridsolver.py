@@ -59,17 +59,18 @@ of J s + F bottoms out at a few 1e-12 in float64.  solve_graph_path
 drops the ILU when it returns, so the returned fields do not keep it
 alive.
 
-_GridScheme packages all of this in the scheme interface of
-solver._solve_path, the continuation driver the radial solver uses as
-well (sigma walk, split legs, eps descent); every path starts on its cap
-family, the umbilic cap of the domain's mean-radius ball composed with
-s.  Its Newton legs call this module's damped_newton, so they stay apart
-from the radial ones.
+_GridScheme packages all of this, for one (sigma, eps_bdry), in the
+scheme interface of solver._solve_path, the continuation driver the
+radial solver uses as well (sigma walk, split legs, eps descent):
+at(sigma, eps), cap, residual(v), guard(v), jacobian_step(v, F),
+newton(v, params) and build_field(v, iterations, residual).  Every path
+starts on its cap family, the umbilic cap of the domain's mean-radius
+ball composed with s.  Its Newton legs call this module's damped_newton,
+so they stay apart from the radial ones.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -479,27 +480,30 @@ def _gmres(J, F, ilu):
 
 
 class _GridScheme:
-    """The grid discretization for one (geometry, eps_bdry) pair, in the
-    scheme interface that solver._solve_path drives."""
+    """The grid discretization for one (geometry, sigma, eps_bdry), in the
+    scheme interface that solver._solve_path drives.
 
-    def __init__(self, geo: _GridGeometry, eps_bdry: float):
+    cap is the umbilic cap of the mean-radius ball (radius, mean
+    semi-axis or mean star sample R) at (sigma, eps_bdry), composed with
+    s: the exact cap on a ball.
+    """
+
+    def __init__(self, geo: _GridGeometry, sigma: float, eps_bdry: float):
         self.geo = geo
+        self.sigma = sigma
         self.eps_bdry = float(eps_bdry)
+        dom = geo.domain
+        R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
+        self.cap = exact_cap(geo.n, sigma, R,
+                             eps_bdry).height(R * geo.s_node[:geo.n_int])
 
-    def at_eps(self, eps: float) -> "_GridScheme":
-        return _GridScheme(self.geo, eps)
+    def at(self, sigma: float, eps: float) -> "_GridScheme":
+        return _GridScheme(self.geo, sigma, eps)
 
     def full_height(self, v: np.ndarray) -> np.ndarray:
         U = np.full(self.geo.n_all, self.eps_bdry, dtype=v.dtype)
         U[:self.geo.n_int] = v
         return U
-
-    def cap_height(self, sigma: float, eps: float) -> np.ndarray:
-        """Umbilic cap of the mean-radius ball (radius, mean semi-axis or
-        mean star sample R), composed with s: the exact cap on a ball."""
-        geo, dom = self.geo, self.geo.domain
-        R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
-        return exact_cap(geo.n, sigma, R, eps).height(R * geo.s_node[:geo.n_int])
 
     def _interior_jet(self, v: np.ndarray):
         """(u, p, P): the unpacked chart jet at the interior nodes."""
@@ -510,8 +514,8 @@ class _GridScheme:
         ni = geo.n_int
         return _shape(*self._interior_jet(v), geo.A[:ni], geo.Xcc[:ni])[0]
 
-    def residual(self, v: np.ndarray, sigma: float) -> np.ndarray:
-        return _sigma(self._interior_shape(v)) - sigma
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        return _sigma(self._interior_shape(v)) - self.sigma
 
     def guard(self, v: np.ndarray) -> bool:
         if not (v > 0.0).all():
@@ -559,10 +563,10 @@ class _GridScheme:
                 state=v)
         return s
 
-    def newton(self, v: np.ndarray, sigma: float, params: NewtonParams):
+    def newton(self, v: np.ndarray, params: NewtonParams):
         return damped_newton(
             v,
-            residual_fn=functools.partial(self.residual, sigma=sigma),
+            residual_fn=self.residual,
             guard_fn=self.guard,
             jacobian_solver=self.jacobian_step,
             params=params,
@@ -570,9 +574,9 @@ class _GridScheme:
 
     # -- field assembly -------------------------------------------------------
 
-    def build_field(self, v: np.ndarray, sigma: float, iterations: int,
+    def build_field(self, v: np.ndarray, iterations: int,
                     resid: float) -> SolutionField:
-        geo = self.geo
+        geo, sigma = self.geo, self.sigma
         U = self.full_height(v)
         ni = geo.n_int
         jet = np.concatenate([geo.chart_jet(U), geo.boundary_jet(U)])
@@ -614,7 +618,8 @@ def solve_graph_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionFi
         mesh = SphericalGridMesh() if config.n == 3 else PolarGridMesh()
     geo = _GridGeometry(domain, mesh)
     try:
-        return _solve_path(_GridScheme(geo, config.eps_schedule[0]), config)
+        return _solve_path(_GridScheme(geo, config.sigma_target,
+                                       config.eps_schedule[0]), config)
     finally:
         # the returned fields keep geo alive through meta["scheme"]
         geo.ilu = None

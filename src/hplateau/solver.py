@@ -18,7 +18,6 @@ operations reach the scheme through SolutionField.meta["scheme"].
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -241,33 +240,33 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
 def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     """Continuation from the umbilic cap to one field per scheduled eps.
 
-    scheme is a discretization at eps_bdry = config.eps_schedule[0].  Its
-    unknowns v are the heights off the Dirichlet boundary, and it
-    provides
+    scheme is a discretization at (sigma, eps_bdry) =
+    (config.sigma_target, config.eps_schedule[0]).  Its unknowns v are
+    the heights off the Dirichlet boundary, and it provides
 
-    * residual(v, sigma), guard(v) and jacobian_step(v, F): the discrete
+    * sigma, eps_bdry and cap: the point it discretizes and the umbilic
+      cap there on the unknowns, which every path starts on and along
+      which a converged v is transported to a new (sigma, eps);
+    * at(sigma, eps): the same discretization at another point;
+    * residual(v), guard(v) and jacobian_step(v, F): the discrete
       equation, the positivity/cone guard, and the step s solving
       J(v) s = -F (exactly on the radial side, by preconditioned GMRES
       to a relative tolerance on the grid);
-    * cap_height(sigma, eps): the umbilic cap family on the unknowns,
-      which every path starts on and along which a converged v is
-      transported to a new (sigma, eps);
-    * at_eps(eps): the same discretization with boundary height eps;
-    * newton(v, sigma, params): damped_newton on this scheme, called
-      through the scheme's own module global so that the radial and
-      grid legs stay separable from outside;
-    * build_field(v, sigma, iterations, residual): the SolutionField,
-      holding the scheme in meta["scheme"].
+    * newton(v, params): damped_newton on this scheme, called through
+      the scheme's own module global so that the radial and grid legs
+      stay separable from outside;
+    * build_field(v, iterations, residual): the SolutionField, holding
+      the scheme in meta["scheme"].
 
-    The first leg starts on cap_height(sigma_target, eps0).  Extreme
-    targets (very steep or very flat caps) can put that start or its
-    Newton path outside the cone, so when the leg fails the cone guard
-    it starts on cap_height(n/2, eps0) instead and sigma is walked by
-    the one leg n/2 -> sigma_target, whose splits pick the walk points;
-    when the target is n/2 itself the failure is re-raised.  A first leg
-    that fails with NewtonDivergenceError (a stall at the residual's
-    rounding floor) is re-raised too: no walk moves that floor.  Every
-    eps leg then goes through _leg.
+    The first leg starts on scheme.cap.  Extreme targets (very steep or
+    very flat caps) can put that start or its Newton path outside the
+    cone, so when the leg fails the cone guard it starts on the cap of
+    scheme.at(n/2, eps0) instead and sigma is walked by the one leg
+    n/2 -> sigma_target, whose splits pick the walk points; when the
+    target is n/2 itself the failure is re-raised.  A first leg that
+    fails with NewtonDivergenceError (a stall at the residual's rounding
+    floor) is re-raised too: no walk moves that floor.  Every eps leg
+    then goes through _leg.
 
     Only the legs that end at sigma_target, one per scheduled eps, give
     reported fields; they are solved to config.newton.residual_tol, and
@@ -275,25 +274,21 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     """
     params = config.newton
     target = config.sigma_target
-    eps0 = config.eps_schedule[0]
     try:
-        v, total_it, res = scheme.newton(scheme.cap_height(target, eps0),
-                                         target, params)
+        v, total_it, res = scheme.newton(scheme.cap, params)
     except ConeViolationError:
         easy = 0.5 * config.n
         if easy == target:
             raise
-        v, total_it, _ = scheme.newton(scheme.cap_height(easy, eps0),
-                                       easy, _walk_params(params))
-        scheme, (v, it, res) = _leg(scheme, params, v, (easy, eps0),
-                                    (target, eps0))
+        start = scheme.at(easy, scheme.eps_bdry)
+        v, total_it, _ = start.newton(start.cap, _walk_params(params))
+        scheme, (v, it, res) = _leg(start, params, v, target, scheme.eps_bdry)
         total_it += it
 
-    fields = [scheme.build_field(v, target, total_it, res)]
-    for eps_a, eps_b in zip(config.eps_schedule, config.eps_schedule[1:]):
-        scheme, (v, it, res) = _leg(scheme, params, v, (target, eps_a),
-                                    (target, eps_b))
-        fields.append(scheme.build_field(v, target, it, res))
+    fields = [scheme.build_field(v, total_it, res)]
+    for eps in config.eps_schedule[1:]:
+        scheme, (v, it, res) = _leg(scheme, params, v, target, eps)
+        fields.append(scheme.build_field(v, it, res))
     return fields
 
 
@@ -303,8 +298,8 @@ def _walk_params(params: NewtonParams) -> NewtonParams:
     return replace(params, residual_tol=max(params.residual_tol, WALK_TOL))
 
 
-def _leg(scheme, params: NewtonParams, v, start, end, depth=0):
-    """Converge from the solution v at start = (sigma, eps) to end.
+def _leg(start, params: NewtonParams, v, sigma, eps, depth=0):
+    """Converge from the solution v of the scheme start to (sigma, eps).
 
     Re-pinning the boundary or moving sigma alone kinks the profile hard
     enough to leave the cone, so v is first moved along the cap family.
@@ -313,21 +308,19 @@ def _leg(scheme, params: NewtonParams, v, start, end, depth=0):
     eps legs and the sigma walk alike.  The first half ends at no
     reported field and is solved to _walk_params(params); the second
     half ends where the leg does and keeps params.  Returns the scheme
-    at end and (v, iterations, residual).
+    at (sigma, eps) and (v, iterations, residual).
     """
-    (sig_a, eps_a), (sig_b, eps_b) = start, end
-    scheme = scheme.at_eps(eps_b)
-    shift = scheme.cap_height(sig_b, eps_b) - scheme.cap_height(sig_a, eps_a)
+    end = start.at(sigma, eps)
     try:
-        return scheme, scheme.newton(v + shift, sig_b, params)
+        return end, end.newton(v + (end.cap - start.cap), params)
     except (NewtonDivergenceError, ConeViolationError):
         if depth >= MAX_SPLIT_DEPTH:
             raise
-        mid = (math.sqrt(sig_a * sig_b), math.sqrt(eps_a * eps_b))
-        _, (vm, it1, _) = _leg(scheme, _walk_params(params), v, start, mid,
-                               depth + 1)
-        scheme, (v, it2, res) = _leg(scheme, params, vm, mid, end, depth + 1)
-        return scheme, (v, it1 + it2, res)
+        mid, (vm, it1, _) = _leg(start, _walk_params(params), v,
+                                 math.sqrt(start.sigma * sigma),
+                                 math.sqrt(start.eps_bdry * eps), depth + 1)
+        end, (v, it2, res) = _leg(mid, params, vm, sigma, eps, depth + 1)
+        return end, (v, it1 + it2, res)
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +333,26 @@ class _RadialScheme:
     Unknowns are the heights at nodes 0..m-2 (center plus interior);
     u(R) = eps_bdry is imposed exactly at the last node.  The center
     uses the symmetry conditions u'(0) = 0, u''(0) = 2(u_1 - u_0)/h^2.
+    cap is the exact cap at (sigma, eps_bdry) on the unknowns.
     """
 
-    def __init__(self, domain: DomainSpec, nodes: int, eps_bdry: float):
+    def __init__(self, domain: DomainSpec, nodes: int, sigma: float,
+                 eps_bdry: float):
         self.domain = domain
         self.n = domain.n
         self.m = nodes
         self.r = np.linspace(0.0, domain.radius, nodes)
         self.h = self.r[1] - self.r[0]
+        self.sigma = sigma
         self.eps_bdry = float(eps_bdry)
+        self.cap = exact_cap(self.n, sigma, domain.radius,
+                             eps_bdry).height(self.r[:-1])
 
-    def at_eps(self, eps: float) -> "_RadialScheme":
-        return _RadialScheme(self.domain, self.m, eps)
+    def at(self, sigma: float, eps: float) -> "_RadialScheme":
+        return _RadialScheme(self.domain, self.m, sigma, eps)
 
     def full_height(self, v: np.ndarray) -> np.ndarray:
         return np.append(v, self.eps_bdry)
-
-    def cap_height(self, sigma: float, eps: float) -> np.ndarray:
-        return exact_cap(self.n, sigma, self.domain.radius,
-                         eps).height(self.r[:-1])
 
     def _stencil(self, u: np.ndarray):
         """du, d2u, w = sqrt(1 + du^2), kappa_rad and kappa_ang at all m
@@ -392,8 +386,9 @@ class _RadialScheme:
         *_, krad, kang = self._stencil(self.full_height(v))
         return self._rows(krad, kang)[:-1]
 
-    def residual(self, v: np.ndarray, sigma: float) -> np.ndarray:
-        return elementary_symmetric_batch(self.spectra(v), self.n - 1) - sigma
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        return elementary_symmetric_batch(self.spectra(v),
+                                          self.n - 1) - self.sigma
 
     def guard(self, v: np.ndarray) -> bool:
         if not (v > 0.0).all():
@@ -453,19 +448,19 @@ class _RadialScheme:
         band[0, 2:] = upper[:-1]
         return scipy.linalg.solve_banded((1, 1), band, -F)
 
-    def newton(self, v: np.ndarray, sigma: float, params: NewtonParams):
+    def newton(self, v: np.ndarray, params: NewtonParams):
         return damped_newton(
             v,
-            residual_fn=functools.partial(self.residual, sigma=sigma),
+            residual_fn=self.residual,
             guard_fn=self.guard,
             jacobian_solver=self.jacobian_step,
             params=params,
         )
 
-    def build_field(self, v: np.ndarray, sigma: float, iterations: int,
+    def build_field(self, v: np.ndarray, iterations: int,
                     resid: float) -> SolutionField:
         u = self.full_height(v)
-        m, n = self.m, self.n
+        m, n, sigma = self.m, self.n, self.sigma
         du, d2u, w, krad, kang = self._stencil(u)
         rows = self._rows(krad, kang)
         boundary = np.zeros(m, dtype=bool)
@@ -500,8 +495,8 @@ def solve_radial_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionF
     mesh = config.mesh if config.mesh is not None else RadialMesh()
     if not isinstance(mesh, RadialMesh):
         raise ValueError("solve_radial needs a RadialMesh")
-    return _solve_path(
-        _RadialScheme(domain, mesh.nodes, config.eps_schedule[0]), config)
+    return _solve_path(_RadialScheme(domain, mesh.nodes, config.sigma_target,
+                                     config.eps_schedule[0]), config)
 
 
 def solve_radial(config: SolveConfig, domain: DomainSpec) -> SolutionField:
@@ -523,8 +518,7 @@ def pde_residual(field: SolutionField) -> np.ndarray:
     """sigma_{n-1}(spectrum) - sigma at every non-boundary node."""
     if not (field.u > 0.0).all():
         raise InvalidHeightError("solution field has non-positive heights")
-    return _field_scheme(field).residual(field.u[field.interior],
-                                         field.convergence.sigma)
+    return _field_scheme(field).residual(field.u[field.interior])
 
 
 def newton_step(field: SolutionField):
@@ -537,14 +531,12 @@ def newton_step(field: SolutionField):
         raise ConeViolationError("newton_step requires a cone_ok field",
                                  state=field.u)
     scheme = _field_scheme(field)
-    sigma = field.convergence.sigma
     v = field.u[field.interior]
-    F = scheme.residual(v, sigma)
+    F = scheme.residual(v)
     before = float(np.abs(F).max())
     trial, _, after = _line_search(
-        v, scheme.jacobian_step(v, F), scheme.guard,
-        functools.partial(scheme.residual, sigma=sigma),
+        v, scheme.jacobian_step(v, F), scheme.guard, scheme.residual,
         lambda nt, t: nt <= before * (1.0 + 1.0e-12) + 1.0e-15,
         "single Newton step could not avoid a residual increase")
-    return scheme.build_field(trial, sigma, field.convergence.iterations + 1,
+    return scheme.build_field(trial, field.convergence.iterations + 1,
                               after), (before, after)

@@ -141,8 +141,8 @@ STAR = domains.make_star2d(
 
 def _small_scheme(domain, mesh, sigma, eps=0.1):
     scheme = gridsolver._GridScheme(gridsolver._GridGeometry(domain, mesh),
-                                    eps)
-    return scheme, scheme.cap_height(sigma, eps)
+                                    sigma, eps)
+    return scheme, scheme.cap
 
 
 # small meshes: ring 1 steps through the center, latitudes 0 and M-1
@@ -160,8 +160,8 @@ def test_jacobian_matches_central_differences(domain, mesh, sigma):
     for c in range(v.size):
         d = np.zeros(v.size)
         d[c] = 1e-6 * (1.0 + abs(v[c]))
-        fd[:, c] = (scheme.residual(v + d, sigma)
-                    - scheme.residual(v - d, sigma)) / (2.0 * d[c])
+        fd[:, c] = (scheme.residual(v + d)
+                    - scheme.residual(v - d)) / (2.0 * d[c])
     assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
 
@@ -174,7 +174,7 @@ def test_jacobian_is_the_complex_step_derivative(domain, mesh, sigma):
     J = scheme.jacobian(v)
     for seed in range(3):
         d = np.random.default_rng(seed).standard_normal(v.size)
-        cs = scheme.residual(v + 1e-20j * d, sigma).imag * 1e20
+        cs = scheme.residual(v + 1e-20j * d).imag * 1e20
         assert np.abs(J @ d - cs).max() <= 1e-12 * np.abs(cs).max()
 
 
@@ -264,12 +264,12 @@ def spilu_calls(monkeypatch):
 def ell_iterate():
     """A smooth, guard-admissible non-solution on the default n = 3 mesh."""
     geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh())
-    scheme = gridsolver._GridScheme(geo, 0.1)
+    scheme = gridsolver._GridScheme(geo, 1.5, 0.1)
     x = geo.xyz[:geo.n_int]
-    v = scheme.cap_height(1.5, 0.1) \
+    v = scheme.cap \
         * (1.0 + 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]))
     assert scheme.guard(v)
-    return scheme, v, scheme.residual(v, 1.5)
+    return scheme, v, scheme.residual(v)
 
 
 def _meets_forcing_term(scheme, v, F, s):
@@ -292,7 +292,7 @@ def test_step_meets_the_forcing_term(case, request, monkeypatch):
         field = request.getfixturevalue("ball16")
         scheme = field.meta["scheme"]
         v = field.u[field.interior]
-        F = scheme.residual(v, field.convergence.sigma)
+        F = scheme.residual(v)
     else:
         scheme, v, F = request.getfixturevalue("ell_iterate")
     monkeypatch.setattr(scheme.geo, "ilu", None)  # restored on teardown
@@ -485,8 +485,7 @@ def test_grid_residual_at_solution(ball16):
     assert res.shape == (ball16.interior.sum(),)
     assert np.abs(res).max() <= 1e-9
     scheme = ball16.meta["scheme"]
-    assert np.array_equal(res, scheme.residual(ball16.u[:scheme.geo.n_int],
-                                               ball16.convergence.sigma))
+    assert np.array_equal(res, scheme.residual(ball16.u[:scheme.geo.n_int]))
 
 
 def test_newton_step_grid_non_regression(ball16):
@@ -503,9 +502,9 @@ def test_newton_step_grid_requires_cone(ball16):
 
 def test_cap_start_passes_guard_off_ball():
     geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh(10, 8, 16))
-    scheme = gridsolver._GridScheme(geo, 0.1)
     for sigma in (0.5, 1.0, 2.0):
-        v0 = scheme.cap_height(sigma, 0.1)
+        scheme = gridsolver._GridScheme(geo, sigma, 0.1)
+        v0 = scheme.cap
         assert v0.shape == (geo.n_int,)
         assert scheme.guard(v0)
 

@@ -1,4 +1,5 @@
-"""What `import hplateau` loads, checked in a fresh interpreter.
+"""What `import hplateau` loads, checked in a fresh interpreter, and
+that every top-level import of the package is used.
 
 scipy.interpolate (and the scipy.special/optimize/fft stack it pulls in)
 is imported only inside the two functions that use it: the star-domain
@@ -8,6 +9,7 @@ can tell whether the package loads it, and whether each lazy import
 works when it is the first to run.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -60,3 +62,51 @@ def test_interpolate_loads_only_at_its_call_sites(order):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def _dotted(node):
+    """'a.b.c' for the attribute chain a.b.c, None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def _unused_imports(tree):
+    """Names bound by the module's top-level imports that nothing reads.
+
+    `import a.b` counts as used only where a chain a.b... is read, so a
+    submodule import that only its parent package's uses cover is
+    reported; a name listed in __all__ counts as read (a re-export).
+    """
+    bound = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                bound[alias.asname or alias.name] = stmt.lineno
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            for alias in stmt.names:
+                bound[alias.asname or alias.name] = stmt.lineno
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            chain = _dotted(node)
+            if chain:
+                parts = chain.split(".")
+                read.update(".".join(parts[:k + 1])
+                            for k in range(len(parts)))
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "hplateau").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []

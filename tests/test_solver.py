@@ -208,13 +208,13 @@ def test_damped_newton_iteration_cap():
 # ---------------------------------------------------------------------------
 
 def _radial_scheme():
-    return solver, solver._RadialScheme(BALL3, 21, 0.1)
+    return solver, solver._RadialScheme(BALL3, 21, 1.5, 0.1)
 
 
 def _grid_scheme():
     geo = gridsolver._GridGeometry(domains.make_ellipsoid((1.3, 1.0, 1.0)),
                                    solver.SphericalGridMesh(6, 4, 8))
-    return gridsolver, gridsolver._GridScheme(geo, 0.1)
+    return gridsolver, gridsolver._GridScheme(geo, 1.5, 0.1)
 
 
 def _stub_legs(monkeypatch, module, fail, error=NewtonDivergenceError,
@@ -225,7 +225,7 @@ def _stub_legs(monkeypatch, module, fail, error=NewtonDivergenceError,
     visited = []
 
     def fake_newton(v0, residual_fn, guard_fn, jacobian_solver, params):
-        visited.append((residual_fn.keywords["sigma"],
+        visited.append((residual_fn.__self__.sigma,
                         guard_fn.__self__.eps_bdry))
         if starts is not None:
             starts.append(v0)
@@ -244,21 +244,21 @@ def test_failed_leg_splits_at_geometric_midpoint(monkeypatch, make):
     always_fail = False
     visited = _stub_legs(monkeypatch, module,
                          lambda k: k == 1 or always_fail)
-    v = np.ones(scheme.cap_height(1.0, 0.1).size)
+    v = np.ones(scheme.cap.size)
     params = solver.NewtonParams()
     # sigma leg: eps stays put, sigma splits at sqrt(1.0 * 0.25)
-    _, (_, its, _) = solver._leg(scheme, params, v, (1.0, 0.1), (0.25, 0.1))
+    _, (_, its, _) = solver._leg(scheme.at(1.0, 0.1), params, v, 0.25, 0.1)
     assert visited == [(0.25, 0.1), (0.5, 0.1), (0.25, 0.1)]
     assert its == 2
     # eps leg: the same split in eps
     visited.clear()
-    solver._leg(scheme, params, v, (1.5, 1e-2), (1.5, 1e-4))
+    solver._leg(scheme.at(1.5, 1e-2), params, v, 1.5, 1e-4)
     assert visited == [(1.5, 1e-4), (1.5, math.sqrt(1e-2 * 1e-4)), (1.5, 1e-4)]
     # MAX_SPLIT_DEPTH splits at most, then the error propagates
     visited.clear()
     always_fail = True
     with pytest.raises(NewtonDivergenceError):
-        solver._leg(scheme, params, v, (1.0, 0.1), (0.25, 0.1))
+        solver._leg(scheme.at(1.0, 0.1), params, v, 0.25, 0.1)
     assert len(visited) == solver.MAX_SPLIT_DEPTH + 1
 
 
@@ -268,14 +268,15 @@ def test_path_starts_on_the_cap_family(monkeypatch, make):
     # the first leg starts on the target's cap; once it leaves the cone,
     # the walk's first leg starts on the cap at n/2
     module, scheme = make()
+    scheme = scheme.at(0.2, 0.1)
     starts = []
     visited = _stub_legs(monkeypatch, module, lambda k: k == 1,
                          ConeViolationError, starts)
     config = solver.SolveConfig(n=3, sigma_target=0.2, eps_schedule=(0.1,))
     solver._solve_path(scheme, config)
     assert visited[:2] == [(0.2, 0.1), (1.5, 0.1)]
-    assert np.array_equal(starts[0], scheme.cap_height(0.2, 0.1))
-    assert np.array_equal(starts[1], scheme.cap_height(1.5, 0.1))
+    assert np.array_equal(starts[0], scheme.cap)
+    assert np.array_equal(starts[1], scheme.at(1.5, 0.1).cap)
 
 
 def test_radial_walk_fires_when_first_leg_fails(monkeypatch):
@@ -284,7 +285,7 @@ def test_radial_walk_fires_when_first_leg_fails(monkeypatch):
 
     def fails_first_and_walk(v0, residual_fn, guard_fn, jacobian_solver,
                              params):
-        visited.append(residual_fn.keywords["sigma"])
+        visited.append(residual_fn.__self__.sigma)
         if len(visited) in (1, 3):
             raise ConeViolationError("stub", state=v0)
         return real(v0, residual_fn, guard_fn, jacobian_solver, params)
@@ -317,9 +318,11 @@ def test_plane_walk_reaches_small_sigma():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_walk_is_not_tried_when_it_would_repeat_the_failed_leg(monkeypatch, n):
-    # the walk starts at n/2, so at sigma = n/2 it would rerun the first leg
-    visited = _stub_legs(monkeypatch, solver, lambda k: True)
-    with pytest.raises(NewtonDivergenceError):
+    # the walk starts at n/2, so at sigma = n/2 it would rerun the first
+    # leg; a cone failure is what starts the walk elsewhere
+    visited = _stub_legs(monkeypatch, solver, lambda k: True,
+                         ConeViolationError)
+    with pytest.raises(ConeViolationError):
         _solve(n=n, sigma=0.5 * n, nodes=101)
     assert visited == [(0.5 * n, 1e-2)]
 
@@ -341,7 +344,7 @@ def test_radial_explicit_sigma_path_lands_on_direct_solution(monkeypatch):
     visited = []
 
     def fails_first(v0, residual_fn, guard_fn, jacobian_solver, params):
-        visited.append(residual_fn.keywords["sigma"])
+        visited.append(residual_fn.__self__.sigma)
         if len(visited) == 1:
             raise ConeViolationError("stub", state=v0)
         return real(v0, residual_fn, guard_fn, jacobian_solver, params)
@@ -377,7 +380,7 @@ def test_only_reported_legs_are_solved_to_residual_tol(monkeypatch, kind,
     real = module.damped_newton
 
     def recorded(v0, residual_fn, guard_fn, jacobian_solver, params):
-        legs.append((residual_fn.keywords["sigma"], guard_fn.__self__.eps_bdry,
+        legs.append((residual_fn.__self__.sigma, guard_fn.__self__.eps_bdry,
                      params.residual_tol))
         return real(v0, residual_fn, guard_fn, jacobian_solver, params)
 
