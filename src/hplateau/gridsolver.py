@@ -66,7 +66,10 @@ at(sigma, eps), cap, residual(v), guard(v), jacobian_step(v, F),
 newton(v, params) and build_field(v, iterations, residual).  Every path
 starts on its cap family, the umbilic cap of the domain's mean-radius
 ball composed with s.  Its Newton legs call this module's damped_newton,
-so they stay apart from the radial ones.
+so they stay apart from the radial ones.  An iterate's guard, residual
+and Jacobian share one shape pass, which the scheme keeps (keyed on a
+copy of v and its dtype) until the step's Jacobian is built or the leg
+ends.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from .domains import DomainSpec, omega_jet
 from .errors import GridDegeneracyError, NewtonDivergenceError
 from .geometry import exact_cap
 from .solver import (ConvergenceInfo, NewtonParams, PolarGridMesh, SolveConfig,
-                     SolutionField, SphericalGridMesh, _solve_path,
+                     SolutionField, SphericalGridMesh, _memo_hit, _solve_path,
                      damped_newton)
 
 __all__ = ["solve_graph", "solve_graph_path"]
@@ -216,6 +219,8 @@ class _GridGeometry:
                 f"(min |det| = {np.abs(det).min():.3e})")
         self.A = np.linalg.inv(Xc)
         self.Xcc = Xcc
+        # the u-independent factor of _jet_gradient's dC term
+        self.AXcc = self.A @ Xcc.reshape(-1, n, n * n)
         self.xyz = s_node[:, None] * q[direction]
         self.s_node = s_node
 
@@ -260,7 +265,9 @@ class _GridGeometry:
 
         keys = np.where(self.nbr[:, :ni] < ni,
                         self.nbr[:, :ni] * ni + np.arange(ni), -1)
-        nz = np.unique(keys[keys >= 0])
+        # sort, then drop repeats: np.unique hashes these keys, 20x slower
+        nz = np.sort(keys[keys >= 0])
+        nz = nz[np.concatenate(([True], nz[1:] != nz[:-1]))]
         self.jac_nnz = nz.size
         self.jac_pos = np.where(keys >= 0, np.searchsorted(nz, keys), nz.size)
         self.jac_rows = nz % ni
@@ -362,9 +369,10 @@ def _sigma_gradient(S):
     return np.trace(S, axis1=1, axis2=2)[:, None, None] * np.eye(n) - S
 
 
-def _jet_gradient(u, p, P, A, Xcc):
+def _jet_gradient(u, P, A, AXcc, shape):
     """dF/djet of F = sigma_{n-1}(S) per node, in packed jet order, in
-    closed form from one real _shape pass.
+    closed form from shape = _shape(u, p, P, A, Xcc), one real pass;
+    AXcc is the u-independent product A @ Xcc.reshape(-1, n, n * n).
 
     S = (u/w) Q + (1/w) I, and w, B and C depend on the first
     derivatives p alone, so with G = dF/dS (_sigma_gradient) the u and
@@ -384,10 +392,10 @@ def _jet_gradient(u, p, P, A, Xcc):
 
     and <dGhalf_a, Y> = -dc_a Du^T Y Du - c (A (Y + Y^T) Du)_a.
     """
-    n = p.shape[1]
+    S, w, B, Q, Du, C = shape
+    n = Du.shape[1]
     pairs = _jet_pairs(n)
     dF = np.empty((u.size, 1 + n + len(pairs)))
-    S, w, B, Q, Du, C = _shape(u, p, P, A, Xcc)
     G = _sigma_gradient(S)
     BG = B @ G
     uw = u / w
@@ -405,7 +413,7 @@ def _jet_gradient(u, p, P, A, Xcc):
     YtDu = (Du[:, None, :] @ Y)[:, 0]
     dGhalf_Y = -dc * (Du * YDu).sum(axis=1)[:, None] \
         - c[:, None] * (A @ (YDu + YtDu)[:, :, None])[:, :, 0]
-    BGB_dC = (A @ Xcc.reshape(-1, n, n * n)) @ BGB.reshape(-1, n * n, 1)
+    BGB_dC = AXcc @ BGB.reshape(-1, n * n, 1)
     trG = np.trace(G, axis1=-2, axis2=-1)
     dF[:, 1:1 + n] = -(dw / w[:, None] ** 2) * (u * GQ + trG)[:, None] \
         + 2.0 * uw[:, None] * dGhalf_Y - BGB_dC[:, :, 0]
@@ -496,6 +504,7 @@ class _GridScheme:
         R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
         self.cap = exact_cap(geo.n, sigma, R,
                              eps_bdry).height(R * geo.s_node[:geo.n_int])
+        self._memo = None  # (v, jet, shape) of the iterate last evaluated
 
     def at(self, sigma: float, eps: float) -> "_GridScheme":
         return _GridScheme(self.geo, sigma, eps)
@@ -509,18 +518,24 @@ class _GridScheme:
         """(u, p, P): the unpacked chart jet at the interior nodes."""
         return self.geo.unpack(self.geo.chart_jet(self.full_height(v)))
 
-    def _interior_shape(self, v: np.ndarray) -> np.ndarray:
-        geo = self.geo
-        ni = geo.n_int
-        return _shape(*self._interior_jet(v), geo.A[:ni], geo.Xcc[:ni])[0]
+    def _evaluate(self, v: np.ndarray):
+        """((u, p, P), shape): the interior chart jet of v and _shape's
+        output there, from the memo when v is the iterate last evaluated
+        (_memo_hit)."""
+        if not _memo_hit(self._memo, v):
+            geo, ni = self.geo, self.geo.n_int
+            jet = self._interior_jet(v)
+            self._memo = (v.copy(), jet,
+                          _shape(*jet, geo.A[:ni], geo.Xcc[:ni]))
+        return self._memo[1:]
 
     def residual(self, v: np.ndarray) -> np.ndarray:
-        return _sigma(self._interior_shape(v)) - self.sigma
+        return _sigma(self._evaluate(v)[1][0]) - self.sigma
 
     def guard(self, v: np.ndarray) -> bool:
         if not (v > 0.0).all():
             return False
-        S = self._interior_shape(v)
+        S = self._evaluate(v)[1][0]
         if not (np.trace(S, axis1=1, axis2=2) > 0.0).all():
             return False
         return bool((_sigma(S) > 0.0).all())
@@ -534,7 +549,8 @@ class _GridScheme:
         """
         geo = self.geo
         ni = geo.n_int
-        dF = _jet_gradient(*self._interior_jet(v), geo.A[:ni], geo.Xcc[:ni])
+        (u, _, P), shape = self._evaluate(v)
+        dF = _jet_gradient(u, P, geo.A[:ni], geo.AXcc[:ni], shape)
         weights = geo.coef.T @ dF.T  # (offset, node), as jac_pos
         data = np.bincount(geo.jac_pos.ravel(), weights=weights.ravel(),
                            minlength=geo.jac_nnz + 1)[:geo.jac_nnz]
@@ -551,6 +567,7 @@ class _GridScheme:
         """
         geo = self.geo
         J = self.jacobian(v)
+        self._memo = None  # J was its last reader; memory peaks in spilu
         if geo.ilu is not None:
             s = _gmres(J, F, geo.ilu)
             if s is not None:
@@ -564,13 +581,16 @@ class _GridScheme:
         return s
 
     def newton(self, v: np.ndarray, params: NewtonParams):
-        return damped_newton(
-            v,
-            residual_fn=self.residual,
-            guard_fn=self.guard,
-            jacobian_solver=self.jacobian_step,
-            params=params,
-        )
+        try:
+            return damped_newton(
+                v,
+                residual_fn=self.residual,
+                guard_fn=self.guard,
+                jacobian_solver=self.jacobian_step,
+                params=params,
+            )
+        finally:
+            self._memo = None  # the returned fields hold this scheme
 
     # -- field assembly -------------------------------------------------------
 

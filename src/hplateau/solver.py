@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from .cones import cone_mask_batch, elementary_symmetric_batch
+from .cones import cone_mask_batch, elem_sym_table, elementary_symmetric_batch
 from .domains import DomainSpec
 from .errors import ConeViolationError, InvalidHeightError, NewtonDivergenceError
 from .geometry import exact_cap
@@ -233,6 +233,16 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
         state=v)
 
 
+def _memo_hit(memo, v) -> bool:
+    """Whether a scheme's memo, keyed on a copy of the iterate it last
+    evaluated, holds v: the same dtype and the same values.  Matching on
+    values, not identity, means an in-place change of v is never served a
+    stale result, and the dtype check that a complex-step probe is never
+    served a real one."""
+    return memo is not None and memo[0].dtype == v.dtype \
+        and np.array_equal(memo[0], v)
+
+
 # ---------------------------------------------------------------------------
 # Continuation driver
 # ---------------------------------------------------------------------------
@@ -333,7 +343,10 @@ class _RadialScheme:
     Unknowns are the heights at nodes 0..m-2 (center plus interior);
     u(R) = eps_bdry is imposed exactly at the last node.  The center
     uses the symmetry conditions u'(0) = 0, u''(0) = 2(u_1 - u_0)/h^2.
-    cap is the exact cap at (sigma, eps_bdry) on the unknowns.
+    cap is the exact cap at (sigma, eps_bdry) on the unknowns.  An
+    iterate's guard, residual and Jacobian share one stencil pass, which
+    the scheme keeps (keyed on a copy of v and its dtype) until the leg
+    ends.
     """
 
     def __init__(self, domain: DomainSpec, nodes: int, sigma: float,
@@ -347,6 +360,7 @@ class _RadialScheme:
         self.eps_bdry = float(eps_bdry)
         self.cap = exact_cap(self.n, sigma, domain.radius,
                              eps_bdry).height(self.r[:-1])
+        self._memo = None  # (v, stencil, table) of the iterate last evaluated
 
     def at(self, sigma: float, eps: float) -> "_RadialScheme":
         return _RadialScheme(self.domain, self.m, sigma, eps)
@@ -381,19 +395,25 @@ class _RadialScheme:
     def _rows(self, krad: np.ndarray, kang: np.ndarray) -> np.ndarray:
         return np.column_stack([krad] + [kang] * (self.n - 1))
 
-    def spectra(self, v: np.ndarray) -> np.ndarray:
-        """Unsorted spectra rows at the m-1 equation nodes."""
-        *_, krad, kang = self._stencil(self.full_height(v))
-        return self._rows(krad, kang)[:-1]
+    def _evaluate(self, v: np.ndarray):
+        """(stencil, table): _stencil of v's full height and
+        elem_sym_table(rows, n - 1) of the spectra rows at the m-1
+        equation nodes, from the memo when v is the iterate last
+        evaluated (_memo_hit)."""
+        if not _memo_hit(self._memo, v):
+            stencil = self._stencil(self.full_height(v))
+            rows = self._rows(*stencil[3:])[:-1]
+            self._memo = (v.copy(), stencil, elem_sym_table(rows, self.n - 1))
+        return self._memo[1:]
 
     def residual(self, v: np.ndarray) -> np.ndarray:
-        return elementary_symmetric_batch(self.spectra(v),
-                                          self.n - 1) - self.sigma
+        return self._evaluate(v)[1][:, -1] - self.sigma
 
     def guard(self, v: np.ndarray) -> bool:
         if not (v > 0.0).all():
             return False
-        return bool(cone_mask_batch(self.spectra(v), self.n - 1).all())
+        # rows in Gamma_{n-1}: sigma_1 .. sigma_{n-1} all positive
+        return bool((self._evaluate(v)[1][:, 1:] > 0.0).all())
 
     def jacobian_step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
         """Newton step from the exact tridiagonal Jacobian.
@@ -409,7 +429,7 @@ class _RadialScheme:
         m1 = v.size
         n, h = self.n, self.h
         u = self.full_height(v)
-        du, d2u, w, krad, kang = self._stencil(u)
+        du, d2u, w, krad, kang = self._evaluate(v)[0]
         band = np.zeros((3, m1))  # rows: super, main, sub
 
         # center equation: all curvatures equal u0*u''(0) + 1
@@ -449,13 +469,16 @@ class _RadialScheme:
         return scipy.linalg.solve_banded((1, 1), band, -F)
 
     def newton(self, v: np.ndarray, params: NewtonParams):
-        return damped_newton(
-            v,
-            residual_fn=self.residual,
-            guard_fn=self.guard,
-            jacobian_solver=self.jacobian_step,
-            params=params,
-        )
+        try:
+            return damped_newton(
+                v,
+                residual_fn=self.residual,
+                guard_fn=self.guard,
+                jacobian_solver=self.jacobian_step,
+                params=params,
+            )
+        finally:
+            self._memo = None  # the returned fields hold this scheme
 
     def build_field(self, v: np.ndarray, iterations: int,
                     resid: float) -> SolutionField:
@@ -518,7 +541,11 @@ def pde_residual(field: SolutionField) -> np.ndarray:
     """sigma_{n-1}(spectrum) - sigma at every non-boundary node."""
     if not (field.u > 0.0).all():
         raise InvalidHeightError("solution field has non-positive heights")
-    return _field_scheme(field).residual(field.u[field.interior])
+    scheme = _field_scheme(field)
+    try:
+        return scheme.residual(field.u[field.interior])
+    finally:
+        scheme._memo = None
 
 
 def newton_step(field: SolutionField):
@@ -532,11 +559,14 @@ def newton_step(field: SolutionField):
                                  state=field.u)
     scheme = _field_scheme(field)
     v = field.u[field.interior]
-    F = scheme.residual(v)
-    before = float(np.abs(F).max())
-    trial, _, after = _line_search(
-        v, scheme.jacobian_step(v, F), scheme.guard, scheme.residual,
-        lambda nt, t: nt <= before * (1.0 + 1.0e-12) + 1.0e-15,
-        "single Newton step could not avoid a residual increase")
+    try:
+        F = scheme.residual(v)
+        before = float(np.abs(F).max())
+        trial, _, after = _line_search(
+            v, scheme.jacobian_step(v, F), scheme.guard, scheme.residual,
+            lambda nt, t: nt <= before * (1.0 + 1.0e-12) + 1.0e-15,
+            "single Newton step could not avoid a residual increase")
+    finally:
+        scheme._memo = None
     return scheme.build_field(trial, field.convergence.iterations + 1,
                               after), (before, after)

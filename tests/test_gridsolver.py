@@ -201,7 +201,9 @@ def test_closed_form_slots_are_the_complex_step(eps4_jet):
     # fails this
     geo, jet = eps4_jet
     assert jet[:, 0].min() == pytest.approx(1e-4)
-    dF = gridsolver._jet_gradient(*geo.unpack(jet), geo.A, geo.Xcc)
+    u, p, P = geo.unpack(jet)
+    dF = gridsolver._jet_gradient(
+        u, P, geo.A, geo.AXcc, gridsolver._shape(u, p, P, geo.A, geo.Xcc))
     assert dF.shape[1] == 1 + geo.n + len(gridsolver._jet_pairs(geo.n))
     scale = np.abs(dF).max(axis=1)
     cjet = jet.astype(complex)
@@ -239,6 +241,69 @@ def test_no_complex_array_reaches_shape_in_a_solve(shape_passes):
                              mesh=solver.PolarGridMesh(12, 16))
     gridsolver.solve_graph_path(cfg, domains.make_ellipsoid((1.3, 1.0)))
     assert shape_passes and not any(shape_passes)
+
+
+# ---------------------------------------------------------------------------
+# one shape pass per iterate: the scheme's memo
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
+def test_guard_residual_and_jacobian_share_one_shape_pass(domain, mesh, sigma,
+                                                         shape_passes):
+    scheme, v = _small_scheme(domain, mesh, sigma)
+    assert scheme.guard(v)
+    F = scheme.residual(v)
+    J = scheme.jacobian(v)
+    assert shape_passes == [False]
+    # the same numbers as schemes that evaluate v afresh for each call
+    assert np.array_equal(F, _small_scheme(domain, mesh, sigma)[0].residual(v))
+    fresh = _small_scheme(domain, mesh, sigma)[0].jacobian(v)
+    assert np.array_equal(J.toarray(), fresh.toarray())
+
+
+def test_memo_sees_an_in_place_change():
+    scheme, cap = _small_scheme(*JAC_CASES[1])
+    v = cap.copy()
+    before = scheme.residual(v)
+    v[::3] *= 1.01
+    after = scheme.residual(v)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _small_scheme(*JAC_CASES[1])[0].residual(v))
+
+
+@pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
+def test_complex_step_after_a_real_residual(domain, mesh, sigma):
+    # a complex probe of the memoized iterate must not get its real result
+    scheme, v = _small_scheme(domain, mesh, sigma)
+    J = scheme.jacobian(v)
+    F = scheme.residual(v)
+    d = np.random.default_rng(0).standard_normal(v.size)
+    probe = scheme.residual(v + 1e-20j * d)
+    assert np.iscomplexobj(probe)
+    cs = probe.imag * 1e20
+    assert np.abs(J @ d - cs).max() <= 1e-12 * np.abs(cs).max()
+    assert np.array_equal(scheme.residual(v), F)
+    # equal values of another dtype are another iterate too
+    assert np.iscomplexobj(scheme.residual(v.astype(complex)))
+
+
+def test_newton_drops_the_memo(monkeypatch):
+    cfg = solver.SolveConfig(n=3, sigma_target=1.0, eps_schedule=(1e-1, 1e-2),
+                             mesh=solver.SphericalGridMesh(5, 4, 8))
+    fields = gridsolver.solve_graph_path(cfg, ELL)
+    assert all(f.meta["scheme"]._memo is None for f in fields)
+    scheme, v = _small_scheme(*JAC_CASES[1])
+    scheme.jacobian_step(v, scheme.residual(v))
+    assert scheme._memo is None  # the step's Jacobian was v's last reader
+
+    def failing_step(v, F):
+        assert scheme._memo is not None
+        raise NewtonDivergenceError("stub", state=v)
+
+    monkeypatch.setattr(scheme, "jacobian_step", failing_step)
+    with pytest.raises(NewtonDivergenceError, match="stub"):
+        scheme.newton(v, solver.NewtonParams())
+    assert scheme._memo is None
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,71 @@ def test_pde_residual_rejects_nonpositive_heights(field201):
 
 
 # ---------------------------------------------------------------------------
+# one stencil pass per iterate: the scheme's memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def stencil_passes(monkeypatch):
+    """One entry per _RadialScheme._stencil call."""
+    passes = []
+    real = solver._RadialScheme._stencil
+
+    def recorded(self, u):
+        passes.append(u.size)
+        return real(self, u)
+
+    monkeypatch.setattr(solver._RadialScheme, "_stencil", recorded)
+    return passes
+
+
+def _radial_iterate():
+    scheme = solver._RadialScheme(BALL3, 21, 1.5, 0.1)
+    return scheme, scheme.cap * (1.0 + 0.01 * np.cos(scheme.r[:-1]))
+
+
+def test_guard_residual_and_step_share_one_stencil_pass(stencil_passes):
+    scheme, v = _radial_iterate()
+    assert scheme.guard(v)
+    F = scheme.residual(v)
+    s = scheme.jacobian_step(v, F)
+    assert stencil_passes == [21]
+    # the same numbers as schemes that evaluate v afresh for each call
+    assert np.array_equal(F, _radial_iterate()[0].residual(v))
+    assert np.array_equal(s, _radial_iterate()[0].jacobian_step(v, F))
+
+
+def test_radial_memo_sees_an_in_place_change():
+    scheme, v = _radial_iterate()
+    before = scheme.residual(v)
+    v[::3] *= 1.01
+    after = scheme.residual(v)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _radial_iterate()[0].residual(v))
+
+
+def test_radial_newton_and_field_operations_drop_the_memo(monkeypatch,
+                                                          field201):
+    fields = solver.solve_radial_path(
+        solver.SolveConfig(n=3, sigma_target=1.5, eps_schedule=(1e-1, 1e-2),
+                           mesh=solver.RadialMesh(51)), BALL3)
+    assert all(f.meta["scheme"]._memo is None for f in fields)
+    solver.pde_residual(field201)
+    assert field201.meta["scheme"]._memo is None
+    stepped, _ = solver.newton_step(field201)
+    assert stepped.meta["scheme"]._memo is None
+    scheme, v = _radial_iterate()
+
+    def failing_step(v, F):
+        assert scheme._memo is not None
+        raise NewtonDivergenceError("stub", state=v)
+
+    monkeypatch.setattr(scheme, "jacobian_step", failing_step)
+    with pytest.raises(NewtonDivergenceError, match="stub"):
+        scheme.newton(v, solver.NewtonParams())
+    assert scheme._memo is None
+
+
+# ---------------------------------------------------------------------------
 # Newton engine on synthetic problems
 # ---------------------------------------------------------------------------
 
