@@ -290,8 +290,12 @@ def _ren_wang_parts(rows: np.ndarray, eps_rw: float):
         A = -kappa_1 H + diag(-F^11, (1+eps) F^22, ...),  b = sqrt(kappa_1) g,
 
     so xi^T M(K) xi reproduces the third-order-term quadratic form of the
-    Ren-Wang inequality.  kappa_1 > 0 on Gamma_{n-1}, so b is real.
+    Ren-Wang inequality.  kappa_1 > 0 on Gamma_{n-1}, so b is real.  Every
+    Ren-Wang entry point comes through here, so eps_rw > 0 is checked here
+    alone.
     """
+    if not eps_rw > 0.0:
+        raise ValueError("eps_rw must be positive")
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n = rows.shape[1]
     g = jet_gradient_batch(rows, n - 1)
@@ -323,8 +327,6 @@ def _certified_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def ren_wang_form(kappa, eps_rw: float, K: float) -> RWQuery:
     """Evaluate the certification matrix at a single (kappa, K)."""
     kv = _coerce(kappa)
-    if eps_rw <= 0.0:
-        raise ValueError("eps_rw must be positive")
     if K < 0.0:
         raise ValueError("K must be nonnegative")
     _require_cone(kv, kv.n - 1, "ren_wang_form")
@@ -370,8 +372,6 @@ def ren_wang_min_k_batch(rows: np.ndarray, eps_rw: float) -> np.ndarray:
 
 def ren_wang_min_k(kappa, eps_rw: float) -> float:
     kv = _coerce(kappa)
-    if eps_rw <= 0.0:
-        raise ValueError("eps_rw must be positive")
     _require_cone(kv, kv.n - 1, "ren_wang_min_k")
     return float(ren_wang_min_k_batch(kv.array()[None, :], eps_rw)[0])
 

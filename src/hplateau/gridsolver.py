@@ -62,14 +62,14 @@ alive.
 _GridScheme packages all of this, for one (sigma, eps_bdry), in the
 scheme interface of solver._solve_path, the continuation driver the
 radial solver uses as well (sigma walk, split legs, eps descent):
-at(sigma, eps), cap, residual(v), guard(v), jacobian_step(v, F),
-newton(v, params) and build_field(v, iterations, residual).  Every path
-starts on its cap family, the umbilic cap of the domain's mean-radius
-ball composed with s.  Its Newton legs call this module's damped_newton,
-so they stay apart from the radial ones.  An iterate's guard, residual
-and Jacobian share one shape pass, which the scheme keeps (keyed on a
-copy of v and its dtype) until the step's Jacobian is built or the leg
-ends.
+at(sigma, eps), cap, evaluate(v), residual(ev), in_cone(ev),
+jacobian_step(v, ev, F), newton(v, params) and build_field(v,
+iterations, residual).  Every path starts on its cap family, the
+umbilic cap of the domain's mean-radius ball composed with s.
+evaluate(v) is the iterate's one shape pass; the scheme stores nothing
+of it, and the solver._Leg of each Newton leg holds the last one, which
+the guard, the residual and the Jacobian read.  The legs call this
+module's damped_newton, so they stay apart from the radial ones.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from .domains import DomainSpec, omega_jet
 from .errors import GridDegeneracyError, NewtonDivergenceError
 from .geometry import exact_cap
 from .solver import (ConvergenceInfo, NewtonParams, PolarGridMesh, SolveConfig,
-                     SolutionField, SphericalGridMesh, _memo_hit, _solve_path,
+                     SolutionField, SphericalGridMesh, _Leg, _solve_path,
                      damped_newton)
 
 __all__ = ["solve_graph", "solve_graph_path"]
@@ -504,7 +504,6 @@ class _GridScheme:
         R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
         self.cap = exact_cap(geo.n, sigma, R,
                              eps_bdry).height(R * geo.s_node[:geo.n_int])
-        self._memo = None  # (v, jet, shape) of the iterate last evaluated
 
     def at(self, sigma: float, eps: float) -> "_GridScheme":
         return _GridScheme(self.geo, sigma, eps)
@@ -514,33 +513,24 @@ class _GridScheme:
         U[:self.geo.n_int] = v
         return U
 
-    def _interior_jet(self, v: np.ndarray):
-        """(u, p, P): the unpacked chart jet at the interior nodes."""
-        return self.geo.unpack(self.geo.chart_jet(self.full_height(v)))
+    def evaluate(self, v: np.ndarray):
+        """(u, P, shape, F0): the height and second chart derivatives of
+        v's interior chart jet, _shape's output there and F0 = _sigma(S)."""
+        geo, ni = self.geo, self.geo.n_int
+        u, p, P = geo.unpack(geo.chart_jet(self.full_height(v)))
+        shape = _shape(u, p, P, geo.A[:ni], geo.Xcc[:ni])
+        return u, P, shape, _sigma(shape[0])
 
-    def _evaluate(self, v: np.ndarray):
-        """((u, p, P), shape): the interior chart jet of v and _shape's
-        output there, from the memo when v is the iterate last evaluated
-        (_memo_hit)."""
-        if not _memo_hit(self._memo, v):
-            geo, ni = self.geo, self.geo.n_int
-            jet = self._interior_jet(v)
-            self._memo = (v.copy(), jet,
-                          _shape(*jet, geo.A[:ni], geo.Xcc[:ni]))
-        return self._memo[1:]
+    def residual(self, ev) -> np.ndarray:
+        return ev[3] - self.sigma
 
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        return _sigma(self._evaluate(v)[1][0]) - self.sigma
+    def in_cone(self, ev) -> bool:
+        # Gamma_{n-1} for n <= 3: sigma_1 = tr S and sigma_{n-1} positive
+        S, F0 = ev[2][0], ev[3]
+        return bool((np.trace(S, axis1=1, axis2=2) > 0.0).all()
+                    and (F0 > 0.0).all())
 
-    def guard(self, v: np.ndarray) -> bool:
-        if not (v > 0.0).all():
-            return False
-        S = self._evaluate(v)[1][0]
-        if not (np.trace(S, axis1=1, axis2=2) > 0.0).all():
-            return False
-        return bool((_sigma(S) > 0.0).all())
-
-    def jacobian(self, v: np.ndarray) -> scipy.sparse.csc_matrix:
+    def jacobian(self, ev) -> scipy.sparse.csc_matrix:
         """Exact Jacobian of the residual: the stencil chain.
 
         The residual at node i depends on its own chart jet only, so
@@ -549,7 +539,7 @@ class _GridScheme:
         """
         geo = self.geo
         ni = geo.n_int
-        (u, _, P), shape = self._evaluate(v)
+        u, P, shape, _ = ev
         dF = _jet_gradient(u, P, geo.A[:ni], geo.AXcc[:ni], shape)
         weights = geo.coef.T @ dF.T  # (offset, node), as jac_pos
         data = np.bincount(geo.jac_pos.ravel(), weights=weights.ravel(),
@@ -557,7 +547,7 @@ class _GridScheme:
         return scipy.sparse.csc_matrix((data, geo.jac_rows, geo.jac_indptr),
                                        shape=(geo.n_int, geo.n_int))
 
-    def jacobian_step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
+    def jacobian_step(self, v: np.ndarray, ev, F: np.ndarray) -> np.ndarray:
         """Inexact Newton step: ||J(v) s + F||_2 <= GMRES_RTOL ||F||_2.
 
         GMRES runs on the exact Jacobian, preconditioned by the geometry's
@@ -566,8 +556,7 @@ class _GridScheme:
         NewtonDivergenceError carrying v, and _leg splits the leg.
         """
         geo = self.geo
-        J = self.jacobian(v)
-        self._memo = None  # J was its last reader; memory peaks in spilu
+        J = self.jacobian(ev)
         if geo.ilu is not None:
             s = _gmres(J, F, geo.ilu)
             if s is not None:
@@ -581,16 +570,8 @@ class _GridScheme:
         return s
 
     def newton(self, v: np.ndarray, params: NewtonParams):
-        try:
-            return damped_newton(
-                v,
-                residual_fn=self.residual,
-                guard_fn=self.guard,
-                jacobian_solver=self.jacobian_step,
-                params=params,
-            )
-        finally:
-            self._memo = None  # the returned fields hold this scheme
+        leg = _Leg(self)
+        return damped_newton(v, leg.residual, leg.guard, leg.step, params)
 
     # -- field assembly -------------------------------------------------------
 

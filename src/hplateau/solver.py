@@ -78,6 +78,12 @@ class NewtonParams:
     max_iters: int = 40
     residual_tol: float = 1.0e-10
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not self.residual_tol > 0.0:
+            raise ValueError("residual_tol must be positive")
+
 
 @dataclass(frozen=True)
 class RadialMesh:
@@ -233,14 +239,37 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
         state=v)
 
 
-def _memo_hit(memo, v) -> bool:
-    """Whether a scheme's memo, keyed on a copy of the iterate it last
-    evaluated, holds v: the same dtype and the same values.  Matching on
-    values, not identity, means an in-place change of v is never served a
-    stale result, and the dtype check that a complex-step probe is never
-    served a real one."""
-    return memo is not None and memo[0].dtype == v.dtype \
-        and np.array_equal(memo[0], v)
+class _Leg:
+    """The callables that damped_newton and _line_search take, on one
+    scheme: residual, guard and step share one scheme.evaluate pass per
+    iterate.
+
+    The leg holds the last iterate and its evaluation and matches the
+    next iterate by value: a line-search trial at the rounding floor can
+    equal its iterate bit for bit.  The iterate is held without a copy,
+    since the engine never changes one in place.  The guard tests u > 0
+    before it evaluates; scheme.in_cone tests the rest.
+    """
+
+    def __init__(self, scheme):
+        self.scheme = scheme
+        self._v = self._ev = None
+
+    def _evaluate(self, v):
+        if not np.array_equal(self._v, v):
+            self._v = self._ev = None  # free the old pass before the next
+            self._v, self._ev = v, self.scheme.evaluate(v)
+        return self._ev
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        return self.scheme.residual(self._evaluate(v))
+
+    def guard(self, v: np.ndarray) -> bool:
+        return bool((v > 0.0).all()) \
+            and self.scheme.in_cone(self._evaluate(v))
+
+    def step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
+        return self.scheme.jacobian_step(v, self._evaluate(v), F)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +287,17 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
       cap there on the unknowns, which every path starts on and along
       which a converged v is transported to a new (sigma, eps);
     * at(sigma, eps): the same discretization at another point;
-    * residual(v), guard(v) and jacobian_step(v, F): the discrete
-      equation, the positivity/cone guard, and the step s solving
+    * evaluate(v): the one pass over v (stencil or shape) that the next
+      three read, storing nothing;
+    * residual(ev), in_cone(ev) and jacobian_step(v, ev, F) on
+      ev = evaluate(v): the discrete equation, the cone test (u > 0 is
+      tested by the caller, _Leg.guard), and the step s solving
       J(v) s = -F (exactly on the radial side, by preconditioned GMRES
       to a relative tolerance on the grid);
-    * newton(v, params): damped_newton on this scheme, called through
-      the scheme's own module global so that the radial and grid legs
-      stay separable from outside;
+    * newton(v, params): one call of damped_newton with the callables
+      of a _Leg, the one evaluation per iterate of that leg; it goes
+      through the scheme's own module global so that the radial and
+      grid legs stay separable from outside;
     * build_field(v, iterations, residual): the SolutionField, holding
       the scheme in meta["scheme"].
 
@@ -284,12 +317,14 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     """
     params = config.newton
     target = config.sigma_target
+    easy = 0.5 * config.n
     try:
         v, total_it, res = scheme.newton(scheme.cap, params)
     except ConeViolationError:
-        easy = 0.5 * config.n
         if easy == target:
             raise
+        v = None
+    if v is None:  # walk outside the handler, as _leg splits
         start = scheme.at(easy, scheme.eps_bdry)
         v, total_it, _ = start.newton(start.cap, _walk_params(params))
         scheme, (v, it, res) = _leg(start, params, v, target, scheme.eps_bdry)
@@ -326,11 +361,13 @@ def _leg(start, params: NewtonParams, v, sigma, eps, depth=0):
     except (NewtonDivergenceError, ConeViolationError):
         if depth >= MAX_SPLIT_DEPTH:
             raise
-        mid, (vm, it1, _) = _leg(start, _walk_params(params), v,
-                                 math.sqrt(start.sigma * sigma),
-                                 math.sqrt(start.eps_bdry * eps), depth + 1)
-        end, (v, it2, res) = _leg(mid, params, vm, sigma, eps, depth + 1)
-        return end, (v, it1 + it2, res)
+    # split outside the handler: the error's traceback holds the failed
+    # leg's frames, and with them that leg's last evaluation
+    mid, (vm, it1, _) = _leg(start, _walk_params(params), v,
+                             math.sqrt(start.sigma * sigma),
+                             math.sqrt(start.eps_bdry * eps), depth + 1)
+    end, (v, it2, res) = _leg(mid, params, vm, sigma, eps, depth + 1)
+    return end, (v, it1 + it2, res)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +381,7 @@ class _RadialScheme:
     u(R) = eps_bdry is imposed exactly at the last node.  The center
     uses the symmetry conditions u'(0) = 0, u''(0) = 2(u_1 - u_0)/h^2.
     cap is the exact cap at (sigma, eps_bdry) on the unknowns.  An
-    iterate's guard, residual and Jacobian share one stencil pass, which
-    the scheme keeps (keyed on a copy of v and its dtype) until the leg
-    ends.
+    iterate's cone test, residual and Jacobian step read one evaluate(v).
     """
 
     def __init__(self, domain: DomainSpec, nodes: int, sigma: float,
@@ -360,7 +395,6 @@ class _RadialScheme:
         self.eps_bdry = float(eps_bdry)
         self.cap = exact_cap(self.n, sigma, domain.radius,
                              eps_bdry).height(self.r[:-1])
-        self._memo = None  # (v, stencil, table) of the iterate last evaluated
 
     def at(self, sigma: float, eps: float) -> "_RadialScheme":
         return _RadialScheme(self.domain, self.m, sigma, eps)
@@ -395,27 +429,22 @@ class _RadialScheme:
     def _rows(self, krad: np.ndarray, kang: np.ndarray) -> np.ndarray:
         return np.column_stack([krad] + [kang] * (self.n - 1))
 
-    def _evaluate(self, v: np.ndarray):
+    def evaluate(self, v: np.ndarray):
         """(stencil, table): _stencil of v's full height and
         elem_sym_table(rows, n - 1) of the spectra rows at the m-1
-        equation nodes, from the memo when v is the iterate last
-        evaluated (_memo_hit)."""
-        if not _memo_hit(self._memo, v):
-            stencil = self._stencil(self.full_height(v))
-            rows = self._rows(*stencil[3:])[:-1]
-            self._memo = (v.copy(), stencil, elem_sym_table(rows, self.n - 1))
-        return self._memo[1:]
+        equation nodes."""
+        stencil = self._stencil(self.full_height(v))
+        rows = self._rows(*stencil[3:])[:-1]
+        return stencil, elem_sym_table(rows, self.n - 1)
 
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        return self._evaluate(v)[1][:, -1] - self.sigma
+    def residual(self, ev) -> np.ndarray:
+        return ev[1][:, -1] - self.sigma
 
-    def guard(self, v: np.ndarray) -> bool:
-        if not (v > 0.0).all():
-            return False
+    def in_cone(self, ev) -> bool:
         # rows in Gamma_{n-1}: sigma_1 .. sigma_{n-1} all positive
-        return bool((self._evaluate(v)[1][:, 1:] > 0.0).all())
+        return bool((ev[1][:, 1:] > 0.0).all())
 
-    def jacobian_step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
+    def jacobian_step(self, v: np.ndarray, ev, F: np.ndarray) -> np.ndarray:
         """Newton step from the exact tridiagonal Jacobian.
 
         The rotational curvature formulas are explicit in the stencil
@@ -429,7 +458,7 @@ class _RadialScheme:
         m1 = v.size
         n, h = self.n, self.h
         u = self.full_height(v)
-        du, d2u, w, krad, kang = self._evaluate(v)[0]
+        du, d2u, w, krad, kang = ev[0]
         band = np.zeros((3, m1))  # rows: super, main, sub
 
         # center equation: all curvatures equal u0*u''(0) + 1
@@ -469,16 +498,8 @@ class _RadialScheme:
         return scipy.linalg.solve_banded((1, 1), band, -F)
 
     def newton(self, v: np.ndarray, params: NewtonParams):
-        try:
-            return damped_newton(
-                v,
-                residual_fn=self.residual,
-                guard_fn=self.guard,
-                jacobian_solver=self.jacobian_step,
-                params=params,
-            )
-        finally:
-            self._memo = None  # the returned fields hold this scheme
+        leg = _Leg(self)
+        return damped_newton(v, leg.residual, leg.guard, leg.step, params)
 
     def build_field(self, v: np.ndarray, iterations: int,
                     resid: float) -> SolutionField:
@@ -541,11 +562,7 @@ def pde_residual(field: SolutionField) -> np.ndarray:
     """sigma_{n-1}(spectrum) - sigma at every non-boundary node."""
     if not (field.u > 0.0).all():
         raise InvalidHeightError("solution field has non-positive heights")
-    scheme = _field_scheme(field)
-    try:
-        return scheme.residual(field.u[field.interior])
-    finally:
-        scheme._memo = None
+    return _Leg(_field_scheme(field)).residual(field.u[field.interior])
 
 
 def newton_step(field: SolutionField):
@@ -557,16 +574,13 @@ def newton_step(field: SolutionField):
     if not field.cone_ok:
         raise ConeViolationError("newton_step requires a cone_ok field",
                                  state=field.u)
-    scheme = _field_scheme(field)
+    leg = _Leg(_field_scheme(field))
     v = field.u[field.interior]
-    try:
-        F = scheme.residual(v)
-        before = float(np.abs(F).max())
-        trial, _, after = _line_search(
-            v, scheme.jacobian_step(v, F), scheme.guard, scheme.residual,
-            lambda nt, t: nt <= before * (1.0 + 1.0e-12) + 1.0e-15,
-            "single Newton step could not avoid a residual increase")
-    finally:
-        scheme._memo = None
-    return scheme.build_field(trial, field.convergence.iterations + 1,
-                              after), (before, after)
+    F = leg.residual(v)
+    before = float(np.abs(F).max())
+    trial, _, after = _line_search(
+        v, leg.step(v, F), leg.guard, leg.residual,
+        lambda nt, t: nt <= before * (1.0 + 1.0e-12) + 1.0e-15,
+        "single Newton step could not avoid a residual increase")
+    return leg.scheme.build_field(trial, field.convergence.iterations + 1,
+                                  after), (before, after)

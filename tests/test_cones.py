@@ -264,6 +264,19 @@ def test_form_input_validation():
         cones.ren_wang_min_k([1.0, -1.0, -1.0], 0.1)
 
 
+@pytest.mark.parametrize("eps_rw", [0.0, -1.0])
+def test_every_ren_wang_entry_point_rejects_nonpositive_eps(eps_rw):
+    rows = cones.sample_cone(3, 2, 4, seed=0, level=1.0)
+    with pytest.raises(ValueError, match="eps_rw"):
+        cones.ren_wang_min_k_batch(rows, eps_rw)
+    with pytest.raises(ValueError, match="eps_rw"):
+        cones.ren_wang_matrices(rows, eps_rw, 1.0)
+    with pytest.raises(ValueError, match="eps_rw"):
+        cones.ren_wang_min_k(rows[0], eps_rw)
+    with pytest.raises(ValueError, match="eps_rw"):
+        cones.ren_wang_form(rows[0], eps_rw, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # top-eigenvalue jet
 # ---------------------------------------------------------------------------

@@ -145,6 +145,22 @@ def _small_scheme(domain, mesh, sigma, eps=0.1):
     return scheme, scheme.cap
 
 
+def _residual(scheme, v):
+    return scheme.residual(scheme.evaluate(v))
+
+
+def _jacobian(scheme, v):
+    return scheme.jacobian(scheme.evaluate(v))
+
+
+def _step(scheme, v, F):
+    return scheme.jacobian_step(v, scheme.evaluate(v), F)
+
+
+def _guard(scheme, v):
+    return solver._Leg(scheme).guard(v)
+
+
 # small meshes: ring 1 steps through the center, latitudes 0 and M-1
 # step over the poles
 JAC_CASES = [(STAR, solver.PolarGridMesh(6, 8), 1.2),
@@ -155,13 +171,13 @@ JAC_CASES = [(STAR, solver.PolarGridMesh(6, 8), 1.2),
 def test_jacobian_matches_central_differences(domain, mesh, sigma):
     # an independent check of the closed-form slots and their assembly
     scheme, v = _small_scheme(domain, mesh, sigma)
-    J = scheme.jacobian(v).toarray()
+    J = _jacobian(scheme, v).toarray()
     fd = np.empty_like(J)
     for c in range(v.size):
         d = np.zeros(v.size)
         d[c] = 1e-6 * (1.0 + abs(v[c]))
-        fd[:, c] = (scheme.residual(v + d)
-                    - scheme.residual(v - d)) / (2.0 * d[c])
+        fd[:, c] = (_residual(scheme, v + d)
+                    - _residual(scheme, v - d)) / (2.0 * d[c])
     assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
 
 
@@ -171,10 +187,10 @@ def test_jacobian_is_the_complex_step_derivative(domain, mesh, sigma):
     # derivative, to rounding: a wrong weight, position or wrap, or a
     # real cast between v and the jet, fails this
     scheme, v = _small_scheme(domain, mesh, sigma)
-    J = scheme.jacobian(v)
+    J = _jacobian(scheme, v)
     for seed in range(3):
         d = np.random.default_rng(seed).standard_normal(v.size)
-        cs = scheme.residual(v + 1e-20j * d).imag * 1e20
+        cs = _residual(scheme, v + 1e-20j * d).imag * 1e20
         assert np.abs(J @ d - cs).max() <= 1e-12 * np.abs(cs).max()
 
 
@@ -232,7 +248,7 @@ def shape_passes(monkeypatch):
 @pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
 def test_jacobian_takes_one_real_shape_pass(domain, mesh, sigma, shape_passes):
     scheme, v = _small_scheme(domain, mesh, sigma)
-    scheme.jacobian(v)
+    _jacobian(scheme, v)
     assert shape_passes == [False]
 
 
@@ -244,66 +260,48 @@ def test_no_complex_array_reaches_shape_in_a_solve(shape_passes):
 
 
 # ---------------------------------------------------------------------------
-# one shape pass per iterate: the scheme's memo
+# one shape pass per iterate, held by the Newton leg
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
 def test_guard_residual_and_jacobian_share_one_shape_pass(domain, mesh, sigma,
                                                          shape_passes):
+    # the step builds the Jacobian from the pass the guard made
     scheme, v = _small_scheme(domain, mesh, sigma)
-    assert scheme.guard(v)
-    F = scheme.residual(v)
-    J = scheme.jacobian(v)
+    leg = solver._Leg(scheme)
+    assert leg.guard(v)
+    F = leg.residual(v)
+    s = leg.step(v, F)
     assert shape_passes == [False]
     # the same numbers as schemes that evaluate v afresh for each call
-    assert np.array_equal(F, _small_scheme(domain, mesh, sigma)[0].residual(v))
-    fresh = _small_scheme(domain, mesh, sigma)[0].jacobian(v)
-    assert np.array_equal(J.toarray(), fresh.toarray())
+    assert np.array_equal(F, _residual(_small_scheme(domain, mesh, sigma)[0],
+                                       v))
+    assert np.array_equal(s, _step(_small_scheme(domain, mesh, sigma)[0], v, F))
 
 
-def test_memo_sees_an_in_place_change():
-    scheme, cap = _small_scheme(*JAC_CASES[1])
-    v = cap.copy()
-    before = scheme.residual(v)
-    v[::3] *= 1.01
-    after = scheme.residual(v)
-    assert not np.array_equal(after, before)
-    assert np.array_equal(after, _small_scheme(*JAC_CASES[1])[0].residual(v))
+def test_leg_matches_the_iterate_by_value(shape_passes):
+    # a line-search trial at the rounding floor equals its iterate bit
+    # for bit without being the same array
+    scheme, v = _small_scheme(*JAC_CASES[1])
+    leg = solver._Leg(scheme)
+    F = leg.residual(v)
+    assert np.array_equal(leg.residual(v.copy()), F)
+    assert len(shape_passes) == 1
+    assert not np.array_equal(leg.residual(v * 1.01), F)
+    assert len(shape_passes) == 2
 
 
 @pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES)
 def test_complex_step_after_a_real_residual(domain, mesh, sigma):
-    # a complex probe of the memoized iterate must not get its real result
     scheme, v = _small_scheme(domain, mesh, sigma)
-    J = scheme.jacobian(v)
-    F = scheme.residual(v)
+    J = _jacobian(scheme, v)
+    F = _residual(scheme, v)
     d = np.random.default_rng(0).standard_normal(v.size)
-    probe = scheme.residual(v + 1e-20j * d)
+    probe = _residual(scheme, v + 1e-20j * d)
     assert np.iscomplexobj(probe)
     cs = probe.imag * 1e20
     assert np.abs(J @ d - cs).max() <= 1e-12 * np.abs(cs).max()
-    assert np.array_equal(scheme.residual(v), F)
-    # equal values of another dtype are another iterate too
-    assert np.iscomplexobj(scheme.residual(v.astype(complex)))
-
-
-def test_newton_drops_the_memo(monkeypatch):
-    cfg = solver.SolveConfig(n=3, sigma_target=1.0, eps_schedule=(1e-1, 1e-2),
-                             mesh=solver.SphericalGridMesh(5, 4, 8))
-    fields = gridsolver.solve_graph_path(cfg, ELL)
-    assert all(f.meta["scheme"]._memo is None for f in fields)
-    scheme, v = _small_scheme(*JAC_CASES[1])
-    scheme.jacobian_step(v, scheme.residual(v))
-    assert scheme._memo is None  # the step's Jacobian was v's last reader
-
-    def failing_step(v, F):
-        assert scheme._memo is not None
-        raise NewtonDivergenceError("stub", state=v)
-
-    monkeypatch.setattr(scheme, "jacobian_step", failing_step)
-    with pytest.raises(NewtonDivergenceError, match="stub"):
-        scheme.newton(v, solver.NewtonParams())
-    assert scheme._memo is None
+    assert np.array_equal(_residual(scheme, v), F)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +331,14 @@ def ell_iterate():
     x = geo.xyz[:geo.n_int]
     v = scheme.cap \
         * (1.0 + 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]))
-    assert scheme.guard(v)
-    return scheme, v, scheme.residual(v)
+    assert _guard(scheme, v)
+    return scheme, v, _residual(scheme, v)
 
 
 def _meets_forcing_term(scheme, v, F, s):
     # GMRES stops on this same 2-norm of J s + F; the margin covers a
     # different summation order in the recomputed product
-    J = scheme.jacobian(v)
+    J = _jacobian(scheme, v)
     return (np.linalg.norm(J @ s + F)
             <= gridsolver.GMRES_RTOL * np.linalg.norm(F) * (1.0 + 1e-9))
 
@@ -348,7 +346,7 @@ def _meets_forcing_term(scheme, v, F, s):
 def _diagonal_ilu(scheme, v):
     """ILU of diag(J): too weak for GMRES to reach GMRES_RTOL in its
     cycles on the default mesh."""
-    return _SPILU(scipy.sparse.diags(scheme.jacobian(v).diagonal()).tocsc())
+    return _SPILU(scipy.sparse.diags(_jacobian(scheme, v).diagonal()).tocsc())
 
 
 @pytest.mark.parametrize("case", ["ball16", "ell_iterate"])
@@ -357,11 +355,11 @@ def test_step_meets_the_forcing_term(case, request, monkeypatch):
         field = request.getfixturevalue("ball16")
         scheme = field.meta["scheme"]
         v = field.u[field.interior]
-        F = scheme.residual(v)
+        F = _residual(scheme, v)
     else:
         scheme, v, F = request.getfixturevalue("ell_iterate")
     monkeypatch.setattr(scheme.geo, "ilu", None)  # restored on teardown
-    assert _meets_forcing_term(scheme, v, F, scheme.jacobian_step(v, F))
+    assert _meets_forcing_term(scheme, v, F, _step(scheme, v, F))
 
 
 class _CountedILU:
@@ -377,7 +375,7 @@ class _CountedILU:
 
 def test_gmres_zero_residual_is_the_zero_step(ell_iterate):
     scheme, v, F = ell_iterate
-    J = scheme.jacobian(v)
+    J = _jacobian(scheme, v)
     ilu = _CountedILU(_SPILU(J, drop_tol=gridsolver.ILU_DROP_TOL))
     s = gridsolver._gmres(J, np.zeros_like(F), ilu)
     assert np.array_equal(s, np.zeros_like(F))
@@ -393,7 +391,7 @@ def test_gmres_exact_preconditioner_breaks_down_luckily(case, ell_iterate):
         J = scipy.sparse.identity(16, format="csc") * 2.0
     else:
         scheme, v, F = ell_iterate
-        J = scipy.sparse.diags(scheme.jacobian(v).diagonal()).tocsc()
+        J = scipy.sparse.diags(_jacobian(scheme, v).diagonal()).tocsc()
     s = gridsolver._gmres(J, F, _SPILU(J))
     assert s is not None and np.isfinite(s).all()
     assert (np.linalg.norm(J @ s + F)
@@ -404,7 +402,7 @@ def test_gmres_restarts_still_meet_the_forcing_term(ell_iterate, monkeypatch):
     scheme, v, F = ell_iterate
     monkeypatch.setattr(gridsolver, "GMRES_RESTART", 6)
     monkeypatch.setattr(gridsolver, "GMRES_MAXITER", 40)
-    J = scheme.jacobian(v)
+    J = _jacobian(scheme, v)
     ilu = _CountedILU(_SPILU(J, drop_tol=gridsolver.ILU_DROP_TOL))
     s = gridsolver._gmres(J, F, ilu)
     # each cycle makes at most GMRES_RESTART + 1 solves
@@ -429,7 +427,7 @@ def test_path_builds_one_ilu_and_frees_it(spilu_calls):
 def test_stale_ilu_is_rebuilt(ell_iterate, spilu_calls):
     scheme, v, F = ell_iterate
     weak = scheme.geo.ilu = _diagonal_ilu(scheme, v)
-    s = scheme.jacobian_step(v, F)
+    s = _step(scheme, v, F)
     assert len(spilu_calls) == 1
     assert scheme.geo.ilu is not weak
     assert _meets_forcing_term(scheme, v, F, s)
@@ -440,7 +438,7 @@ def test_step_fails_typed_when_a_fresh_ilu_misses(ell_iterate, monkeypatch):
     weak = _diagonal_ilu(scheme, v)
     monkeypatch.setattr(scipy.sparse.linalg, "spilu", lambda *a, **k: weak)
     with pytest.raises(NewtonDivergenceError) as err:
-        scheme.jacobian_step(v, F)
+        _step(scheme, v, F)
     assert err.value.state is v
 
 
@@ -550,7 +548,7 @@ def test_grid_residual_at_solution(ball16):
     assert res.shape == (ball16.interior.sum(),)
     assert np.abs(res).max() <= 1e-9
     scheme = ball16.meta["scheme"]
-    assert np.array_equal(res, scheme.residual(ball16.u[:scheme.geo.n_int]))
+    assert np.array_equal(res, _residual(scheme, ball16.u[:scheme.geo.n_int]))
 
 
 def test_newton_step_grid_non_regression(ball16):
@@ -571,7 +569,7 @@ def test_cap_start_passes_guard_off_ball():
         scheme = gridsolver._GridScheme(geo, sigma, 0.1)
         v0 = scheme.cap
         assert v0.shape == (geo.n_int,)
-        assert scheme.guard(v0)
+        assert _guard(scheme, v0)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,24 @@ def test_invalid_sigma_exits_2(tmp_path, monkeypatch, capsys):
     assert "sigma" in rec["message"]
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["renwang", "--n", "3", "--samples", "100", "--eps-rw", "0"], "eps_rw"),
+    (["renwang", "--n", "3", "--samples", "100", "--eps-rw", "-1"], "eps_rw"),
+    (["solve-radial", "--n", "3", "--sigma", "1.5", "--nodes", "51",
+      "--residual-tol", "-1"], "residual_tol"),
+    (["solve-radial", "--n", "3", "--sigma", "1.5", "--nodes", "51",
+      "--max-iters", "0"], "max_iters"),
+], ids=["eps-rw-0", "eps-rw-neg", "residual-tol-neg", "max-iters-0"])
+def test_nonpositive_numeric_settings_exit_2(tmp_path, monkeypatch, capsys,
+                                             argv, key):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert key in rec["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_solve_radial_rejects_a_non_ball_config_domain(tmp_path, monkeypatch,
                                                       capsys):
     monkeypatch.chdir(tmp_path)

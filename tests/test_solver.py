@@ -150,7 +150,7 @@ def test_pde_residual_rejects_nonpositive_heights(field201):
 
 
 # ---------------------------------------------------------------------------
-# one stencil pass per iterate: the scheme's memo
+# the radial step: one stencil pass per iterate, an exact Jacobian
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -167,51 +167,44 @@ def stencil_passes(monkeypatch):
     return passes
 
 
-def _radial_iterate():
-    scheme = solver._RadialScheme(BALL3, 21, 1.5, 0.1)
+def _radial_iterate(n=3, nodes=21):
+    scheme = solver._RadialScheme(domains.make_ball(n, 1.0), nodes, 0.5 * n,
+                                  0.1)
     return scheme, scheme.cap * (1.0 + 0.01 * np.cos(scheme.r[:-1]))
+
+
+def _radial_residual(scheme, v):
+    return scheme.residual(scheme.evaluate(v))
+
+
+def _radial_step(scheme, v, F):
+    return scheme.jacobian_step(v, scheme.evaluate(v), F)
 
 
 def test_guard_residual_and_step_share_one_stencil_pass(stencil_passes):
     scheme, v = _radial_iterate()
-    assert scheme.guard(v)
-    F = scheme.residual(v)
-    s = scheme.jacobian_step(v, F)
+    leg = solver._Leg(scheme)
+    assert leg.guard(v)
+    F = leg.residual(v)
+    s = leg.step(v, F)
     assert stencil_passes == [21]
     # the same numbers as schemes that evaluate v afresh for each call
-    assert np.array_equal(F, _radial_iterate()[0].residual(v))
-    assert np.array_equal(s, _radial_iterate()[0].jacobian_step(v, F))
+    assert np.array_equal(F, _radial_residual(_radial_iterate()[0], v))
+    assert np.array_equal(s, _radial_step(_radial_iterate()[0], v, F))
 
 
-def test_radial_memo_sees_an_in_place_change():
-    scheme, v = _radial_iterate()
-    before = scheme.residual(v)
-    v[::3] *= 1.01
-    after = scheme.residual(v)
-    assert not np.array_equal(after, before)
-    assert np.array_equal(after, _radial_iterate()[0].residual(v))
-
-
-def test_radial_newton_and_field_operations_drop_the_memo(monkeypatch,
-                                                          field201):
-    fields = solver.solve_radial_path(
-        solver.SolveConfig(n=3, sigma_target=1.5, eps_schedule=(1e-1, 1e-2),
-                           mesh=solver.RadialMesh(51)), BALL3)
-    assert all(f.meta["scheme"]._memo is None for f in fields)
-    solver.pde_residual(field201)
-    assert field201.meta["scheme"]._memo is None
-    stepped, _ = solver.newton_step(field201)
-    assert stepped.meta["scheme"]._memo is None
-    scheme, v = _radial_iterate()
-
-    def failing_step(v, F):
-        assert scheme._memo is not None
-        raise NewtonDivergenceError("stub", state=v)
-
-    monkeypatch.setattr(scheme, "jacobian_step", failing_step)
-    with pytest.raises(NewtonDivergenceError, match="stub"):
-        scheme.newton(v, solver.NewtonParams())
-    assert scheme._memo is None
+@pytest.mark.parametrize("nodes", [21, 401])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_radial_step_solves_the_linearization(n, nodes):
+    # the closed-form tridiagonal Jacobian against a central difference
+    # of the residual along its own Newton step: J s = -F
+    scheme, v = _radial_iterate(n, nodes)
+    F = _radial_residual(scheme, v)
+    s = _radial_step(scheme, v, F)
+    h = 1e-4
+    fd = (_radial_residual(scheme, v + h * s)
+          - _radial_residual(scheme, v - h * s)) / (2.0 * h)
+    assert np.abs(fd + F).max() <= 1e-5 * np.abs(F).max()
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +283,8 @@ def _stub_legs(monkeypatch, module, fail, error=NewtonDivergenceError,
     visited = []
 
     def fake_newton(v0, residual_fn, guard_fn, jacobian_solver, params):
-        visited.append((residual_fn.__self__.sigma,
-                        guard_fn.__self__.eps_bdry))
+        visited.append((residual_fn.__self__.scheme.sigma,
+                        guard_fn.__self__.scheme.eps_bdry))
         if starts is not None:
             starts.append(v0)
         if fail(len(visited)):
@@ -350,7 +343,7 @@ def test_radial_walk_fires_when_first_leg_fails(monkeypatch):
 
     def fails_first_and_walk(v0, residual_fn, guard_fn, jacobian_solver,
                              params):
-        visited.append(residual_fn.__self__.sigma)
+        visited.append(residual_fn.__self__.scheme.sigma)
         if len(visited) in (1, 3):
             raise ConeViolationError("stub", state=v0)
         return real(v0, residual_fn, guard_fn, jacobian_solver, params)
@@ -409,7 +402,7 @@ def test_radial_explicit_sigma_path_lands_on_direct_solution(monkeypatch):
     visited = []
 
     def fails_first(v0, residual_fn, guard_fn, jacobian_solver, params):
-        visited.append(residual_fn.__self__.sigma)
+        visited.append(residual_fn.__self__.scheme.sigma)
         if len(visited) == 1:
             raise ConeViolationError("stub", state=v0)
         return real(v0, residual_fn, guard_fn, jacobian_solver, params)
@@ -445,8 +438,8 @@ def test_only_reported_legs_are_solved_to_residual_tol(monkeypatch, kind,
     real = module.damped_newton
 
     def recorded(v0, residual_fn, guard_fn, jacobian_solver, params):
-        legs.append((residual_fn.__self__.sigma, guard_fn.__self__.eps_bdry,
-                     params.residual_tol))
+        scheme = residual_fn.__self__.scheme
+        legs.append((scheme.sigma, scheme.eps_bdry, params.residual_tol))
         return real(v0, residual_fn, guard_fn, jacobian_solver, params)
 
     monkeypatch.setattr(module, "damped_newton", recorded)
@@ -472,6 +465,18 @@ def _count_newton(monkeypatch, module):
 
     monkeypatch.setattr(module, "damped_newton", counted)
     return calls
+
+
+@pytest.mark.parametrize("make", [_radial_scheme, _grid_scheme],
+                         ids=["radial", "grid"])
+def test_a_leg_leaves_no_state_on_its_scheme(make):
+    # the returned fields hold their scheme; the leg's evaluation is not
+    # part of it
+    _, scheme = make()
+    before = dict(vars(scheme))
+    scheme.newton(scheme.cap, solver.NewtonParams())
+    assert vars(scheme).keys() == before.keys()
+    assert all(vars(scheme)[k] is before[k] for k in before)
 
 
 def test_newton_legs_run_through_their_own_module(monkeypatch):
@@ -504,6 +509,10 @@ def test_solve_config_validation():
         solver.SolveConfig(n=3, sigma_target=1.0, eps_schedule=(1e-2, 1e-1))
     with pytest.raises(ValueError):
         solver.SolveConfig(n=3, sigma_target=1.0, eps_schedule=(1e-2, -1e-3))
+    for bad in ({"max_iters": 0}, {"residual_tol": 0.0},
+                {"residual_tol": -1.0}):
+        with pytest.raises(ValueError):
+            solver.NewtonParams(**bad)
 
 
 def test_mesh_validation():
