@@ -22,8 +22,7 @@ from .geometry import (CapSolution, GraphJet, exact_cap,
 from .gridsolver import solve_graph, solve_graph_path
 from .solver import (DEFAULT_EPS_SCHEDULE, NewtonParams, PolarGridMesh,
                      RadialMesh, SolveConfig, SolutionField,
-                     SphericalGridMesh, newton_step, pde_residual,
-                     solve_radial, solve_radial_path)
+                     SphericalGridMesh, solve_radial, solve_radial_path)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "graph_jet", "jet_from_field", "nu_identity_residuals",
     "solve_graph", "solve_graph_path",
     "DEFAULT_EPS_SCHEDULE", "NewtonParams", "PolarGridMesh", "RadialMesh",
-    "SolveConfig", "SolutionField", "SphericalGridMesh", "newton_step",
-    "pde_residual", "solve_radial", "solve_radial_path",
+    "SolveConfig", "SolutionField", "SphericalGridMesh", "solve_radial",
+    "solve_radial_path",
     "__version__",
 ]

@@ -27,7 +27,10 @@ SphericalGridMesh or PolarGridMesh).  File keys, by subcommand:
 A subcommand takes --out-csv and --out-json only for the files it
 writes.  Any other top-level file key, or an out key for a file it does
 not write, exits 2 before any work; nested keys are not checked (a sweep
-file may carry radial and grid mesh keys).
+file may carry radial and grid mesh keys).  --eps with --eps-schedule
+exits 2, as does a mesh flag that the run's mesh class has no field for
+(--nodes on a grid domain, --lat on n = 2, ...), except in sweep, whose
+domains may need either kind.
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver
 non-convergence, 4 cone-guard failure, 5 a verification subcommand
@@ -45,7 +48,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import cones, io
-from .domains import domain_from_config, make_ball
+from .domains import domain_from_config
 from .errors import (ConeViolationError, HPlateauError,
                      NewtonDivergenceError)
 from .geometry import exact_cap
@@ -145,6 +148,8 @@ def _resolve_out(args, cfg, stem: str):
 
 def _eps_schedule(args, cfg, default=DEFAULT_EPS_SCHEDULE):
     if getattr(args, "eps", None) is not None:
+        if getattr(args, "eps_schedule", None) is not None:
+            raise ValueError("give --eps or --eps-schedule, not both")
         return (float(args.eps),)
     if getattr(args, "eps_schedule", None) is not None:
         return tuple(args.eps_schedule)
@@ -154,29 +159,21 @@ def _eps_schedule(args, cfg, default=DEFAULT_EPS_SCHEDULE):
     return default
 
 
-def _domain_from_args(args, cfg, n: int):
-    kind = _pick(getattr(args, "domain", None), cfg, ("domain", "kind"),
-                 "ball")
-    if kind == "ball":
-        radius = float(_pick(getattr(args, "radius", None), cfg,
-                             ("domain", "params", "radius"), 1.0))
-        return make_ball(n, radius)
-    if kind == "ellipsoid":
-        axes = _pick(getattr(args, "semi_axes", None), cfg,
-                     ("domain", "params", "semi_axes"))
-        if axes is None:
-            raise ValueError("ellipsoid domains need --semi-axes")
-        return domain_from_config({"kind": "ellipsoid",
-                                   "params": {"semi_axes": list(axes)}})
-    if kind in ("star", "star_shaped", "star2d"):
-        samples = _pick(getattr(args, "star_samples", None), cfg,
-                        ("domain", "params", "samples"))
-        if samples is None:
-            raise ValueError("star domains need --star-samples")
-        return domain_from_config({"kind": "star",
-                                   "params": {"n": n,
-                                              "samples": list(samples)}})
-    raise ValueError(f"unknown domain kind {kind!r}")
+def _domain_from_args(args, cfg, n: int, kind=None):
+    """domain_from_config of the file's domain, with kind (else --domain)
+    and the domain flags merged over its params, at dimension n."""
+    domain = cfg.get("domain", {})
+    params = domain.get("params", {}) if isinstance(domain, dict) else None
+    if not isinstance(params, dict):
+        raise ValueError("config domain and its params must be JSON objects")
+    flags = {"radius": getattr(args, "radius", None),
+             "semi_axes": getattr(args, "semi_axes", None),
+             "samples": getattr(args, "star_samples", None)}
+    return domain_from_config({
+        "kind": kind or getattr(args, "domain", None)
+        or domain.get("kind", "ball"),
+        "params": {**params, **{k: v for k, v in flags.items()
+                                if v is not None}, "n": n}})
 
 
 def _solve_config(args, cfg, n: int, sigma, radial: bool) -> SolveConfig:
@@ -184,6 +181,13 @@ def _solve_config(args, cfg, n: int, sigma, radial: bool) -> SolveConfig:
         mesh_cls = RadialMesh
     else:
         mesh_cls = SphericalGridMesh if n == 3 else PolarGridMesh
+    # sweep takes the mesh flags of both kinds, one per domain
+    read = {f.name for f in dataclasses.fields(mesh_cls)}
+    unread = [flag for flag in ("--nodes",) + _GRID if flag[2:] not in read
+              and getattr(args, flag[2:], None) is not None]
+    if unread and args.subcommand != "sweep":
+        raise ValueError(f"{args.subcommand} never reads {', '.join(unread)} "
+                         f"with a {mesh_cls.__name__}")
     return SolveConfig(
         n=n, sigma_target=float(sigma),
         eps_schedule=_eps_schedule(args, cfg),
@@ -219,8 +223,7 @@ def _run_solve(args, cfg, n: int) -> int:
 
 def _run_oracle_cap(args, cfg, n: int) -> int:
     sigma = _sigma(args, cfg)
-    radius = float(_pick(args.radius, cfg, ("domain", "params", "radius"),
-                         1.0))
+    radius = _domain_from_args(args, cfg, n, "ball").radius
     schedule = _eps_schedule(args, cfg, default=(1.0e-2,))
     if not schedule:
         raise ValueError("eps_schedule must be nonempty")
@@ -326,10 +329,7 @@ def _domain_label(domain) -> str:
 def _sweep_domains(args, cfg, n: int):
     if args.domains:
         kinds = [k.strip() for k in args.domains.split(",") if k.strip()]
-        return [_domain_from_args(
-                    argparse.Namespace(**{**vars(args), "domain": kind}),
-                    cfg, n)
-                for kind in kinds]
+        return [_domain_from_args(args, cfg, n, kind) for kind in kinds]
     entries = _pick(None, cfg, ("domains",)) or []
     if not isinstance(entries, list):
         raise ValueError(f"sweep config domains must be a list, got {entries!r}")
@@ -500,14 +500,8 @@ def main(argv=None) -> int:
     except ConeViolationError as exc:
         _emit_error(exc)
         return EXIT_CONE
-    except ValueError as exc:
-        _emit_error(exc)
-        return EXIT_CONFIG
-    except HPlateauError as exc:
-        # audit preconditions, frame ambiguity: caller misconfiguration
-        _emit_error(exc)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ValueError, HPlateauError, OSError) as exc:
+        # HPlateauError here: audit preconditions, frame ambiguity
         _emit_error(exc)
         return EXIT_CONFIG
 

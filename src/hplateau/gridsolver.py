@@ -55,9 +55,9 @@ current Jacobian and GMRES runs once more; when a fresh ILU misses as
 well, the step raises NewtonDivergenceError with the iterate it started
 from, and the continuation driver splits the leg.  The forcing term
 stays loose because a tight one is not reachable: the relative residual
-of J s + F bottoms out at a few 1e-12 in float64.  solve_graph_path
-drops the ILU when it returns, so the returned fields do not keep it
-alive.
+of J s + F bottoms out at a few 1e-12 in float64.  The returned fields
+hold no scheme, so the geometry and its ILU live exactly as long as
+their path.
 
 _GridScheme packages all of this, for one (sigma, eps_bdry), in the
 scheme interface of solver._solve_path, the continuation driver the
@@ -597,8 +597,7 @@ class _GridScheme:
             convergence=ConvergenceInfo(iterations=iterations, residual=resid,
                                         eps_bdry=self.eps_bdry, sigma=sigma),
             cone_ok=cone_ok,
-            meta={"kind": "grid", "scheme": self,
-                  "near_boundary": geo.jj >= geo.J - 1},
+            meta={"kind": "grid", "near_boundary": geo.jj >= geo.J - 1},
         )
 
 
@@ -617,13 +616,9 @@ def solve_graph_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionFi
     mesh = config.mesh
     if mesh is None:
         mesh = SphericalGridMesh() if config.n == 3 else PolarGridMesh()
-    geo = _GridGeometry(domain, mesh)
-    try:
-        return _solve_path(_GridScheme(geo, config.sigma_target,
-                                       config.eps_schedule[0]), config)
-    finally:
-        # the returned fields keep geo alive through meta["scheme"]
-        geo.ilu = None
+    return _solve_path(_GridScheme(_GridGeometry(domain, mesh),
+                                   config.sigma_target, config.eps_schedule[0]),
+                       config)
 
 
 def solve_graph(config: SolveConfig, domain: DomainSpec) -> SolutionField:

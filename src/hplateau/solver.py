@@ -12,8 +12,9 @@ This module owns the config/result types, the Newton engine, the one
 continuation driver (sigma walk, leg splitting and eps descent) with
 the scheme interface it drives, and the rotationally reduced scheme on
 ball domains.  The mapped-grid scheme lives in gridsolver.py; both
-solvers are "build a scheme, run the driver", and the field-level
-operations reach the scheme through SolutionField.meta["scheme"].
+solvers are "build a scheme, run the driver".  A returned SolutionField
+is data: it holds no scheme, so a path's schemes and everything they
+share are freed when the path returns.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import scipy.linalg
 
 from .cones import cone_mask_batch, elem_sym_table, elementary_symmetric_batch
 from .domains import DomainSpec
-from .errors import ConeViolationError, InvalidHeightError, NewtonDivergenceError
+from .errors import ConeViolationError, NewtonDivergenceError
 from .geometry import exact_cap
 
 __all__ = [
@@ -41,8 +42,6 @@ __all__ = [
     "damped_newton",
     "solve_radial",
     "solve_radial_path",
-    "pde_residual",
-    "newton_step",
 ]
 
 DEFAULT_EPS_SCHEDULE = (1.0e-1, 1.0e-2, 1.0e-3, 1.0e-4)
@@ -179,31 +178,6 @@ class SolutionField:
 # Shared Newton engine
 # ---------------------------------------------------------------------------
 
-def _line_search(v, s, guard_fn, residual_fn, accept, stall):
-    """Halve t from 1 until v + t s passes the guard and accept(norm, t)
-    holds.
-
-    Returns (trial, residual, norm).  When no t >= MIN_STEP is accepted,
-    raises ConeViolationError if the guard rejected every trial and
-    NewtonDivergenceError(stall) otherwise; both carry v itself.
-    """
-    guard_seen = False
-    t = 1.0
-    while t >= MIN_STEP:
-        trial = v + t * s
-        if guard_fn(trial):
-            guard_seen = True
-            Ft = residual_fn(trial)
-            nt = float(np.abs(Ft).max())
-            if accept(nt, t):
-                return trial, Ft, nt
-        t *= 0.5
-    if not guard_seen:
-        raise ConeViolationError("cone guard rejected every damped step",
-                                 state=v)
-    raise NewtonDivergenceError(stall, state=v)
-
-
 def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
                   params: NewtonParams):
     """Guarded, damped Newton iteration on the unknown vector v.
@@ -211,10 +185,13 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
     jacobian_solver(v, F) must return the Newton step s with J(v) s = -F,
     solved exactly or, for an inexact Newton step, to a relative residual
     well below 1; it may raise NewtonDivergenceError carrying v.
-    Returns (v, iterations, final_residual_norm).  A step whose entire
-    backtracking sweep fails the cone guard raises ConeViolationError;
-    any other failure to reduce the residual raises
-    NewtonDivergenceError.  Both carry the last accepted iterate.
+    Returns (v, iterations, final_residual_norm).  Each step halves t
+    from 1 until v + t s passes the guard and its residual meets the
+    Armijo condition or residual_tol.  A step whose entire backtracking
+    sweep down to MIN_STEP fails the cone guard raises
+    ConeViolationError; any other failure to reduce the residual raises
+    NewtonDivergenceError.  Both carry the last accepted iterate itself,
+    not a copy.
     """
     v = np.array(v0, dtype=float)
     if not guard_fn(v):
@@ -226,12 +203,26 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
         if nrm <= params.residual_tol:
             return v, it - 1, nrm
         s = jacobian_solver(v, F)
-        v, F, nrm = _line_search(
-            v, s, guard_fn, residual_fn,
-            lambda nt, t: (nt <= (1.0 - ARMIJO_SLOPE * t) * nrm
-                           or nt <= params.residual_tol),
-            f"no residual decrease above the minimum step (residual "
-            f"{nrm:.3e})")
+        guard_seen = False
+        t = 1.0
+        while t >= MIN_STEP:
+            trial = v + t * s
+            if guard_fn(trial):
+                guard_seen = True
+                F = residual_fn(trial)
+                nt = float(np.abs(F).max())
+                if nt <= (1.0 - ARMIJO_SLOPE * t) * nrm \
+                        or nt <= params.residual_tol:
+                    break
+            t *= 0.5
+        else:
+            if not guard_seen:
+                raise ConeViolationError(
+                    "cone guard rejected every damped step", state=v)
+            raise NewtonDivergenceError(
+                f"no residual decrease above the minimum step (residual "
+                f"{nrm:.3e})", state=v)
+        v, nrm = trial, nt
     if nrm <= params.residual_tol:
         return v, params.max_iters, nrm
     raise NewtonDivergenceError(
@@ -240,9 +231,8 @@ def damped_newton(v0, residual_fn, guard_fn, jacobian_solver,
 
 
 class _Leg:
-    """The callables that damped_newton and _line_search take, on one
-    scheme: residual, guard and step share one scheme.evaluate pass per
-    iterate.
+    """The callables that damped_newton takes, on one scheme: residual,
+    guard and step share one scheme.evaluate pass per iterate.
 
     The leg holds the last iterate and its evaluation and matches the
     next iterate by value: a line-search trial at the rounding floor can
@@ -298,8 +288,8 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
       of a _Leg, the one evaluation per iterate of that leg; it goes
       through the scheme's own module global so that the radial and
       grid legs stay separable from outside;
-    * build_field(v, iterations, residual): the SolutionField, holding
-      the scheme in meta["scheme"].
+    * build_field(v, iterations, residual): the SolutionField, which
+      keeps no reference to the scheme.
 
     The first leg starts on scheme.cap.  Extreme targets (very steep or
     very flat caps) can put that start or its Newton path outside the
@@ -522,7 +512,7 @@ class _RadialScheme:
             convergence=ConvergenceInfo(iterations=iterations, residual=resid,
                                         eps_bdry=self.eps_bdry, sigma=sigma),
             cone_ok=bool(cone_mask_batch(rows[:-1], n - 1).all()),
-            meta={"kind": "radial", "scheme": self, "du": du, "d2u": d2u,
+            meta={"kind": "radial", "du": du, "d2u": d2u,
                   "kappa_rad": krad, "kappa_ang": kang,
                   "near_boundary": near},
         )
@@ -546,41 +536,3 @@ def solve_radial_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionF
 def solve_radial(config: SolveConfig, domain: DomainSpec) -> SolutionField:
     return solve_radial_path(config, domain)[-1]
 
-
-# ---------------------------------------------------------------------------
-# Field-level operations, for radial and grid fields alike
-# ---------------------------------------------------------------------------
-
-def _field_scheme(field: SolutionField):
-    scheme = field.meta.get("scheme")
-    if scheme is None:
-        raise ValueError("field carries no solver scheme in meta['scheme']")
-    return scheme
-
-
-def pde_residual(field: SolutionField) -> np.ndarray:
-    """sigma_{n-1}(spectrum) - sigma at every non-boundary node."""
-    if not (field.u > 0.0).all():
-        raise InvalidHeightError("solution field has non-positive heights")
-    return _Leg(_field_scheme(field)).residual(field.u[field.interior])
-
-
-def newton_step(field: SolutionField):
-    """One guarded Newton update of a converged or in-progress field.
-
-    Returns (updated_field, (residual_before, residual_after)).  A single
-    step accepts any non-increase of the residual (within roundoff).
-    """
-    if not field.cone_ok:
-        raise ConeViolationError("newton_step requires a cone_ok field",
-                                 state=field.u)
-    leg = _Leg(_field_scheme(field))
-    v = field.u[field.interior]
-    F = leg.residual(v)
-    before = float(np.abs(F).max())
-    trial, _, after = _line_search(
-        v, leg.step(v, F), leg.guard, leg.residual,
-        lambda nt, t: nt <= before * (1.0 + 1.0e-12) + 1.0e-15,
-        "single Newton step could not avoid a residual increase")
-    return leg.scheme.build_field(trial, field.convergence.iterations + 1,
-                                  after), (before, after)

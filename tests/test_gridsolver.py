@@ -1,17 +1,17 @@
 """Mapped-grid solver on balls, ellipsoids and star domains."""
 
+import gc
 import json
 import math
+import weakref
 
-import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
 from hplateau import cli, domains, geometry, gridsolver, solver
-from hplateau.errors import (ConeViolationError, GridDegeneracyError,
-                             NewtonDivergenceError)
+from hplateau.errors import GridDegeneracyError, NewtonDivergenceError
 
 BALL3 = domains.make_ball(3, 1.0)
 ELL = domains.make_ellipsoid((1.3, 1.0, 1.0))
@@ -205,7 +205,7 @@ def eps4_jet(request):
     domain, mesh = request.param
     cfg = solver.SolveConfig(n=domain.n, sigma_target=1.0, mesh=mesh)
     field = gridsolver.solve_graph_path(cfg, domain)[-1]
-    geo = field.meta["scheme"].geo
+    geo = gridsolver._GridGeometry(domain, mesh)
     return geo, np.concatenate([geo.chart_jet(field.u),
                                 geo.boundary_jet(field.u)])
 
@@ -349,16 +349,22 @@ def _diagonal_ilu(scheme, v):
     return _SPILU(scipy.sparse.diags(_jacobian(scheme, v).diagonal()).tocsc())
 
 
+def _ball16_scheme():
+    """The scheme ball16 was solved with, on a geometry of its own."""
+    geo = gridsolver._GridGeometry(BALL3, solver.SphericalGridMesh(16, 10, 20))
+    return gridsolver._GridScheme(geo, 1.5, 1e-2)
+
+
 @pytest.mark.parametrize("case", ["ball16", "ell_iterate"])
-def test_step_meets_the_forcing_term(case, request, monkeypatch):
+def test_step_meets_the_forcing_term(case, request):
     if case == "ball16":
         field = request.getfixturevalue("ball16")
-        scheme = field.meta["scheme"]
+        scheme = _ball16_scheme()
         v = field.u[field.interior]
         F = _residual(scheme, v)
     else:
         scheme, v, F = request.getfixturevalue("ell_iterate")
-    monkeypatch.setattr(scheme.geo, "ilu", None)  # restored on teardown
+    assert scheme.geo.ilu is None
     assert _meets_forcing_term(scheme, v, F, _step(scheme, v, F))
 
 
@@ -410,18 +416,25 @@ def test_gmres_restarts_still_meet_the_forcing_term(ell_iterate, monkeypatch):
     assert _meets_forcing_term(scheme, v, F, s)
 
 
-def test_path_builds_one_ilu_and_frees_it(spilu_calls):
+def test_path_builds_one_ilu_and_frees_it(spilu_calls, monkeypatch):
+    # the returned fields are data: they hold no scheme, so the path's
+    # geometry, and the ILU on it, are freed with the path
+    geos = []
+    real = gridsolver._GridGeometry
+
+    def recorded(*args):
+        geo = real(*args)
+        geos.append(weakref.ref(geo))
+        return geo
+
+    monkeypatch.setattr(gridsolver, "_GridGeometry", recorded)
     cfg = solver.SolveConfig(n=3, sigma_target=1.0,
                              mesh=solver.SphericalGridMesh(10, 8, 16))
     fields = gridsolver.solve_graph_path(cfg, ELL)
     assert len(fields) == len(solver.DEFAULT_EPS_SCHEDULE)
     assert len(spilu_calls) == 1
-    geo = fields[-1].meta["scheme"].geo
-    assert geo.ilu is None
-    # a later step on a returned field builds its own
-    stepped, (before, after) = solver.newton_step(fields[-1])
-    assert after <= before * (1.0 + 1e-12) + 1e-15
-    assert len(spilu_calls) == 2
+    gc.collect()
+    assert len(geos) == 1 and geos[0]() is None
 
 
 def test_stale_ilu_is_rebuilt(ell_iterate, spilu_calls):
@@ -540,27 +553,15 @@ def test_boundary_jet_is_second_order(domain, coarse, fine):
 
 
 # ---------------------------------------------------------------------------
-# field hooks shared with the radial side
+# the residual on a returned field, the guard on a cap start
 # ---------------------------------------------------------------------------
 
 def test_grid_residual_at_solution(ball16):
-    res = solver.pde_residual(ball16)
+    scheme = _ball16_scheme()
+    res = _residual(scheme, ball16.u[ball16.interior])
     assert res.shape == (ball16.interior.sum(),)
     assert np.abs(res).max() <= 1e-9
-    scheme = ball16.meta["scheme"]
-    assert np.array_equal(res, _residual(scheme, ball16.u[:scheme.geo.n_int]))
-
-
-def test_newton_step_grid_non_regression(ball16):
-    stepped, (before, after) = solver.newton_step(ball16)
-    assert after <= before * (1.0 + 1e-12) + 1e-15
-    assert stepped.convergence.residual == after
-
-
-def test_newton_step_grid_requires_cone(ball16):
-    broken = dataclasses.replace(ball16, cone_ok=False)
-    with pytest.raises(ConeViolationError):
-        solver.newton_step(broken)
+    assert np.array_equal(res, ball16.residual_field[ball16.interior])
 
 
 def test_cap_start_passes_guard_off_ball():

@@ -389,6 +389,74 @@ def test_nonpositive_numeric_settings_exit_2(tmp_path, monkeypatch, capsys,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-radial", "--n", "3", "--sigma", "1.5", "--nodes", "51"],
+    ["solve-grid", "--n", "2", "--sigma", "1.0", "--radial", "8",
+     "--angular", "16"],
+    ["audit", "--n", "3", "--sigma", "1.5", "--nodes", "51"],
+], ids=["solve-radial", "solve-grid", "audit"])
+def test_eps_with_eps_schedule_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # neither flag silently replaces the other
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--eps", "0.01",
+                            "--eps-schedule", "0.1,0.05"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert "--eps or --eps-schedule" in rec["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["solve-grid", "--n", "2", "--domain", "ball", "--sigma", "1.0",
+      "--radial", "8", "--angular", "16", "--lat", "99", "--lon", "7"],
+     ["--lat", "--lon"]),
+    (["solve-grid", "--n", "3", "--domain", "ball", "--sigma", "1.5",
+      "--radial", "8", "--lat", "8", "--lon", "16", "--angular", "3"],
+     ["--angular"]),
+    (["audit", "--n", "3", "--domain", "ball", "--sigma", "1.5",
+      "--nodes", "51", "--radial", "8"], ["--radial"]),
+    (["audit", "--n", "2", "--domain", "ellipsoid", "--semi-axes", "1.3,1.0",
+      "--sigma", "1.0", "--radial", "8", "--angular", "16", "--nodes", "51"],
+     ["--nodes"]),
+], ids=["n2-lat-lon", "n3-angular", "audit-ball-radial", "audit-grid-nodes"])
+def test_mesh_flag_the_run_never_reads_exits_2(tmp_path, monkeypatch, capsys,
+                                               argv, flags):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert rec["message"].split(" never reads ")[1].split(" with ")[0] \
+        == ", ".join(flags)
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_takes_mesh_flags_of_both_kinds(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--domains", "ball", "--n", "2",
+                     "--sigmas", "1.0", "--eps-schedule", "0.1",
+                     "--nodes", "51", "--radial", "8", "--angular", "16"]) == 0
+    header, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [r[header.index("status")] for r in rows] == ["ok"]
+
+
+@pytest.mark.parametrize("domain", [5, {"kind": "ball", "params": 5}],
+                         ids=["domain", "params"])
+@pytest.mark.parametrize("argv", [
+    ["solve-grid", "--n", "2", "--sigma", "1.0", "--radial", "8",
+     "--angular", "16"],
+    ["oracle-cap", "--n", "3", "--sigma", "1.5", "--nodes", "5"],
+], ids=["solve-grid", "oracle-cap"])
+def test_non_object_config_domain_exits_2(tmp_path, monkeypatch, capsys,
+                                          domain, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.json").write_text(json.dumps({"domain": domain}))
+    assert cli.main(argv + ["--config", "d.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert "JSON objects" in rec["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["d.json"]
+
+
 def test_solve_radial_rejects_a_non_ball_config_domain(tmp_path, monkeypatch,
                                                       capsys):
     monkeypatch.chdir(tmp_path)

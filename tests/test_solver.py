@@ -1,14 +1,12 @@
 """Radial continuation solver against the exact cap family."""
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hplateau import domains, geometry, gridsolver, solver
-from hplateau.errors import (ConeViolationError, InvalidHeightError,
-                             NewtonDivergenceError)
+from hplateau.errors import ConeViolationError, NewtonDivergenceError
 
 BALL3 = domains.make_ball(3, 1.0)
 
@@ -102,55 +100,8 @@ def test_sigma_extremes_converge():
 
 
 # ---------------------------------------------------------------------------
-# field-level operations
-# ---------------------------------------------------------------------------
-
-def test_pde_residual_recomputes_from_heights(field201):
-    res = solver.pde_residual(field201)
-    assert np.abs(res).max() <= 1e-9
-
-
-def test_pde_residual_on_sampled_cap_shows_truncation_order():
-    sups = []
-    for nodes in (101, 201):
-        f = _solve(nodes=nodes)
-        cap = geometry.exact_cap(3, 1.5, 1.0, 1e-2)
-        sampled = dataclasses.replace(f, u=np.asarray(cap.height(f.nodes)))
-        sups.append(float(np.abs(solver.pde_residual(sampled)).max()))
-    assert sups[1] <= 1e-3
-    assert math.log2(sups[0] / sups[1]) >= 1.8
-
-
-def test_newton_step_at_solution_does_not_regress(field201):
-    stepped, (before, after) = solver.newton_step(field201)
-    assert after <= before * (1.0 + 1e-12) + 1e-15
-    assert stepped.convergence.residual == after
-
-
-def test_newton_step_contracts_from_perturbed_start(field201):
-    bump = 1e-3 * np.cos(0.5 * math.pi * field201.nodes)
-    u = field201.u.copy()
-    u[:-1] += bump[:-1]
-    rough = dataclasses.replace(field201, u=u)
-    stepped, (before, after) = solver.newton_step(rough)
-    assert after < 0.3 * before
-
-
-def test_newton_step_requires_cone_ok(field201):
-    broken = dataclasses.replace(field201, cone_ok=False)
-    with pytest.raises(ConeViolationError):
-        solver.newton_step(broken)
-
-
-def test_pde_residual_rejects_nonpositive_heights(field201):
-    u = field201.u.copy()
-    u[3] = -0.1
-    with pytest.raises(InvalidHeightError):
-        solver.pde_residual(dataclasses.replace(field201, u=u))
-
-
-# ---------------------------------------------------------------------------
-# the radial step: one stencil pass per iterate, an exact Jacobian
+# the radial scheme: its residual, one stencil pass per iterate and an
+# exact Jacobian
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -179,6 +130,35 @@ def _radial_residual(scheme, v):
 
 def _radial_step(scheme, v, F):
     return scheme.jacobian_step(v, scheme.evaluate(v), F)
+
+
+def test_pde_residual_recomputes_from_heights(field201):
+    scheme = solver._RadialScheme(BALL3, 201, 1.5, 1e-2)
+    res = _radial_residual(scheme, field201.u[field201.interior])
+    assert np.abs(res).max() <= 1e-9
+
+
+def test_pde_residual_on_sampled_cap_shows_truncation_order():
+    cap = geometry.exact_cap(3, 1.5, 1.0, 1e-2)
+    sups = []
+    for nodes in (101, 201):
+        scheme = solver._RadialScheme(BALL3, nodes, 1.5, 1e-2)
+        sampled = np.asarray(cap.height(scheme.r[:-1]))
+        sups.append(float(np.abs(_radial_residual(scheme, sampled)).max()))
+    assert sups[1] <= 1e-3
+    assert math.log2(sups[0] / sups[1]) >= 1.8
+
+
+def test_newton_step_contracts_from_perturbed_start(field201):
+    scheme = solver._RadialScheme(BALL3, 201, 1.5, 1e-2)
+    bump = 1e-3 * np.cos(0.5 * math.pi * field201.nodes)
+    v = (field201.u + bump)[field201.interior]
+    leg = solver._Leg(scheme)
+    F = leg.residual(v)
+    stepped = v + leg.step(v, F)
+    assert leg.guard(stepped)
+    before = float(np.abs(F).max())
+    assert float(np.abs(leg.residual(stepped)).max()) < 0.3 * before
 
 
 def test_guard_residual_and_step_share_one_stencil_pass(stencil_passes):
@@ -237,16 +217,36 @@ def test_damped_newton_guard_rejection():
 
 
 def test_damped_newton_divergence_carries_state():
-    # a zero step can never reduce a constant residual
-    with pytest.raises(NewtonDivergenceError) as info:
+    # a zero step can never reduce a constant residual; the error carries
+    # the iterate the step was taken from itself, not a copy, since
+    # outside tracers compare the two by identity
+    stepped = []
+    with pytest.raises(NewtonDivergenceError,
+                       match="no residual decrease") as info:
         solver.damped_newton(
             np.ones(2),
             residual_fn=lambda v: np.ones(2),
             guard_fn=lambda v: True,
-            jacobian_solver=lambda v, F: np.zeros(2),
+            jacobian_solver=lambda v, F: stepped.append(v) or np.zeros(2),
             params=solver.NewtonParams(max_iters=5),
         )
     assert np.array_equal(info.value.state, np.ones(2))
+    assert info.value.state is stepped[0]
+
+
+def test_damped_newton_guard_rejects_every_trial():
+    # the guard passes v0, then rejects every damped step from it
+    stepped = []
+    with pytest.raises(ConeViolationError,
+                       match="rejected every damped step") as info:
+        solver.damped_newton(
+            np.ones(2),
+            residual_fn=lambda v: v,
+            guard_fn=lambda v: not stepped,
+            jacobian_solver=lambda v, F: stepped.append(v) or -F,
+            params=solver.NewtonParams(),
+        )
+    assert info.value.state is stepped[0]
 
 
 def test_damped_newton_iteration_cap():
@@ -470,8 +470,7 @@ def _count_newton(monkeypatch, module):
 @pytest.mark.parametrize("make", [_radial_scheme, _grid_scheme],
                          ids=["radial", "grid"])
 def test_a_leg_leaves_no_state_on_its_scheme(make):
-    # the returned fields hold their scheme; the leg's evaluation is not
-    # part of it
+    # the leg holds its evaluations; the scheme stores nothing of them
     _, scheme = make()
     before = dict(vars(scheme))
     scheme.newton(scheme.cap, solver.NewtonParams())
