@@ -5,7 +5,9 @@ here on actual solver output and checked against what can be checked:
 
 * the log test function Q = ln kappa_1 - N ln nu, whose maximum location
   drives the interior estimate;
-* the uniform positive lower bound on the vertical normal component;
+* the uniform positive lower bound on the vertical normal component,
+  held on every domain to half the cap value lam that nu takes on the
+  ideal boundary;
 * the interior-vs-boundary curvature bound with regression constants
   frozen after a calibration sweep (an existence-of-constants claim
   turned into a falsifiable one);
@@ -98,7 +100,7 @@ class NuLowerBoundReport:
     eps_values: tuple
     minima: tuple
     floor: float
-    oracle: float | None
+    oracle: float
     ok: bool
 
 
@@ -193,9 +195,12 @@ def _q_summary(solution: SolutionField, exponent: float):
 def nu_lower_bound_check(solutions) -> NuLowerBoundReport:
     """Uniform positive floor for the vertical normal component.
 
-    Balls are held to the oracle: the floor over the schedule must stay
-    above half the cap value lam.  Without an oracle the check is that
-    the observed floor is strictly positive.
+    The oracle is the cap value lam = (sigma/n)^(1/(n-1)) on every
+    domain: at u = 0 every kappa_i equals nu, so sigma_{n-1} = n nu^(n-1)
+    = sigma forces nu = lam on the ideal boundary of any Gamma.  The
+    floor over the schedule must stay above half of it.  (nu = 1/w is
+    positive at every node of every field, so a bare positivity test
+    could not fail.)
     """
     solutions = list(solutions)
     if not solutions:
@@ -211,15 +216,11 @@ def nu_lower_bound_check(solutions) -> NuLowerBoundReport:
     eps_values = tuple(f.convergence.eps_bdry for f in solutions)
     minima = tuple(float(f.nu_vertical.min()) for f in solutions)
     floor = min(minima)
-    oracle = None
-    if first.domain.kind == "ball":
-        n = first.domain.n
-        oracle = (first.convergence.sigma / n) ** (1.0 / (n - 1))
-        ok = floor >= 0.5 * oracle
-    else:
-        ok = floor > 0.0
+    n = first.domain.n
+    oracle = (first.convergence.sigma / n) ** (1.0 / (n - 1))
     return NuLowerBoundReport(eps_values=eps_values, minima=minima,
-                              floor=floor, oracle=oracle, ok=ok)
+                              floor=floor, oracle=oracle,
+                              ok=floor >= 0.5 * oracle)
 
 
 def curvature_bound_check(solutions) -> CurvatureBoundReport:

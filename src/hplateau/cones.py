@@ -99,7 +99,6 @@ class ConeMembership:
     k: int
     sigma_values: tuple[float, ...]
     inside: bool
-    min_slack: float
 
 
 @dataclass(frozen=True)
@@ -225,7 +224,6 @@ def cone_membership(kappa, k: int) -> ConeMembership:
         k=k,
         sigma_values=sig,
         inside=all(s > 0.0 for s in sig),
-        min_slack=min(sig),
     )
 
 

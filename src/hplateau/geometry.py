@@ -63,9 +63,7 @@ class GraphJet:
     u: float
     grad_u: np.ndarray
     hess_u: np.ndarray
-    w: float
     nu_vertical: float
-    euclidean_spectrum: tuple[float, ...]
     hyperbolic_spectrum: CurvatureVector
     #: pencil eigenvectors as columns, v^T g_e v = 1, same order as spectra
     principal_chart: np.ndarray
@@ -120,9 +118,7 @@ def graph_jet(x, u, grad_u, hess_u) -> GraphJet:
         u=u,
         grad_u=Du,
         hess_u=D2u,
-        w=w,
         nu_vertical=nu,
-        euclidean_spectrum=tuple(float(k) for k in ke),
         hyperbolic_spectrum=CurvatureVector(tuple(float(k) for k in kappa)),
         principal_chart=np.ascontiguousarray(V),
     )
@@ -197,9 +193,6 @@ class CapSolution:
     def nu_min(self) -> float:
         # attained at r = R
         return self.lam + self.eps_bdry / self.a
-
-    def spectrum(self) -> CurvatureVector:
-        return CurvatureVector((self.lam,) * self.n)
 
     def height_field(self) -> "RadialHeightField":
         return RadialHeightField(self.height, self.height_d1,
@@ -351,26 +344,22 @@ def _nu_at(field, y: np.ndarray) -> float:
 # Identity residuals: vertical normal component
 # ---------------------------------------------------------------------------
 
-def nu_identity_residuals(surface, x, fd_step: float,
-                          directional="auto") -> list[ResidualSample]:
+def nu_identity_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
     """Residuals of the three vertical-component identities at x.
 
     Always returned (frame-free, any orthonormal frame):
 
         sum_i u_i^2 / u^2  =  1 - nu^2
 
-    Returned per principal direction when the frame is unambiguous:
+    Returned per principal direction when the frame is unambiguous (a
+    partially degenerate frame skips them; a fully umbilic spectrum is
+    not ambiguous, since every orthonormal frame is principal):
 
         nu_i  = (u_i/u)(nu - kappa_i)
         nu_ii = 2 (u_i/u) nu_i + (1 + nu^2) kappa_i - nu (1 + kappa_i^2)
 
     Frame derivatives (u_i, nu_i, nu_ii) are central differences along
     the frame; everything pointwise (u, nu, kappa_i) is exact.
-
-    directional: 'auto' skips the per-direction identities on a
-    partially degenerate frame, True raises AmbiguousFrameError there,
-    False never computes them.  A fully umbilic spectrum is not
-    ambiguous: every orthonormal frame is principal.
     """
     if fd_step <= 0.0:
         raise ValueError("fd_step must be positive")
@@ -391,14 +380,8 @@ def nu_identity_residuals(surface, x, fd_step: float,
         location=loc, identity_name="nu_first", fd_step=h,
         residual=float(u_fd @ u_fd) / u ** 2 - (1.0 - nu ** 2))]
 
-    if directional is False:
-        return out
     if fr.status == "partial":
-        if directional == "auto":
-            return out
-        raise AmbiguousFrameError(
-            "partially degenerate principal frame; per-direction identities "
-            "are frame-ambiguous here")
+        return out
 
     Gamma = christoffel(u, jet.grad_u, jet.hess_u)
     for i in range(n):

@@ -62,14 +62,16 @@ their path.
 _GridScheme packages all of this, for one (sigma, eps_bdry), in the
 scheme interface of solver._solve_path, the continuation driver the
 radial solver uses as well (sigma walk, split legs, eps descent):
-at(sigma, eps), cap, evaluate(v), residual(ev), in_cone(ev),
-jacobian_step(v, ev, F), newton(v, params) and build_field(v,
-iterations, residual).  Every path starts on its cap family, the
-umbilic cap of the domain's mean-radius ball composed with s.
-evaluate(v) is the iterate's one shape pass; the scheme stores nothing
-of it, and the solver._Leg of each Newton leg holds the last one, which
-the guard, the residual and the Jacobian read.  The legs call this
-module's damped_newton, so they stay apart from the radial ones.
+at(sigma, eps), cap, evaluate(v), jacobian_step(v, data, F),
+newton(v, params) and field_parts(v).  Every path starts on its cap
+family, the umbilic cap of the domain's mean-radius ball composed with
+s.  evaluate(v) is the iterate's one shape pass, returned as the
+residual, the cone verdict and the data the Jacobian reads; the scheme
+stores nothing of it, and the solver._Leg of each Newton leg holds the
+last one.  field_parts(v) gives the per-node arrays of a converged v,
+which solver._build_field assembles into the SolutionField, as it does
+for the radial scheme.  The legs call this module's damped_newton, so
+they stay apart from the radial ones.
 """
 
 from __future__ import annotations
@@ -81,13 +83,11 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .cones import cone_mask_batch
 from .domains import DomainSpec, omega_jet
 from .errors import GridDegeneracyError, NewtonDivergenceError
 from .geometry import exact_cap
-from .solver import (ConvergenceInfo, NewtonParams, PolarGridMesh, SolveConfig,
-                     SolutionField, SphericalGridMesh, _Leg, _solve_path,
-                     damped_newton)
+from .solver import (NewtonParams, PolarGridMesh, SolveConfig, SolutionField,
+                     SphericalGridMesh, _Leg, _solve_path, damped_newton)
 
 __all__ = ["solve_graph", "solve_graph_path"]
 
@@ -500,7 +500,7 @@ class _GridScheme:
         self.geo = geo
         self.sigma = sigma
         self.eps_bdry = float(eps_bdry)
-        dom = geo.domain
+        dom = self.domain = geo.domain
         R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
         self.cap = exact_cap(geo.n, sigma, R,
                              eps_bdry).height(R * geo.s_node[:geo.n_int])
@@ -514,23 +514,19 @@ class _GridScheme:
         return U
 
     def evaluate(self, v: np.ndarray):
-        """(u, P, shape, F0): the height and second chart derivatives of
-        v's interior chart jet, _shape's output there and F0 = _sigma(S)."""
+        """(F, inside, (u, P, shape)) from _shape of v's interior chart
+        jet, whose height and second chart derivatives are u and P:
+        inside when sigma_1 = tr S and sigma_{n-1} = _sigma(S) are
+        positive at every interior node, Gamma_{n-1} for n <= 3."""
         geo, ni = self.geo, self.geo.n_int
         u, p, P = geo.unpack(geo.chart_jet(self.full_height(v)))
         shape = _shape(u, p, P, geo.A[:ni], geo.Xcc[:ni])
-        return u, P, shape, _sigma(shape[0])
+        F0 = _sigma(shape[0])
+        inside = bool((np.trace(shape[0], axis1=1, axis2=2) > 0.0).all()
+                      and (F0 > 0.0).all())
+        return F0 - self.sigma, inside, (u, P, shape)
 
-    def residual(self, ev) -> np.ndarray:
-        return ev[3] - self.sigma
-
-    def in_cone(self, ev) -> bool:
-        # Gamma_{n-1} for n <= 3: sigma_1 = tr S and sigma_{n-1} positive
-        S, F0 = ev[2][0], ev[3]
-        return bool((np.trace(S, axis1=1, axis2=2) > 0.0).all()
-                    and (F0 > 0.0).all())
-
-    def jacobian(self, ev) -> scipy.sparse.csc_matrix:
+    def jacobian(self, data) -> scipy.sparse.csc_matrix:
         """Exact Jacobian of the residual: the stencil chain.
 
         The residual at node i depends on its own chart jet only, so
@@ -539,15 +535,15 @@ class _GridScheme:
         """
         geo = self.geo
         ni = geo.n_int
-        u, P, shape, _ = ev
+        u, P, shape = data
         dF = _jet_gradient(u, P, geo.A[:ni], geo.AXcc[:ni], shape)
         weights = geo.coef.T @ dF.T  # (offset, node), as jac_pos
-        data = np.bincount(geo.jac_pos.ravel(), weights=weights.ravel(),
-                           minlength=geo.jac_nnz + 1)[:geo.jac_nnz]
-        return scipy.sparse.csc_matrix((data, geo.jac_rows, geo.jac_indptr),
+        entries = np.bincount(geo.jac_pos.ravel(), weights=weights.ravel(),
+                              minlength=geo.jac_nnz + 1)[:geo.jac_nnz]
+        return scipy.sparse.csc_matrix((entries, geo.jac_rows, geo.jac_indptr),
                                        shape=(geo.n_int, geo.n_int))
 
-    def jacobian_step(self, v: np.ndarray, ev, F: np.ndarray) -> np.ndarray:
+    def jacobian_step(self, v: np.ndarray, data, F: np.ndarray) -> np.ndarray:
         """Inexact Newton step: ||J(v) s + F||_2 <= GMRES_RTOL ||F||_2.
 
         GMRES runs on the exact Jacobian, preconditioned by the geometry's
@@ -556,7 +552,7 @@ class _GridScheme:
         NewtonDivergenceError carrying v, and _leg splits the leg.
         """
         geo = self.geo
-        J = self.jacobian(ev)
+        J = self.jacobian(data)
         if geo.ilu is not None:
             s = _gmres(J, F, geo.ilu)
             if s is not None:
@@ -573,32 +569,15 @@ class _GridScheme:
         leg = _Leg(self)
         return damped_newton(v, leg.residual, leg.guard, leg.step, params)
 
-    # -- field assembly -------------------------------------------------------
-
-    def build_field(self, v: np.ndarray, iterations: int,
-                    resid: float) -> SolutionField:
-        geo, sigma = self.geo, self.sigma
+    def field_parts(self, v: np.ndarray):
+        """The shape pass over the interior and boundary-ring jets."""
+        geo = self.geo
         U = self.full_height(v)
-        ni = geo.n_int
         jet = np.concatenate([geo.chart_jet(U), geo.boundary_jet(U)])
         S_all, w_all, *_ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
-        spectra = np.linalg.eigvalsh(S_all)[:, ::-1]
-        boundary = np.zeros(geo.n_all, dtype=bool)
-        boundary[ni:] = True
-        cone_ok = bool(cone_mask_batch(spectra[:ni], geo.n - 1).all())
-        return SolutionField(
-            domain=geo.domain,
-            nodes=geo.xyz.copy(),
-            u=U,
-            boundary=boundary,
-            nu_vertical=1.0 / w_all,
-            spectra=spectra,
-            residual_field=_sigma(S_all) - sigma,
-            convergence=ConvergenceInfo(iterations=iterations, residual=resid,
-                                        eps_bdry=self.eps_bdry, sigma=sigma),
-            cone_ok=cone_ok,
-            meta={"kind": "grid", "near_boundary": geo.jj >= geo.J - 1},
-        )
+        return (geo.xyz.copy(), U, w_all, np.linalg.eigvalsh(S_all)[:, ::-1],
+                _sigma(S_all),
+                {"kind": "grid", "near_boundary": geo.jj >= geo.J - 1})
 
 
 # ---------------------------------------------------------------------------

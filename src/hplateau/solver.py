@@ -234,11 +234,12 @@ class _Leg:
     """The callables that damped_newton takes, on one scheme: residual,
     guard and step share one scheme.evaluate pass per iterate.
 
-    The leg holds the last iterate and its evaluation and matches the
-    next iterate by value: a line-search trial at the rounding floor can
-    equal its iterate bit for bit.  The iterate is held without a copy,
-    since the engine never changes one in place.  The guard tests u > 0
-    before it evaluates; scheme.in_cone tests the rest.
+    The leg holds the last iterate and its evaluation (F, inside, data)
+    and matches the next iterate by value: a line-search trial at the
+    rounding floor can equal its iterate bit for bit.  The iterate is
+    held without a copy, since the engine never changes one in place.
+    The guard tests u > 0 before it evaluates; the evaluation's cone
+    verdict inside tests the rest.
     """
 
     def __init__(self, scheme):
@@ -252,14 +253,40 @@ class _Leg:
         return self._ev
 
     def residual(self, v: np.ndarray) -> np.ndarray:
-        return self.scheme.residual(self._evaluate(v))
+        return self._evaluate(v)[0]
 
     def guard(self, v: np.ndarray) -> bool:
-        return bool((v > 0.0).all()) \
-            and self.scheme.in_cone(self._evaluate(v))
+        return bool((v > 0.0).all()) and self._evaluate(v)[1]
 
     def step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
-        return self.scheme.jacobian_step(v, self._evaluate(v), F)
+        return self.scheme.jacobian_step(v, self._evaluate(v)[2], F)
+
+
+def _build_field(scheme, v: np.ndarray, iterations: int,
+                 resid: float) -> SolutionField:
+    """The SolutionField of the converged unknowns v of scheme.
+
+    scheme.field_parts(v) gives (nodes, u, w, spectra, sigma_{n-1} of
+    the spectra, meta) on every node, the v.size equation nodes first
+    and the Dirichlet nodes after; cone_ok is taken over the equation
+    nodes.
+    """
+    nodes, u, w, spectra, sigma_field, meta = scheme.field_parts(v)
+    return SolutionField(
+        domain=scheme.domain,
+        nodes=nodes,
+        u=u,
+        boundary=np.arange(u.size) >= v.size,
+        nu_vertical=1.0 / w,
+        spectra=spectra,
+        residual_field=sigma_field - scheme.sigma,
+        convergence=ConvergenceInfo(iterations=iterations, residual=resid,
+                                    eps_bdry=scheme.eps_bdry,
+                                    sigma=scheme.sigma),
+        cone_ok=bool(cone_mask_batch(spectra[:v.size],
+                                     scheme.domain.n - 1).all()),
+        meta=meta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +300,23 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     (config.sigma_target, config.eps_schedule[0]).  Its unknowns v are
     the heights off the Dirichlet boundary, and it provides
 
-    * sigma, eps_bdry and cap: the point it discretizes and the umbilic
-      cap there on the unknowns, which every path starts on and along
-      which a converged v is transported to a new (sigma, eps);
+    * domain, sigma, eps_bdry and cap: the point it discretizes and the
+      umbilic cap there on the unknowns, which every path starts on and
+      along which a converged v is transported to a new (sigma, eps);
     * at(sigma, eps): the same discretization at another point;
-    * evaluate(v): the one pass over v (stencil or shape) that the next
-      three read, storing nothing;
-    * residual(ev), in_cone(ev) and jacobian_step(v, ev, F) on
-      ev = evaluate(v): the discrete equation, the cone test (u > 0 is
-      tested by the caller, _Leg.guard), and the step s solving
-      J(v) s = -F (exactly on the radial side, by preconditioned GMRES
-      to a relative tolerance on the grid);
+    * evaluate(v): the one pass over v (stencil or shape), returned as
+      (F, inside, data) and stored nowhere: the discrete equation's
+      residual, the cone test of the equation nodes (u > 0 is tested by
+      the caller, _Leg.guard), and what jacobian_step reads;
+    * jacobian_step(v, data, F): the step s solving J(v) s = -F
+      (exactly on the radial side, by preconditioned GMRES to a
+      relative tolerance on the grid);
     * newton(v, params): one call of damped_newton with the callables
       of a _Leg, the one evaluation per iterate of that leg; it goes
       through the scheme's own module global so that the radial and
       grid legs stay separable from outside;
-    * build_field(v, iterations, residual): the SolutionField, which
-      keeps no reference to the scheme.
+    * field_parts(v): the per-node arrays that _build_field assembles
+      into the SolutionField, which keeps no reference to the scheme.
 
     The first leg starts on scheme.cap.  Extreme targets (very steep or
     very flat caps) can put that start or its Newton path outside the
@@ -320,10 +347,10 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
         scheme, (v, it, res) = _leg(start, params, v, target, scheme.eps_bdry)
         total_it += it
 
-    fields = [scheme.build_field(v, total_it, res)]
+    fields = [_build_field(scheme, v, total_it, res)]
     for eps in config.eps_schedule[1:]:
         scheme, (v, it, res) = _leg(scheme, params, v, target, eps)
-        fields.append(scheme.build_field(v, it, res))
+        fields.append(_build_field(scheme, v, it, res))
     return fields
 
 
@@ -371,7 +398,8 @@ class _RadialScheme:
     u(R) = eps_bdry is imposed exactly at the last node.  The center
     uses the symmetry conditions u'(0) = 0, u''(0) = 2(u_1 - u_0)/h^2.
     cap is the exact cap at (sigma, eps_bdry) on the unknowns.  An
-    iterate's cone test, residual and Jacobian step read one evaluate(v).
+    iterate's residual, cone test and Jacobian step come from one
+    evaluate(v).
     """
 
     def __init__(self, domain: DomainSpec, nodes: int, sigma: float,
@@ -420,21 +448,17 @@ class _RadialScheme:
         return np.column_stack([krad] + [kang] * (self.n - 1))
 
     def evaluate(self, v: np.ndarray):
-        """(stencil, table): _stencil of v's full height and
+        """(F, inside, stencil) from _stencil of v's full height and
         elem_sym_table(rows, n - 1) of the spectra rows at the m-1
-        equation nodes."""
+        equation nodes: inside when every row has sigma_1 .. sigma_{n-1}
+        positive, that is lies in Gamma_{n-1}."""
         stencil = self._stencil(self.full_height(v))
-        rows = self._rows(*stencil[3:])[:-1]
-        return stencil, elem_sym_table(rows, self.n - 1)
+        table = elem_sym_table(self._rows(*stencil[3:])[:-1], self.n - 1)
+        return (table[:, -1] - self.sigma, bool((table[:, 1:] > 0.0).all()),
+                stencil)
 
-    def residual(self, ev) -> np.ndarray:
-        return ev[1][:, -1] - self.sigma
-
-    def in_cone(self, ev) -> bool:
-        # rows in Gamma_{n-1}: sigma_1 .. sigma_{n-1} all positive
-        return bool((ev[1][:, 1:] > 0.0).all())
-
-    def jacobian_step(self, v: np.ndarray, ev, F: np.ndarray) -> np.ndarray:
+    def jacobian_step(self, v: np.ndarray, stencil,
+                      F: np.ndarray) -> np.ndarray:
         """Newton step from the exact tridiagonal Jacobian.
 
         The rotational curvature formulas are explicit in the stencil
@@ -448,7 +472,7 @@ class _RadialScheme:
         m1 = v.size
         n, h = self.n, self.h
         u = self.full_height(v)
-        du, d2u, w, krad, kang = ev[0]
+        du, d2u, w, krad, kang = stencil
         band = np.zeros((3, m1))  # rows: super, main, sub
 
         # center equation: all curvatures equal u0*u''(0) + 1
@@ -491,31 +515,16 @@ class _RadialScheme:
         leg = _Leg(self)
         return damped_newton(v, leg.residual, leg.guard, leg.step, params)
 
-    def build_field(self, v: np.ndarray, iterations: int,
-                    resid: float) -> SolutionField:
+    def field_parts(self, v: np.ndarray):
+        """The stencil over all m nodes."""
         u = self.full_height(v)
-        m, n, sigma = self.m, self.n, self.sigma
         du, d2u, w, krad, kang = self._stencil(u)
         rows = self._rows(krad, kang)
-        boundary = np.zeros(m, dtype=bool)
-        boundary[-1] = True
-        near = np.zeros(m, dtype=bool)
-        near[-2:] = True
-        return SolutionField(
-            domain=self.domain,
-            nodes=self.r.copy(),
-            u=u,
-            boundary=boundary,
-            nu_vertical=1.0 / w,
-            spectra=np.sort(rows, axis=1)[:, ::-1],
-            residual_field=elementary_symmetric_batch(rows, n - 1) - sigma,
-            convergence=ConvergenceInfo(iterations=iterations, residual=resid,
-                                        eps_bdry=self.eps_bdry, sigma=sigma),
-            cone_ok=bool(cone_mask_batch(rows[:-1], n - 1).all()),
-            meta={"kind": "radial", "du": du, "d2u": d2u,
-                  "kappa_rad": krad, "kappa_ang": kang,
-                  "near_boundary": near},
-        )
+        near = np.arange(self.m) >= self.m - 2
+        return (self.r.copy(), u, w, np.sort(rows, axis=1)[:, ::-1],
+                elementary_symmetric_batch(rows, self.n - 1),
+                {"kind": "radial", "du": du, "d2u": d2u, "kappa_rad": krad,
+                 "kappa_ang": kang, "near_boundary": near})
 
 
 def solve_radial_path(config: SolveConfig, domain: DomainSpec) -> list[SolutionField]:

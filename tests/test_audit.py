@@ -88,11 +88,20 @@ def test_nu_floor_on_ball_schedule(ball_path):
     assert rep.eps_values == tuple(solver.DEFAULT_EPS_SCHEDULE)
 
 
-def test_nu_floor_without_oracle(ell_field):
+def test_nu_floor_oracle_off_the_ball(ell_field):
+    # nu equals the cap value lam on the ideal boundary of every domain
     rep = audit.nu_lower_bound_check([ell_field])
-    assert rep.oracle is None
+    assert rep.oracle == pytest.approx((1.0 / 3.0) ** 0.5, rel=1e-12)
     assert rep.ok
-    assert rep.floor > 0.0
+    assert rep.floor >= 0.5 * rep.oracle
+
+
+def test_nu_floor_fails_below_half_the_oracle_off_the_ball(ell_field):
+    low = dataclasses.replace(ell_field,
+                              nu_vertical=0.4 * ell_field.nu_vertical)
+    rep = audit.nu_lower_bound_check([low])
+    assert not rep.ok
+    assert rep.floor < 0.5 * rep.oracle
 
 
 def test_nu_floor_input_validation(ball_path):

@@ -165,10 +165,6 @@ def test_directional_identities_respect_frame_ambiguity():
     x = np.array([0.5, 0.0, 0.0])
     auto = geometry.nu_identity_residuals(field, x, 1e-3)
     assert [s.identity_name for s in auto] == ["nu_first"]
-    off = geometry.nu_identity_residuals(field, x, 1e-3, directional=False)
-    assert [s.identity_name for s in off] == ["nu_first"]
-    with pytest.raises(AmbiguousFrameError):
-        geometry.nu_identity_residuals(field, x, 1e-3, directional=True)
     with pytest.raises(ValueError):
         geometry.nu_identity_residuals(field, x, 0.0)
 
@@ -177,8 +173,7 @@ def test_frame_free_identity_off_symmetry():
     # the sum identity holds in any frame, degenerate or not
     field = _bumpy_radial(3)
     for x in (np.array([0.5, 0.0, 0.0]), np.array([0.2, 0.3, -0.1])):
-        samples = geometry.nu_identity_residuals(field, x, 1e-4,
-                                                 directional=False)
+        samples = geometry.nu_identity_residuals(field, x, 1e-4)
         assert abs(samples[0].residual) <= 1e-7
 
 

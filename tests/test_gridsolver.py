@@ -146,15 +146,15 @@ def _small_scheme(domain, mesh, sigma, eps=0.1):
 
 
 def _residual(scheme, v):
-    return scheme.residual(scheme.evaluate(v))
+    return scheme.evaluate(v)[0]
 
 
 def _jacobian(scheme, v):
-    return scheme.jacobian(scheme.evaluate(v))
+    return scheme.jacobian(scheme.evaluate(v)[2])
 
 
 def _step(scheme, v, F):
-    return scheme.jacobian_step(v, scheme.evaluate(v), F)
+    return scheme.jacobian_step(v, scheme.evaluate(v)[2], F)
 
 
 def _guard(scheme, v):
