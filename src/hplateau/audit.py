@@ -269,12 +269,13 @@ def rw_on_solution(solution: SolutionField,
     _require_solution(solution, "rw_on_solution")
     idx = _rw_sample_indices(solution, config.rw_sample_cap)
     rows = solution.spectra[idx]
-    min_k = cones.ren_wang_min_k_batch(rows, config.eps_rw)
+    min_k, form = cones.ren_wang_min_k_batch(rows, config.eps_rw,
+                                             return_form=True)
     finite = bool(np.isfinite(min_k).all())
     k_star = float(min_k.max()) if finite else float("inf")
     if finite:
-        mats = cones.ren_wang_matrices(rows, config.eps_rw, k_star)
-        certified, _ = cones._certified_batch(mats)
+        # eigvalsh on M(k_star) checks the closed form independently
+        certified, _ = cones._certified_batch(form.matrices(k_star))
         certified_at_max = bool(certified.all())
     else:
         certified_at_max = False

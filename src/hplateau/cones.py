@@ -31,6 +31,7 @@ __all__ = [
     "ConeMembership",
     "SymmetricJet",
     "RWQuery",
+    "RWForm",
     "elementary_symmetric",
     "elementary_symmetric_batch",
     "elem_sym_table",
@@ -136,6 +137,21 @@ def _check_k(n: int, k: int, kmin: int = 0) -> None:
         raise ValueError(f"k={k} out of range [{kmin}, {n}]")
 
 
+def _sigma_into(out, entries) -> None:
+    """Accumulate sigma_1 .. sigma_kmax of ``entries`` into out[1 .. kmax].
+
+    out[0] holds 1 and out[1:] zeros on entry; kmax = len(out) - 1.  Both
+    are sequences of same-shape arrays, combined elementwise.  This is
+    the one copy of the product expansion of prod (x + kappa_i): every
+    sigma in the package, table or deletion, goes through it in the same
+    order, so they agree to the bit.
+    """
+    kmax = len(out) - 1
+    for i, v in enumerate(entries):
+        for j in range(min(i + 1, kmax), 0, -1):
+            out[j] += v * out[j - 1]
+
+
 def elem_sym_table(rows: np.ndarray, kmax: int) -> np.ndarray:
     """All sigma_0 .. sigma_kmax along the last axis.
 
@@ -143,14 +159,39 @@ def elem_sym_table(rows: np.ndarray, kmax: int) -> np.ndarray:
     sigma_0 = 1 in the first slot.
     """
     vals = np.asarray(rows, dtype=float)
-    n = vals.shape[-1]
     out = np.zeros(vals.shape[:-1] + (kmax + 1,), dtype=float)
     out[..., 0] = 1.0
-    for i in range(n):
-        top = min(i + 1, kmax)
-        for j in range(top, 0, -1):
-            out[..., j] += vals[..., i] * out[..., j - 1]
+    _sigma_into(np.moveaxis(out, -1, 0), np.moveaxis(vals, -1, 0))
     return out
+
+
+def _sigma_top(entries, k: int, shape) -> np.ndarray:
+    out = np.zeros((k + 1,) + tuple(shape))
+    out[0] = 1.0
+    _sigma_into(out, entries)
+    return out[k]
+
+
+def _deleted_gradient(entries, k: int, shape) -> list:
+    """d sigma_k / d kappa_i = sigma_{k-1}(kappa with i removed), per i."""
+    return [_sigma_top(entries[:i] + entries[i + 1:], k - 1, shape)
+            for i in range(len(entries))]
+
+
+def _deleted_hessian(entries, k: int, shape) -> dict:
+    """d^2 sigma_k / d kappa_p d kappa_q = sigma_{k-2}(kappa with p, q
+    removed), keyed by (p, q) with p < q; zero for k < 2."""
+    n = len(entries)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    if k < 2:
+        return {pq: np.zeros(shape) for pq in pairs}
+    return {(p, q): _sigma_top(entries[:p] + entries[p + 1:q] + entries[q + 1:],
+                               k - 2, shape)
+            for p, q in pairs}
+
+
+def _entries(vals: np.ndarray) -> list:
+    return list(np.moveaxis(vals, -1, 0))
 
 
 def elementary_symmetric_batch(rows: np.ndarray, k: int) -> np.ndarray:
@@ -169,13 +210,9 @@ def elementary_symmetric(kappa, k: int) -> float:
 def jet_gradient_batch(rows: np.ndarray, k: int) -> np.ndarray:
     """d sigma_k / d kappa_i by deletion, shape (..., n)."""
     vals = np.asarray(rows, dtype=float)
-    n = vals.shape[-1]
-    _check_k(n, k, kmin=1)
-    grad = np.empty_like(vals)
-    for i in range(n):
-        sub = np.delete(vals, i, axis=-1)
-        grad[..., i] = elem_sym_table(sub, k - 1)[..., k - 1]
-    return grad
+    _check_k(vals.shape[-1], k, kmin=1)
+    return np.stack(_deleted_gradient(_entries(vals), k, vals.shape[:-1]),
+                    axis=-1)
 
 
 def jet_hessian_batch(rows: np.ndarray, k: int) -> np.ndarray:
@@ -184,14 +221,10 @@ def jet_hessian_batch(rows: np.ndarray, k: int) -> np.ndarray:
     n = vals.shape[-1]
     _check_k(n, k, kmin=1)
     hess = np.zeros(vals.shape[:-1] + (n, n), dtype=float)
-    if k < 2:
-        return hess
-    for p in range(n):
-        for q in range(p + 1, n):
-            sub = np.delete(np.delete(vals, q, axis=-1), p, axis=-1)
-            val = elem_sym_table(sub, k - 2)[..., k - 2]
-            hess[..., p, q] = val
-            hess[..., q, p] = val
+    for (p, q), val in _deleted_hessian(_entries(vals), k,
+                                        vals.shape[:-1]).items():
+        hess[..., p, q] = val
+        hess[..., q, p] = val
     return hess
 
 
@@ -280,28 +313,52 @@ def negative_part_slack(kappa, k: int) -> float:
 # Ren-Wang certification form
 # ---------------------------------------------------------------------------
 
-def _ren_wang_parts(rows: np.ndarray, eps_rw: float):
-    """The certification form as (A, b), with M(K) = A + K b b^T.
+@dataclass(frozen=True)
+class RWForm:
+    """The certification forms M(K) = A + K b b^T of m rows, entry by entry.
+
+    A has shape (n, n, m) and b shape (n, m), so A[i, j] and b[i] are
+    contiguous vectors over the rows and the K search works on whole
+    entries of the batch at once.
+    """
+
+    A: np.ndarray
+    b: np.ndarray
+
+    def matrices(self, K) -> np.ndarray:
+        """M(K) per row, shape (m, n, n); K a scalar or per-row vector."""
+        Kb = np.broadcast_to(np.asarray(K, dtype=float), self.b.shape[1:]) * self.b
+        M = self.A + Kb[:, None, :] * self.b[None, :, :]
+        return np.ascontiguousarray(M.transpose(2, 0, 1))
+
+
+def _ren_wang_parts(rows: np.ndarray, eps_rw: float) -> RWForm:
+    """The certification form of each row, M(K) = A + K b b^T.
 
     With g the sigma_{n-1} gradient, H its Hessian and F^ii = g_i,
 
         A = -kappa_1 H + diag(-F^11, (1+eps) F^22, ...),  b = sqrt(kappa_1) g,
 
     so xi^T M(K) xi reproduces the third-order-term quadratic form of the
-    Ren-Wang inequality.  kappa_1 > 0 on Gamma_{n-1}, so b is real.  Every
-    Ren-Wang entry point comes through here, so eps_rw > 0 is checked here
-    alone.
+    Ren-Wang inequality.  kappa_1 > 0 on Gamma_{n-1}, so b is real.  g
+    and H come from the deletion formulas of jet_gradient_batch and
+    jet_hessian_batch, applied to the columns of ``rows``.  Every
+    Ren-Wang entry point comes through here, so eps_rw > 0 is checked
+    here alone.
     """
     if not eps_rw > 0.0:
         raise ValueError("eps_rw must be positive")
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n = rows.shape[1]
-    g = jet_gradient_batch(rows, n - 1)
-    A = -rows[:, 0, None, None] * jet_hessian_batch(rows, n - 1)
-    diag = (1.0 + eps_rw) * g
-    diag[:, 0] = -g[:, 0]
-    A[:, np.arange(n), np.arange(n)] += diag
-    return A, np.sqrt(rows[:, :1]) * g
+    m, n = rows.shape
+    kappa = list(np.ascontiguousarray(rows.T))
+    g = _deleted_gradient(kappa, n - 1, (m,))
+    A = np.empty((n, n, m))
+    for (p, q), h in _deleted_hessian(kappa, n - 1, (m,)).items():
+        A[p, q] = A[q, p] = -kappa[0] * h
+    A[0, 0] = -g[0]
+    for i in range(1, n):
+        A[i, i] = (1.0 + eps_rw) * g[i]
+    return RWForm(A=A, b=np.sqrt(kappa[0]) * np.stack(g))
 
 
 def ren_wang_matrices(rows: np.ndarray, eps_rw: float, K) -> np.ndarray:
@@ -309,9 +366,7 @@ def ren_wang_matrices(rows: np.ndarray, eps_rw: float, K) -> np.ndarray:
 
     See _ren_wang_parts.  K may be a scalar or a vector of per-row values.
     """
-    A, b = _ren_wang_parts(rows, eps_rw)
-    Kv = np.broadcast_to(np.asarray(K, dtype=float), (A.shape[0],))
-    return A + Kv[:, None, None] * b[:, :, None] * b[:, None, :]
+    return _ren_wang_parts(rows, eps_rw).matrices(K)
 
 
 def _certified_batch(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,7 +395,8 @@ def ren_wang_form(kappa, eps_rw: float, K: float) -> RWQuery:
     )
 
 
-def ren_wang_min_k_batch(rows: np.ndarray, eps_rw: float) -> np.ndarray:
+def ren_wang_min_k_batch(rows: np.ndarray, eps_rw: float,
+                         return_form: bool = False):
     """Smallest K >= 0 with M(K) = A + K b b^T PSD per row, in closed form.
 
     The update K b b^T is rank one and PSD, so the ascending eigenvalues
@@ -349,23 +405,66 @@ def ren_wang_min_k_batch(rows: np.ndarray, eps_rw: float) -> np.ndarray:
 
     * no negative eigenvalue: M(0) = A is PSD, K* = 0;
     * two or more: lam_1(M(K)) <= lam_2(A) < 0 for every K, K* = inf;
-    * exactly one: lam_2(M(K)) >= lam_2(A) > 0, so M(K) is PSD exactly
-      when det M(K) >= 0.  By the matrix determinant lemma
-      det M(K) = det(A) (1 + K c) with c = b^T A^-1 b, and det(A) < 0,
-      so that is 1 + K c <= 0.  It needs c < 0 and then K* = -1/c; with
-      c >= 0 no K works and K* = inf.
+    * exactly one, A nonsingular: lam_2(M(K)) >= lam_2(A) > 0, so M(K)
+      is PSD exactly when det M(K) >= 0.  By the matrix determinant
+      lemma det M(K) = det(A) (1 + K c) with c = b^T A^-1 b, and
+      det(A) < 0, so that is 1 + K c <= 0.  It needs c < 0 and then
+      K* = -1/c; with c >= 0 no K works and K* = inf.
 
-    One eigvalsh for the inertia and one batched solve for c; there is
-    no search and no tolerance.
+    Both the inertia and c come from one unpivoted elimination
+    A = L D L^T, L unit lower triangular and D = diag(d_1, ..., d_n),
+    run entry by entry over the whole batch:
+
+    * A and D are congruent, so by Sylvester's law of inertia A has as
+      many negative eigenvalues as there are negative pivots d_k;
+    * with y = L^-1 b, c = (L^-1 b)^T D^-1 (L^-1 b) = sum_k y_k^2 / d_k.
+
+    So K* = -1/c when exactly one pivot is negative, none is zero and
+    c < 0; K* = 0 when no pivot is negative, and +inf otherwise.  There
+    is no eigensolver, no linear solve, no search and no tolerance.
+
+    On Gamma_{n-1} the first pivot is A_11 = -g_1 < 0, and the first
+    step leaves S = A_22 + a a^T / g_1 (a the rest of the first column):
+    A plus a PSD term, so it cancels nothing.  A has exactly one
+    negative eigenvalue iff S is PSD, and the rest of the elimination
+    is then a Cholesky factorization of S, backward stable without
+    pivoting (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10).
+
+    A zero pivot reads K* = +inf, with no division by it.  On
+    Gamma_{n-1} a later pivot is zero only when S is not positive
+    definite: S indefinite gives two negative eigenvalues and K* = inf
+    anyway, and S singular PSD makes A singular.  So a zero pivot can
+    read +inf where the eigenvalue count would not only off Gamma_{n-1}
+    (there g_1 may vanish, as at kappa = (1, 1, -1)) or on a singular
+    form.
+
+    With ``return_form`` the RWForm of the rows comes back as well, so
+    that M(K) can be built for a check without rebuilding A and b.
     """
-    A, b = _ren_wang_parts(rows, eps_rw)
-    negatives = (np.linalg.eigvalsh(A) < 0.0).sum(axis=1)
+    form = _ren_wang_parts(rows, eps_rw)
+    W = form.A.copy()
+    y = form.b.copy()
+    n, m = y.shape
+    negatives = np.zeros(m, dtype=int)
+    flat = np.zeros(m, dtype=bool)
+    c = np.zeros(m)
+    for k in range(n):
+        d = W[k, k]
+        negatives += d < 0.0
+        zero = d == 0.0
+        flat |= zero
+        d = np.where(zero, 1.0, d)
+        c += y[k] * y[k] / d
+        col = W[k + 1:, k]
+        ell = col / d
+        y[k + 1:] -= ell * y[k]
+        W[k + 1:, k + 1:] -= ell[:, None, :] * col[None, :, :]
     out = np.where(negatives == 0, 0.0, np.inf)
-    one = np.where(negatives == 1)[0]
-    c = np.einsum("mi,mi->m", b[one],
-                  np.linalg.solve(A[one], b[one, :, None])[:, :, 0])
-    out[one[c < 0.0]] = -1.0 / c[c < 0.0]
-    return out
+    one = (negatives == 1) & (c < 0.0)
+    out[one] = -1.0 / c[one]
+    out[flat] = np.inf
+    return (out, form) if return_form else out
 
 
 def ren_wang_min_k(kappa, eps_rw: float) -> float:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hplateau import audit, domains, gridsolver, solver
+from hplateau import audit, cones, domains, gridsolver, solver
 from hplateau.errors import AuditPreconditionError
 
 
@@ -160,6 +160,21 @@ def test_rw_constant_on_umbilic_solution(ball_path):
     assert rep.min_k_low == pytest.approx(oracle, rel=1e-3)
     assert rep.min_k_low <= rep.min_k_median <= rep.min_k_max
     assert rep.sampled == 200  # every non-boundary node fits under the cap
+
+
+def test_rw_on_solution_builds_the_form_once(ball_path, monkeypatch):
+    # K* and the eigvalsh check of M(K*) share one (A, b)
+    builds = []
+    real = cones._ren_wang_parts
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "_ren_wang_parts", counted)
+    rep = audit.rw_on_solution(ball_path[-1], audit.AuditConfig())
+    assert rep.certified_at_max
+    assert len(builds) == 1
 
 
 def test_rw_sample_cap(ball_path):

@@ -247,6 +247,124 @@ def test_min_k_infinite_off_the_cone():
         assert (np.linalg.eigvalsh(M)[:, 0] < 0.0).all()
 
 
+def _sigma_by_columns(sub, k):
+    """sigma_k of each row of ``sub``, expanding prod (x + kappa_i) in
+    column order, as the package does."""
+    out = np.zeros((sub.shape[0], k + 1))
+    out[:, 0] = 1.0
+    for i in range(sub.shape[1]):
+        for j in range(min(i + 1, k), 0, -1):
+            out[:, j] += sub[:, i] * out[:, j - 1]
+    return out[:, k]
+
+
+def _delete_form(rows, eps_rw):
+    """(A, b) stacked per row, from np.delete on the rows: the form
+    M(K) = A + K b b^T written out on its own, in the package's order of
+    operations, so that it compares to the bit."""
+    m, n = rows.shape
+    g = np.stack([_sigma_by_columns(np.delete(rows, i, axis=1), n - 2)
+                  for i in range(n)], axis=1)
+    H = np.zeros((m, n, n))
+    if n > 2:
+        for p, q in itertools.combinations(range(n), 2):
+            H[:, p, q] = H[:, q, p] = _sigma_by_columns(
+                np.delete(rows, [p, q], axis=1), n - 3)
+    A = -rows[:, 0, None, None] * H
+    diag = (1.0 + eps_rw) * g
+    diag[:, 0] = -g[:, 0]
+    A[:, np.arange(n), np.arange(n)] += diag
+    return A, np.sqrt(rows[:, :1]) * g
+
+
+def _eig_solve_min_k(rows, eps_rw):
+    """K* from the inertia by eigvalsh and c = b^T A^-1 b by a linear
+    solve, one LAPACK call per row."""
+    A, b = _delete_form(rows, eps_rw)
+    negatives = (np.linalg.eigvalsh(A) < 0.0).sum(axis=1)
+    out = np.where(negatives == 0, 0.0, np.inf)
+    one = np.where(negatives == 1)[0]
+    c = np.einsum("mi,mi->m", b[one],
+                  np.linalg.solve(A[one], b[one, :, None])[:, :, 0])
+    out[one[c < 0.0]] = -1.0 / c[c < 0.0]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_matrices_bit_equal_to_delete_reference(n):
+    rows = np.concatenate([cones.sample_cone(n, n - 1, 300, seed=40 + n),
+                           _stiff_rows(n, 50)])
+    A, b = _delete_form(rows, 0.1)
+    Ks = (0.0, 2.5, np.linspace(0.0, 4.0, rows.shape[0]))
+    for K in Ks:
+        ref = A + np.broadcast_to(K, (rows.shape[0],))[:, None, None] \
+            * b[:, :, None] * b[:, None, :]
+        got = cones.ren_wang_matrices(rows, 0.1, K)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_min_k_matches_eigvalsh_and_solve(n):
+    rows = np.concatenate([cones.sample_cone(n, n - 1, 2000, seed=60 + n),
+                           cones.sample_cone(n, n - 1, 2000, seed=70 + n,
+                                             level=1.0),
+                           _stiff_rows(n)])
+    got = cones.ren_wang_min_k_batch(rows, 0.1)
+    ref = _eig_solve_min_k(rows, 0.1)
+    assert (np.isinf(got) == np.isinf(ref)).all()
+    fin = np.isfinite(ref)
+    assert fin.all()
+    assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, ref)).all()
+
+
+def test_min_k_calls_no_eigensolver_or_solve(monkeypatch):
+    batches = [cones.sample_cone(n, n - 1, 100, seed=n, level=1.0)
+               for n in (2, 3, 4, 5)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call inside the K search")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for rows in batches:
+        assert np.isfinite(cones.ren_wang_min_k_batch(rows, 0.1)).all()
+
+
+def test_min_k_degenerate_rows():
+    # kappa = (1, 1, -1): g_1 = sigma_1(1, -1) = 0, so the first pivot is
+    # exactly zero; it reads +inf, with no division by zero
+    kappa = np.array([[1.0, 1.0, -1.0]])
+    assert _delete_form(kappa, 0.1)[0][0, 0, 0] == 0.0
+    assert np.isposinf(cones.ren_wang_min_k_batch(kappa, 0.1)).all()
+    # kappa = (4, 1, 1, -1/2): g_1 = sigma_2(1, 1, -1/2) = 0 again, and the
+    # eigenvalue reference agrees on +inf; carried past the zero pivot,
+    # the elimination would read a finite K (about 7.14)
+    kappa = np.array([[4.0, 1.0, 1.0, -0.5]])
+    assert _delete_form(kappa, 0.1)[0][0, 0, 0] == 0.0
+    assert np.isposinf(_eig_solve_min_k(kappa, 0.1)).all()
+    assert np.isposinf(cones.ren_wang_min_k_batch(kappa, 0.1)).all()
+    for n in (2, 3, 5):
+        assert cones.ren_wang_min_k_batch(np.zeros((0, n)), 0.1).shape == (0,)
+    # n = 2: A = diag(-1, 1 + eps) and b = sqrt(kappa_1) (1, 1), so
+    # K* = (1 + eps) / (eps kappa_1)
+    got = cones.ren_wang_min_k_batch(np.array([[1.0, 1.0], [2.0, 0.5]]), 0.1)
+    assert got.tolist() == pytest.approx([11.0, 5.5], rel=1e-14)
+
+
+def test_min_k_infinite_with_two_negatives_and_negative_c():
+    # off the cone, A can have two negative eigenvalues while
+    # b^T A^-1 b < 0: the determinant test alone would read a finite K
+    rows = np.array([[1.134, 0.38, -1.165, -1.388]])
+    A, b = _delete_form(rows, 0.1)
+    assert (np.linalg.eigvalsh(A)[0] < 0.0).sum() == 2
+    assert b[0] @ np.linalg.solve(A[0], b[0]) < 0.0
+    assert np.isposinf(cones.ren_wang_min_k_batch(rows, 0.1)).all()
+    for K in np.logspace(-3, 12, 16):
+        M = cones.ren_wang_matrices(rows, 0.1, K)
+        assert np.linalg.eigvalsh(M)[0, 0] < 0.0
+
+
 def test_min_k_weakly_decreasing_in_eps():
     # a larger eps only adds positive diagonal, enlarging the certified set
     rows = cones.sample_cone(3, 2, 16, seed=21, level=1.0)

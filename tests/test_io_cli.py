@@ -229,9 +229,9 @@ def test_audit_subcommand_bundles_checks(tmp_path, monkeypatch):
     searches = []
     real = cones.ren_wang_min_k_batch
 
-    def counted(rows, eps_rw):
+    def counted(rows, eps_rw, **kwargs):
         searches.append(len(rows))
-        return real(rows, eps_rw)
+        return real(rows, eps_rw, **kwargs)
 
     monkeypatch.setattr(cones, "ren_wang_min_k_batch", counted)
     assert cli.main(["audit", "--domain", "ball", "--n", "3",
