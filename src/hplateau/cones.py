@@ -148,8 +148,10 @@ def _sigma_into(out, entries) -> None:
     """
     kmax = len(out) - 1
     for i, v in enumerate(entries):
-        for j in range(min(i + 1, kmax), 0, -1):
+        for j in range(min(i + 1, kmax), 1, -1):
             out[j] += v * out[j - 1]
+        if kmax:
+            out[1] += v   # v * sigma_0, exactly
 
 
 def elem_sym_table(rows: np.ndarray, kmax: int) -> np.ndarray:
@@ -166,8 +168,10 @@ def elem_sym_table(rows: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def _sigma_top(entries, k: int, shape) -> np.ndarray:
-    out = np.zeros((k + 1,) + tuple(shape))
-    out[0] = 1.0
+    # separate arrays, so that the sigma_k returned keeps no block of
+    # lower sigmas alive: on 20 000 rows that was megabytes per form,
+    # paid again in page faults on every call
+    out = [np.ones(shape)] + [np.zeros(shape) for _ in range(k)]
     _sigma_into(out, entries)
     return out[k]
 
@@ -185,8 +189,8 @@ def _deleted_hessian(entries, k: int, shape) -> dict:
     pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
     if k < 2:
         return {pq: np.zeros(shape) for pq in pairs}
-    return {(p, q): _sigma_top(entries[:p] + entries[p + 1:q] + entries[q + 1:],
-                               k - 2, shape)
+    return {(p, q): _sigma_top(
+                entries[:p] + entries[p + 1:q] + entries[q + 1:], k - 2, shape)
             for p, q in pairs}
 
 
@@ -327,7 +331,8 @@ class RWForm:
 
     def matrices(self, K) -> np.ndarray:
         """M(K) per row, shape (m, n, n); K a scalar or per-row vector."""
-        Kb = np.broadcast_to(np.asarray(K, dtype=float), self.b.shape[1:]) * self.b
+        Kv = np.broadcast_to(np.asarray(K, dtype=float), self.b.shape[1:])
+        Kb = Kv * self.b
         M = self.A + Kb[:, None, :] * self.b[None, :, :]
         return np.ascontiguousarray(M.transpose(2, 0, 1))
 
@@ -353,8 +358,9 @@ def _ren_wang_parts(rows: np.ndarray, eps_rw: float) -> RWForm:
     kappa = list(np.ascontiguousarray(rows.T))
     g = _deleted_gradient(kappa, n - 1, (m,))
     A = np.empty((n, n, m))
+    neg_k1 = -kappa[0]
     for (p, q), h in _deleted_hessian(kappa, n - 1, (m,)).items():
-        A[p, q] = A[q, p] = -kappa[0] * h
+        A[p, q] = A[q, p] = neg_k1 * h
     A[0, 0] = -g[0]
     for i in range(1, n):
         A[i, i] = (1.0 + eps_rw) * g[i]
@@ -433,8 +439,8 @@ def ren_wang_min_k_batch(rows: np.ndarray, eps_rw: float,
 
     A zero pivot reads K* = +inf, with no division by it.  On
     Gamma_{n-1} a later pivot is zero only when S is not positive
-    definite: S indefinite gives two negative eigenvalues and K* = inf
-    anyway, and S singular PSD makes A singular.  So a zero pivot can
+    definite: a negative eigenvalue of S gives A two, and K* = inf
+    anyway, while a singular PSD S makes A singular.  So a zero pivot can
     read +inf where the eigenvalue count would not only off Gamma_{n-1}
     (there g_1 may vanish, as at kappa = (1, 1, -1)) or on a singular
     form.
@@ -443,23 +449,25 @@ def ren_wang_min_k_batch(rows: np.ndarray, eps_rw: float,
     that M(K) can be built for a check without rebuilding A and b.
     """
     form = _ren_wang_parts(rows, eps_rw)
-    W = form.A.copy()
-    y = form.b.copy()
-    n, m = y.shape
+    n, m = form.b.shape
+    # the lower triangle of the Schur complements, one vector per entry
+    S = {(i, j): form.A[i, j] for i in range(n) for j in range(i + 1)}
+    y = list(form.b)
     negatives = np.zeros(m, dtype=int)
     flat = np.zeros(m, dtype=bool)
     c = np.zeros(m)
     for k in range(n):
-        d = W[k, k]
+        d = S[k, k]
         negatives += d < 0.0
         zero = d == 0.0
         flat |= zero
         d = np.where(zero, 1.0, d)
         c += y[k] * y[k] / d
-        col = W[k + 1:, k]
-        ell = col / d
-        y[k + 1:] -= ell * y[k]
-        W[k + 1:, k + 1:] -= ell[:, None, :] * col[None, :, :]
+        for i in range(k + 1, n):
+            ell = S[i, k] / d
+            y[i] = y[i] - ell * y[k]
+            for j in range(k + 1, i + 1):
+                S[i, j] = S[i, j] - ell * S[j, k]
     out = np.where(negatives == 0, 0.0, np.inf)
     one = (negatives == 1) & (c < 0.0)
     out[one] = -1.0 / c[one]
