@@ -317,17 +317,20 @@ def negative_part_slack(kappa, k: int) -> float:
 # Ren-Wang certification form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class RWForm:
     """The certification forms M(K) = A + K b b^T of m rows, entry by entry.
 
     A has shape (n, n, m) and b shape (n, m), so A[i, j] and b[i] are
     contiguous vectors over the rows and the K search works on whole
-    entries of the batch at once.
+    entries of the batch at once.  A plain class: a dataclass would
+    generate its methods with exec at every import of the package.
     """
 
-    A: np.ndarray
-    b: np.ndarray
+    __slots__ = ("A", "b")
+
+    def __init__(self, A: np.ndarray, b: np.ndarray):
+        self.A = A
+        self.b = b
 
     def matrices(self, K) -> np.ndarray:
         """M(K) per row, shape (m, n, n); K a scalar or per-row vector."""
