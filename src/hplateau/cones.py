@@ -168,9 +168,9 @@ def elem_sym_table(rows: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def _sigma_top(entries, k: int, shape) -> np.ndarray:
-    # separate arrays, so that the sigma_k returned keeps no block of
-    # lower sigmas alive: on 20 000 rows that was megabytes per form,
-    # paid again in page faults on every call
+    # separate arrays: a view into one (k + 1, ...) block would keep the
+    # lower sigmas alive with the result, megabytes per form on 20 000
+    # rows, and fresh memory costs page faults on every call
     out = [np.ones(shape)] + [np.zeros(shape) for _ in range(k)]
     _sigma_into(out, entries)
     return out[k]
@@ -443,10 +443,10 @@ def ren_wang_min_k_batch(rows: np.ndarray, eps_rw: float,
     A zero pivot reads K* = +inf, with no division by it.  On
     Gamma_{n-1} a later pivot is zero only when S is not positive
     definite: a negative eigenvalue of S gives A two, and K* = inf
-    anyway, while a singular PSD S makes A singular.  So a zero pivot can
-    read +inf where the eigenvalue count would not only off Gamma_{n-1}
-    (there g_1 may vanish, as at kappa = (1, 1, -1)) or on a singular
-    form.
+    anyway, while a singular PSD S makes A singular.  So a zero pivot
+    can read +inf where the eigenvalue count would not only off
+    Gamma_{n-1} (there g_1 may vanish, as at kappa = (1, 1, -1)) or on
+    a singular form.
 
     With ``return_form`` the RWForm of the rows comes back as well, so
     that M(K) can be built for a check without rebuilding A and b.
