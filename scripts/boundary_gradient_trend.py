@@ -1,6 +1,6 @@
 """Track the rim slope of radial solutions as the boundary height drops.
 
-The solved profile's one-sided slope at the rim is compared with the
+The solver's own one-sided slope at the rim is compared with the
 closed-form cap slope at the same boundary height.  A bounded, settling
 ratio is the numerical face of the boundary gradient estimate; the raw
 slope itself steepens as sigma drops toward zero and the cap flattens
@@ -11,12 +11,6 @@ import argparse
 import sys
 
 from hplateau import domains, geometry, solver
-
-
-def rim_slope(field):
-    r, u = field.nodes, field.u
-    h = r[-1] - r[-2]
-    return (3 * u[-1] - 4 * u[-2] + u[-3]) / (2 * h)
 
 
 def main(argv=None):
@@ -35,7 +29,7 @@ def main(argv=None):
         for f in solver.solve_radial_path(cfg, ball):
             eps = f.convergence.eps_bdry
             cap = geometry.exact_cap(3, sigma, args.radius, eps)
-            measured = rim_slope(f)
+            measured = f.meta["du"][-1]
             exact = cap.height_d1(args.radius)
             print(f"{sigma:>6g} {eps:>8g} {measured:>10.5f} "
                   f"{exact:>10.5f} {measured / exact:>8.5f}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cones
 from .errors import AuditPreconditionError
-from .geometry import RadialHeightField, nu_identity_residuals
+from .geometry import RadialHeightField, exact_cap, nu_identity_residuals
 from .solver import SolutionField
 
 __all__ = [
@@ -156,33 +156,54 @@ def _require_solution(solution: SolutionField, who: str) -> None:
             f"{CONVERGED_RESIDUAL_CEIL:.0e})")
 
 
+def _require_path(solutions, who: str) -> list:
+    """solutions as a list, held to the path rule of nu_lower_bound_check."""
+    solutions = list(solutions)
+    if not solutions:
+        raise AuditPreconditionError(f"{who} needs fields")
+    first = solutions[0]
+    for f in solutions:
+        _require_solution(f, who)
+        if f.domain != first.domain \
+                or f.convergence.sigma != first.convergence.sigma:
+            raise AuditPreconditionError(
+                f"{who} fields must share (n, domain, sigma)")
+    return solutions
+
+
 def _near_boundary(solution: SolutionField) -> np.ndarray:
     """Boundary-adjacent mask; adjacency means within one cell."""
     return np.asarray(solution.meta["near_boundary"], dtype=bool)
 
 
-def _kappa_maxima(solution: SolutionField) -> tuple[float, float]:
-    """Largest |kappa| off and on the boundary-adjacent nodes."""
+def _kappa_maxima(solution: SolutionField) -> tuple[float, float, float]:
+    """Largest |kappa| off and on the boundary-adjacent nodes, and the
+    witness max_interior - BOUND_C2 * max_boundary."""
     near = _near_boundary(solution)
     amax = np.abs(solution.spectra).max(axis=1)
-    return float(amax[~near].max()), float(amax[near].max())
+    interior, boundary = float(amax[~near].max()), float(amax[near].max())
+    return interior, boundary, interior - BOUND_C2 * boundary
 
 
-def test_function_field(solution: SolutionField,
-                        config: AuditConfig) -> np.ndarray:
-    """Per-node Q = ln kappa_1 - N ln nu."""
-    _require_solution(solution, "test_function_field")
+def _log_terms(solution: SolutionField, who: str):
+    """(ln kappa_1, ln nu) per node, the two terms of every Q."""
+    _require_solution(solution, who)
     k1 = solution.spectra[:, 0]
     if not (k1 > 0.0).all():
         raise AuditPreconditionError(
             "top principal curvature must be positive at every node "
             "(forced by F^ii kappa_i = (n-1) sigma > 0 on solutions)")
-    return np.log(k1) - config.N * np.log(solution.nu_vertical)
+    return np.log(k1), np.log(solution.nu_vertical)
 
 
-def _q_summary(solution: SolutionField, exponent: float):
-    cfg = AuditConfig(N=exponent)
-    q = test_function_field(solution, cfg)
+def test_function_field(solution: SolutionField,
+                        config: AuditConfig) -> np.ndarray:
+    """Per-node Q = ln kappa_1 - N ln nu."""
+    log_k1, log_nu = _log_terms(solution, "test_function_field")
+    return log_k1 - config.N * log_nu
+
+
+def _q_summary(q: np.ndarray, solution: SolutionField):
     near = _near_boundary(solution)
     idx = int(np.argmax(q))
     loc = solution.nodes[idx]
@@ -201,23 +222,17 @@ def nu_lower_bound_check(solutions) -> NuLowerBoundReport:
     floor over the schedule must stay above half of it.  (nu = 1/w is
     positive at every node of every field, so a bare positivity test
     could not fail.)
+
+    The fields must form one path: at least one, each converged and
+    cone_ok, all on one DomainSpec (compared whole, so radius and
+    semi-axes count) at one sigma, else AuditPreconditionError.
     """
-    solutions = list(solutions)
-    if not solutions:
-        raise AuditPreconditionError("nu_lower_bound_check needs fields")
-    first = solutions[0]
-    for f in solutions:
-        _require_solution(f, "nu_lower_bound_check")
-        if f.convergence.sigma != first.convergence.sigma \
-                or f.domain.kind != first.domain.kind \
-                or f.domain.n != first.domain.n:
-            raise AuditPreconditionError(
-                "nu_lower_bound_check fields must share (n, domain, sigma)")
+    solutions = _require_path(solutions, "nu_lower_bound_check")
     eps_values = tuple(f.convergence.eps_bdry for f in solutions)
     minima = tuple(float(f.nu_vertical.min()) for f in solutions)
     floor = min(minima)
-    n = first.domain.n
-    oracle = (first.convergence.sigma / n) ** (1.0 / (n - 1))
+    first = solutions[0]
+    oracle = exact_cap(first.domain.n, first.convergence.sigma, 1.0).lam
     return NuLowerBoundReport(eps_values=eps_values, minima=minima,
                               floor=floor, oracle=oracle,
                               ok=floor >= 0.5 * oracle)
@@ -229,17 +244,12 @@ def curvature_bound_check(solutions) -> CurvatureBoundReport:
     witness = max_kappa_interior - BOUND_C2 * max_kappa_boundary must
     stay at or below BOUND_C1 for every field, and the interior maximum
     must drift by less than 10% across the last two boundary heights.
+    The fields must form one path, as in nu_lower_bound_check.
     """
-    c1, c2 = BOUND_C1, BOUND_C2
-    solutions = list(solutions)
-    if not solutions:
-        raise AuditPreconditionError("curvature_bound_check needs fields")
-    for f in solutions:
-        _require_solution(f, "curvature_bound_check")
-    interior_maxima, boundary_maxima = zip(*map(_kappa_maxima, solutions))
-    witnesses = tuple(i - c2 * b
-                      for i, b in zip(interior_maxima, boundary_maxima))
-    ok = all(w <= c1 for w in witnesses)
+    solutions = _require_path(solutions, "curvature_bound_check")
+    interior_maxima, boundary_maxima, witnesses = zip(
+        *map(_kappa_maxima, solutions))
+    ok = all(w <= BOUND_C1 for w in witnesses)
     drift = None
     if len(solutions) >= 2:
         last, prev = interior_maxima[-1], interior_maxima[-2]
@@ -249,7 +259,7 @@ def curvature_bound_check(solutions) -> CurvatureBoundReport:
         eps_values=tuple(f.convergence.eps_bdry for f in solutions),
         interior_maxima=interior_maxima,
         boundary_maxima=boundary_maxima,
-        witnesses=witnesses, c1=c1, c2=c2, drift=drift, ok=ok)
+        witnesses=witnesses, c1=BOUND_C1, c2=BOUND_C2, drift=drift, ok=ok)
 
 
 def _rw_sample_indices(solution: SolutionField, cap: int) -> np.ndarray:
@@ -299,12 +309,8 @@ def _radial_interpolant(solution: SolutionField) -> RadialHeightField:
     r_ext = np.concatenate([-r[:0:-1], r])
     u_ext = np.concatenate([u[:0:-1], u])
     sp = InterpolatedUnivariateSpline(r_ext, u_ext, k=5)
-    d1 = sp.derivative(1)
-    d2 = sp.derivative(2)
-    dim = solution.domain.n
-    return RadialHeightField(lambda s: float(sp(s)),
-                             lambda s: float(d1(s)),
-                             lambda s: float(d2(s)), dim)
+    return RadialHeightField(sp, sp.derivative(1), sp.derivative(2),
+                             solution.domain.n)
 
 
 def nu_identity_audit(solution: SolutionField,
@@ -361,14 +367,15 @@ def estimate_report(solution: SolutionField, config: AuditConfig,
     `rw` is a report that `rw_on_solution` already made for this field
     and config; it is computed here when not given.
     """
-    _require_solution(solution, "estimate_report")
-    max_kappa_interior, max_kappa_boundary = _kappa_maxima(solution)
-    q_max, q_argmax, region, q_boundary = _q_summary(solution, config.N)
+    log_k1, log_nu = _log_terms(solution, "estimate_report")
+    max_kappa_interior, max_kappa_boundary, witness = _kappa_maxima(solution)
+    q_max, q_argmax, region, q_boundary = _q_summary(
+        log_k1 - config.N * log_nu, solution)
     if rw is None:
         rw = rw_on_solution(solution, config)
     q_sweep = {}
     for expo in sweep_exponents:
-        qm, _, reg, qb = _q_summary(solution, expo)
+        qm, _, reg, qb = _q_summary(log_k1 - expo * log_nu, solution)
         q_sweep[expo] = {"q_max": qm, "q_boundary_max": qb,
                          "argmax_region": reg}
     return EstimateReport(
@@ -378,20 +385,20 @@ def estimate_report(solution: SolutionField, config: AuditConfig,
         q_max=q_max, q_argmax=q_argmax, q_argmax_region=region,
         q_boundary_max=q_boundary,
         rw_min_k_max=rw.min_k_max,
-        bound_constant_witness=max_kappa_interior
-        - BOUND_C2 * max_kappa_boundary,
+        bound_constant_witness=witness,
         q_sweep=q_sweep)
 
 
 def audit_bundle(fields, config: AuditConfig) -> dict:
     """All audits over one continuation run (list of per-eps fields).
 
-    Returns plain dict material for JSON emission; `ok` aggregates the
-    checks that carry a pass/fail meaning.
+    The fields must form one path; nu_lower_bound_check holds them to it
+    before the last field is read.  Returns plain dict material for JSON
+    emission; `ok` aggregates the checks that carry a pass/fail meaning.
     """
     fields = list(fields)
-    final = fields[-1]
     nu_rep = nu_lower_bound_check(fields)
+    final = fields[-1]
     bound_rep = curvature_bound_check(fields)
     rw_rep = rw_on_solution(final, config)
     est = estimate_report(final, config, rw=rw_rep)

@@ -63,6 +63,10 @@ EXIT_DIVERGED = 3
 EXIT_CONE = 4
 EXIT_VIOLATION = 5
 
+# a failed solve's exit code and sweep status, by error type
+_SOLVE_FAILURES = {NewtonDivergenceError: (EXIT_DIVERGED, "newton_divergence"),
+                   ConeViolationError: (EXIT_CONE, "cone_violation")}
+
 
 def _float_list(text: str):
     vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -122,12 +126,6 @@ def _build(cls, args, cfg, section: str):
         if value is not None:
             kwargs[f.name] = type(f.default)(value)
     return cls(**kwargs)
-
-
-def _listed(args, cfg, key: str) -> tuple:
-    """A comma-list flag if given, else the file's list, else ()."""
-    return tuple(float(v) for v in (getattr(args, key, None)
-                                    or _pick(None, cfg, (key,)) or ()))
 
 
 def _sigma(args, cfg):
@@ -242,13 +240,20 @@ def _run_oracle_cap(args, cfg, n: int) -> int:
     return EXIT_OK
 
 
-def _run_verify_cone(args, cfg, n: int) -> int:
-    k = int(_pick(args.k, cfg, ("k",), n - 1))
-    count = int(_pick(args.samples, cfg, ("samples",), 100000))
+def _sample_cone(args, cfg, n: int, k: int, default_count: int):
+    """(rows, count, seed): cone samples from the samples, seed and level
+    flags or file keys."""
+    count = int(_pick(args.samples, cfg, ("samples",), default_count))
     seed = int(_pick(args.seed, cfg, ("seed",), 0))
     level = _pick(args.level, cfg, ("level",))
     rows = cones.sample_cone(n, k, count, seed,
                              level=None if level is None else float(level))
+    return rows, count, seed
+
+
+def _run_verify_cone(args, cfg, n: int) -> int:
+    k = int(_pick(args.k, cfg, ("k",), n - 1))
+    rows, count, seed = _sample_cone(args, cfg, n, k, 100000)
     member = cones.cone_mask_batch(rows, k)
     quad = cones.second_moment_slack_batch(rows, k)
     neg = cones.negative_part_slack_batch(rows, k)
@@ -270,13 +275,9 @@ def _run_verify_cone(args, cfg, n: int) -> int:
 
 
 def _run_renwang(args, cfg, n: int) -> int:
-    count = int(_pick(args.samples, cfg, ("samples",), 10000))
-    seed = int(_pick(args.seed, cfg, ("seed",), 0))
+    rows, count, seed = _sample_cone(args, cfg, n, n - 1, 10000)
     eps_rw = float(_pick(args.eps_rw, cfg, ("audit", "eps_rw"),
                          audit_mod.AuditConfig.eps_rw))
-    level = _pick(args.level, cfg, ("level",))
-    rows = cones.sample_cone(n, n - 1, count, seed,
-                             level=None if level is None else float(level))
     min_k = cones.ren_wang_min_k_batch(rows, eps_rw)
     finite = np.isfinite(min_k)
     report = {
@@ -344,7 +345,8 @@ def _sweep_domains(args, cfg, n: int):
 
 
 def _run_sweep(args, cfg, n: int) -> int:
-    sigmas = _listed(args, cfg, "sigmas")
+    sigmas = tuple(float(v) for v in (args.sigmas
+                                      or _pick(None, cfg, ("sigmas",)) or ()))
     schedule = _eps_schedule(args, cfg)
     domains = _sweep_domains(args, cfg, n)
     if not sigmas or not domains or not schedule:
@@ -353,7 +355,7 @@ def _run_sweep(args, cfg, n: int) -> int:
     audit_cfg = _build(audit_mod.AuditConfig, args, cfg, "audit")
 
     rows = []
-    failed = set()
+    code = EXIT_OK
     for domain in domains:
         label = _domain_label(domain)
         radial = domain.kind == "ball"
@@ -361,11 +363,10 @@ def _run_sweep(args, cfg, n: int) -> int:
             config = _solve_config(args, cfg, n, sigma, radial)
             try:
                 fields = _solve(config, domain, radial)
-            except (ConeViolationError, NewtonDivergenceError) as exc:
-                status = ("cone_violation"
-                          if isinstance(exc, ConeViolationError)
-                          else "newton_divergence")
-                failed.add(status)
+            except tuple(_SOLVE_FAILURES) as exc:
+                # the largest code wins: cone violation over divergence
+                failure, status = _SOLVE_FAILURES[type(exc)]
+                code = max(code, failure)
                 rows += [{"domain": label, "n": n, "sigma": sigma,
                           "eps": eps, "status": status} for eps in schedule]
                 continue
@@ -389,11 +390,7 @@ def _run_sweep(args, cfg, n: int) -> int:
     csv_path = _out_path(args.out_csv, cfg, "csv", "sweep")
     io.write_sweep_csv(rows, csv_path)
     print(f"{len(rows)} rows -> {csv_path}")
-    if "cone_violation" in failed:
-        return EXIT_CONE
-    if failed:
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +491,9 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         _check_keys(cfg, args.subcommand)
         return args.runner(args, cfg, int(_pick(args.n, cfg, ("n",), 3)))
-    except NewtonDivergenceError as exc:
+    except tuple(_SOLVE_FAILURES) as exc:
         _emit_error(exc)
-        return EXIT_DIVERGED
-    except ConeViolationError as exc:
-        _emit_error(exc)
-        return EXIT_CONE
+        return _SOLVE_FAILURES[type(exc)][0]
     except (ValueError, HPlateauError, OSError) as exc:
         # HPlateauError here: audit preconditions, frame ambiguity
         _emit_error(exc)

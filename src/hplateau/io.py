@@ -33,12 +33,8 @@ def format_value(x) -> str:
         return x
     if x is None:
         return ""
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(v)
+    # repr spells the non-finite floats "nan", "inf" and "-inf"
+    return repr(float(x))
 
 
 def _grid_columns(n: int) -> tuple:
@@ -50,8 +46,9 @@ def _grid_columns(n: int) -> tuple:
 def field_csv_rows(field: SolutionField, extra: dict | None = None):
     """(header, row iterator) for one solved field.
 
-    extra maps column name -> per-node array (None entries become empty
-    cells); extra columns are appended after the fixed ones.
+    extra maps column name -> per-node array or list (None entries become
+    empty cells); extra columns are appended after the fixed ones.  A
+    column of the wrong length raises ValueError as the rows are read.
     """
     extra = extra or {}
     kind = field.meta.get("kind")
@@ -69,15 +66,7 @@ def field_csv_rows(field: SolutionField, extra: dict | None = None):
         cols += [field.u, field.nu_vertical]
         cols += [field.spectra[:, i] for i in range(n)]
         cols += [field.residual_field]
-    names = list(header) + list(extra)
-    cols += [extra[k] for k in extra]
-    m = len(field.u)
-
-    def rows():
-        for i in range(m):
-            yield [c[i] if c is not None else None for c in cols]
-
-    return tuple(names), rows()
+    return header + tuple(extra), zip(*cols, *extra.values(), strict=True)
 
 
 def write_csv(path, header, rows):
@@ -118,11 +107,7 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return v
+        return v if math.isfinite(v) else format_value(v)
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.bool_,)):
@@ -157,10 +142,5 @@ def cap_csv_rows(cap, radii) -> tuple:
     nu = cap.nu(radii)
     lam = np.full_like(radii, cap.lam)
     zero = np.zeros_like(radii)
-    cols = [radii, u, du, d2u, lam, lam, nu, zero]
-
-    def rows():
-        for i in range(radii.size):
-            yield [c[i] for c in cols]
-
-    return RADIAL_COLUMNS, rows()
+    return RADIAL_COLUMNS, zip(radii, u, du, d2u, lam, lam, nu, zero,
+                               strict=True)

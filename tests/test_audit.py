@@ -24,6 +24,15 @@ def ell_field():
     return gridsolver.solve_graph(cfg, domains.make_ellipsoid((1.3, 1.0, 1.0)))
 
 
+@pytest.fixture(scope="module")
+def two_radii():
+    # two converged balls that share kind, n and sigma, but not the radius
+    cfg = solver.SolveConfig(n=3, sigma_target=1.5, eps_schedule=(1e-1,),
+                             mesh=solver.RadialMesh(51))
+    return [solver.solve_radial(cfg, domains.make_ball(3, radius))
+            for radius in (1.0, 2.0)]
+
+
 LAM = (1.5 / 3.0) ** 0.5  # cap curvature for the ball fixture
 
 
@@ -115,6 +124,14 @@ def test_nu_floor_input_validation(ball_path):
         audit.nu_lower_bound_check([ball_path[-1], other])
 
 
+@pytest.mark.parametrize("check", ["nu_lower_bound_check",
+                                   "curvature_bound_check"])
+def test_path_checks_reject_fields_of_two_domains(two_radii, check):
+    # one path means one DomainSpec: the radius counts, not only kind and n
+    with pytest.raises(AuditPreconditionError):
+        getattr(audit, check)(two_radii)
+
+
 # ---------------------------------------------------------------------------
 # interior curvature bound
 # ---------------------------------------------------------------------------
@@ -177,6 +194,19 @@ def test_rw_on_solution_builds_the_form_once(ball_path, monkeypatch):
     assert len(builds) == 1
 
 
+def test_rw_on_solution_reports_an_off_cone_row(ball_path):
+    # kappa = (1, 1, -1) lies outside Gamma_2 (its K search finds no K);
+    # cone_ok stays True, so only the report can say so
+    f = ball_path[-1]
+    spectra = f.spectra.copy()
+    spectra[100] = (1.0, 1.0, -1.0)
+    rep = audit.rw_on_solution(dataclasses.replace(f, spectra=spectra),
+                               audit.AuditConfig())
+    assert rep.min_k_max == math.inf
+    assert not rep.certified_at_max
+    assert not rep.ok
+
+
 def test_rw_sample_cap(ball_path):
     rep = audit.rw_on_solution(ball_path[-1],
                                audit.AuditConfig(rw_sample_cap=10))
@@ -230,6 +260,11 @@ def test_bundle_on_ball_path(ball_path):
         est.max_kappa_interior - audit.BOUND_C2 * est.max_kappa_boundary)
     assert set(est.q_sweep) == set(audit.Q_SWEEP_EXPONENTS)
     assert est.nu_min == pytest.approx(LAM, abs=2e-3)
+
+
+def test_bundle_needs_fields():
+    with pytest.raises(AuditPreconditionError):
+        audit.audit_bundle([], audit.AuditConfig())
 
 
 def test_bundle_on_grid_field_has_no_identity_audit(ell_field):

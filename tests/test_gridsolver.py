@@ -119,6 +119,12 @@ def test_solve_is_deterministic():
     assert np.array_equal(a.spectra, b.spectra)
 
 
+def test_grid_path_rejects_n_4():
+    cfg = solver.SolveConfig(n=4, sigma_target=2.0)
+    with pytest.raises(ValueError, match="n in"):
+        gridsolver.solve_graph_path(cfg, domains.make_ball(4, 1.0))
+
+
 def test_cli_small_sigma_ellipsoid(tmp_path, monkeypatch):
     # the automatic walk from sigma = 1.5 to 0.01 needs its legs split
     # where a transported iterate leaves the cone

@@ -534,6 +534,60 @@ def test_cone_violation_exits_4(tmp_path, monkeypatch, capsys):
     assert _stderr_record(capsys)["error"] == "ConeViolationError"
 
 
+def _column(path, name):
+    header, rows = _read_csv(path)
+    return [r[header.index(name)] for r in rows]
+
+
+@pytest.mark.parametrize("argv,rows", [
+    # the (3, 1) ellipse leaves the cone on this mesh at every eps
+    (["--domains", "ellipsoid", "--sigmas", "1.0"],
+     [("ellipsoid:3.0;1.0", "cone_violation")] * 2),
+    # with it, the 1601-node ball stalls at sigma 0.01: the sweep exits
+    # with the cone code
+    (["--domains", "ball,ellipsoid", "--sigmas", "0.01", "--nodes", "1601"],
+     [("ball:1.0", "newton_divergence")] * 2
+     + [("ellipsoid:3.0;1.0", "cone_violation")] * 2),
+], ids=["cone", "cone_outranks_divergence"])
+def test_sweep_cone_violation_exits_4(tmp_path, monkeypatch, argv, rows):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--semi-axes", "3,1", "--n", "2", "--radial",
+                     "8", "--angular", "16", "--eps-schedule", "0.1,0.01"]
+                    + argv) == 4
+    path = tmp_path / "sweep.csv"
+    assert list(zip(_column(path, "domain"), _column(path, "status"))) == rows
+
+
+def test_sweep_labels_a_star_domain(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--domains", "star", "--star-samples",
+                     "1.0,1.08,1.0,0.94,1.0,1.08,1.0,0.94", "--n", "2",
+                     "--sigmas", "1.2", "--radial", "8", "--angular", "16",
+                     "--eps-schedule", "0.1"]) == 0
+    path = tmp_path / "sweep.csv"
+    assert _column(path, "domain") == ["star:8pts"]
+    assert _column(path, "status") == ["ok"]
+
+
+def test_solve_radial_without_sigma_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["solve-radial", "--n", "3"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert "sigma is required" in rec["message"]
+    assert not (tmp_path / "solve-radial.csv").exists()
+
+
+def test_sweep_without_sigmas_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--domains", "ball", "--n", "3",
+                     "--nodes", "51"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert "sigmas" in rec["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as info:
         cli.main(["bogus"])

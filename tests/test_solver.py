@@ -261,6 +261,26 @@ def test_damped_newton_iteration_cap():
         )
 
 
+def test_damped_newton_counts_a_last_step_that_converges():
+    # two half steps, then an exact one: the third and last allowed
+    # iteration lands on the root and is counted
+    steps = []
+
+    def step(v, F):
+        steps.append(v)
+        return -F if len(steps) == 3 else -0.5 * F
+
+    v, iters, nrm = solver.damped_newton(
+        np.ones(1),
+        residual_fn=lambda v: v,
+        guard_fn=lambda v: True,
+        jacobian_solver=step,
+        params=solver.NewtonParams(max_iters=3, residual_tol=1e-12),
+    )
+    assert iters == 3 and len(steps) == 3
+    assert nrm == 0.0 and v[0] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # continuation driver, on the radial and the grid scheme
 # ---------------------------------------------------------------------------
