@@ -79,6 +79,14 @@ def test_extra_columns_are_appended(small_field):
     assert float(list(rows)[3][-1]) == 3.0
 
 
+def test_extra_column_of_the_wrong_length_is_an_error(small_field):
+    for size in (50, 52):
+        header, rows = io.field_csv_rows(small_field,
+                                         extra={"Q": np.arange(float(size))})
+        with pytest.raises(ValueError):
+            list(rows)
+
+
 def test_write_field_csv_and_sidecar(tmp_path, small_field):
     csv_path = tmp_path / "field.csv"
     io.write_field_csv(small_field, csv_path)
@@ -569,23 +577,19 @@ def test_sweep_labels_a_star_domain(tmp_path, monkeypatch):
     assert _column(path, "status") == ["ok"]
 
 
-def test_solve_radial_without_sigma_exits_2(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv,message,unwritten", [
+    (["solve-radial", "--n", "3"], "sigma is required", "solve-radial.csv"),
+    (["sweep", "--domains", "ball", "--n", "3", "--nodes", "51"], "sigmas",
+     "sweep.csv"),
+], ids=["solve-radial", "sweep"])
+def test_missing_sigma_exits_2(tmp_path, monkeypatch, capsys, argv, message,
+                               unwritten):
     monkeypatch.chdir(tmp_path)
-    assert cli.main(["solve-radial", "--n", "3"]) == 2
+    assert cli.main(argv) == 2
     rec = _stderr_record(capsys)
     assert rec["error"] == "ValueError"
-    assert "sigma is required" in rec["message"]
-    assert not (tmp_path / "solve-radial.csv").exists()
-
-
-def test_sweep_without_sigmas_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["sweep", "--domains", "ball", "--n", "3",
-                     "--nodes", "51"]) == 2
-    rec = _stderr_record(capsys)
-    assert rec["error"] == "ValueError"
-    assert "sigmas" in rec["message"]
-    assert not (tmp_path / "sweep.csv").exists()
+    assert message in rec["message"]
+    assert not (tmp_path / unwritten).exists()
 
 
 def test_unknown_subcommand_exits_via_argparse():
