@@ -11,10 +11,9 @@ from .cones import (CurvatureVector, cone_membership, elementary_symmetric,
                     symmetric_jet)
 from .domains import (DomainSpec, domain_from_config, make_ball,
                       make_ellipsoid, make_star2d)
-from .errors import (AmbiguousFrameError, AuditPreconditionError,
-                     ConePreconditionError, ConeViolationError,
-                     DegenerateSpectrumError, GridDegeneracyError,
-                     HPlateauError, InvalidHeightError,
+from .errors import (AuditPreconditionError, ConePreconditionError,
+                     ConeViolationError, DegenerateSpectrumError,
+                     GridDegeneracyError, HPlateauError, InvalidHeightError,
                      NewtonDivergenceError)
 from .geometry import (CapSolution, GraphJet, exact_cap,
                        gauss_commutator_residuals, graph_jet, jet_from_field,
@@ -35,9 +34,9 @@ __all__ = [
     "ren_wang_min_k", "sample_cone", "second_moment_slack", "symmetric_jet",
     "DomainSpec", "domain_from_config", "make_ball", "make_ellipsoid",
     "make_star2d",
-    "AmbiguousFrameError", "AuditPreconditionError", "ConePreconditionError",
-    "ConeViolationError", "DegenerateSpectrumError", "GridDegeneracyError",
-    "HPlateauError", "InvalidHeightError", "NewtonDivergenceError",
+    "AuditPreconditionError", "ConePreconditionError", "ConeViolationError",
+    "DegenerateSpectrumError", "GridDegeneracyError", "HPlateauError",
+    "InvalidHeightError", "NewtonDivergenceError",
     "CapSolution", "GraphJet", "exact_cap", "gauss_commutator_residuals",
     "graph_jet", "jet_from_field", "nu_identity_residuals",
     "solve_graph", "solve_graph_path",

@@ -92,6 +92,8 @@ class EstimateReport:
     q_boundary_max: float
     rw_min_k_max: float
     bound_constant_witness: float
+    # per-node Q, for per-node output; io.write_json leaves it out
+    q: np.ndarray = field(repr=False, compare=False, metadata={"json": False})
     q_sweep: dict = field(default_factory=dict)
 
 
@@ -369,8 +371,8 @@ def estimate_report(solution: SolutionField, config: AuditConfig,
     """
     log_k1, log_nu = _log_terms(solution, "estimate_report")
     max_kappa_interior, max_kappa_boundary, witness = _kappa_maxima(solution)
-    q_max, q_argmax, region, q_boundary = _q_summary(
-        log_k1 - config.N * log_nu, solution)
+    q = log_k1 - config.N * log_nu
+    q_max, q_argmax, region, q_boundary = _q_summary(q, solution)
     if rw is None:
         rw = rw_on_solution(solution, config)
     q_sweep = {}
@@ -386,7 +388,7 @@ def estimate_report(solution: SolutionField, config: AuditConfig,
         q_boundary_max=q_boundary,
         rw_min_k_max=rw.min_k_max,
         bound_constant_witness=witness,
-        q_sweep=q_sweep)
+        q=q, q_sweep=q_sweep)
 
 
 def audit_bundle(fields, config: AuditConfig) -> dict:

@@ -27,10 +27,11 @@ SphericalGridMesh or PolarGridMesh).  File keys, by subcommand:
 A subcommand takes --out-csv and --out-json only for the files it
 writes.  Any other top-level file key, or an out key for a file it does
 not write, exits 2 before any work; nested keys are not checked (a sweep
-file may carry radial and grid mesh keys).  --eps with --eps-schedule
-exits 2, as does a mesh flag that the run's mesh class has no field for
-(--nodes on a grid domain, --lat on n = 2, ...), except in sweep, whose
-domains may need either kind.
+file may carry radial and grid mesh keys).  A file value of the wrong
+JSON type exits 2 as well; a null one counts as unset.  --eps with
+--eps-schedule exits 2, as does a mesh flag that the run's mesh class
+has no field for (--nodes on a grid domain, --lat on n = 2, ...),
+except in sweep, whose domains may need either kind.
 
 Exit codes: 0 success, 2 invalid configuration, 3 solver
 non-convergence, 4 cone-guard failure, 5 a verification subcommand
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import cones, io
-from .domains import domain_from_config
+from .domains import config_value, domain_from_config, float_tuple
 from .errors import (ConeViolationError, HPlateauError,
                      NewtonDivergenceError)
 from .geometry import exact_cap
@@ -101,8 +102,12 @@ def _check_keys(cfg, subcommand: str) -> None:
                          f"{', '.join(unread)}")
 
 
-def _pick(flag, cfg: dict, path: tuple, default=None):
-    """flag value if given, else nested config value, else default."""
+def _pick(flag, cfg: dict, path: tuple, default=None, kind=None):
+    """flag value if given, else nested config value, else default.
+
+    A null config value counts as unset.  A config value goes through
+    kind, if given; argparse has already typed the flags.
+    """
     if flag is not None:
         return flag
     node = cfg
@@ -110,33 +115,40 @@ def _pick(flag, cfg: dict, path: tuple, default=None):
         if not isinstance(node, dict) or key not in node:
             return default
         node = node[key]
-    return node
+    if node is None:
+        return default
+    return node if kind is None else config_value(kind, node, ".".join(path))
 
 
 def _build(cls, args, cfg, section: str):
     """A cls dataclass from flags, then cfg[section], then its defaults.
 
     Each field takes the flag of the same name, else the file value;
-    a field set by neither keeps the dataclass default, whose type the
-    given value is converted to.
+    a field set by neither keeps the dataclass default, whose type a
+    file value is converted to.
     """
     kwargs = {}
     for f in dataclasses.fields(cls):
-        value = _pick(getattr(args, f.name, None), cfg, (section, f.name))
+        value = _pick(getattr(args, f.name, None), cfg, (section, f.name),
+                      kind=type(f.default))
         if value is not None:
-            kwargs[f.name] = type(f.default)(value)
+            kwargs[f.name] = value
     return cls(**kwargs)
 
 
 def _sigma(args, cfg):
-    sigma = _pick(args.sigma, cfg, ("sigma",))
+    sigma = _pick(args.sigma, cfg, ("sigma",), kind=float)
     if sigma is None:
         raise ValueError("sigma is required (flag --sigma or config)")
     return sigma
 
 
 def _out_path(flag, cfg, ext: str, stem: str) -> str:
-    return _pick(flag, cfg, ("out", ext), f"{stem}.{ext}")
+    path = _pick(flag, cfg, ("out", ext), f"{stem}.{ext}")
+    if not isinstance(path, str):
+        raise ValueError(f"config key out.{ext} must be a path string, "
+                         f"got {path!r}")
+    return path
 
 
 def _resolve_out(args, cfg, stem: str):
@@ -149,12 +161,8 @@ def _eps_schedule(args, cfg, default=DEFAULT_EPS_SCHEDULE):
         if getattr(args, "eps_schedule", None) is not None:
             raise ValueError("give --eps or --eps-schedule, not both")
         return (float(args.eps),)
-    if getattr(args, "eps_schedule", None) is not None:
-        return tuple(args.eps_schedule)
-    sched = _pick(None, cfg, ("eps_schedule",))
-    if sched is not None:
-        return tuple(float(x) for x in sched)
-    return default
+    return _pick(getattr(args, "eps_schedule", None), cfg, ("eps_schedule",),
+                 default, float_tuple)
 
 
 def _domain_from_args(args, cfg, n: int, kind=None):
@@ -204,9 +212,9 @@ def _solve(config: SolveConfig, domain, radial: bool):
 
 def _run_solve(args, cfg, n: int) -> int:
     radial = args.subcommand == "solve-radial"
+    csv_path, json_path = _resolve_out(args, cfg, args.subcommand)
     config = _solve_config(args, cfg, n, _sigma(args, cfg), radial)
     field = _solve(config, _domain_from_args(args, cfg, n), radial)[-1]
-    csv_path, json_path = _resolve_out(args, cfg, args.subcommand)
     io.write_field_csv(field, csv_path)
     io.write_sidecar_json(field, json_path)
     conv = field.convergence
@@ -226,7 +234,7 @@ def _run_oracle_cap(args, cfg, n: int) -> int:
     if not schedule:
         raise ValueError("eps_schedule must be nonempty")
     eps = float(schedule[0])
-    nodes = int(_pick(args.nodes, cfg, ("mesh", "nodes"), RadialMesh.nodes))
+    nodes = _pick(args.nodes, cfg, ("mesh", "nodes"), RadialMesh.nodes, int)
     cap = exact_cap(n, float(sigma), radius, eps)
     csv_path, json_path = _resolve_out(args, cfg, "oracle-cap")
     io.write_csv(csv_path, *io.cap_csv_rows(cap,
@@ -243,16 +251,15 @@ def _run_oracle_cap(args, cfg, n: int) -> int:
 def _sample_cone(args, cfg, n: int, k: int, default_count: int):
     """(rows, count, seed): cone samples from the samples, seed and level
     flags or file keys."""
-    count = int(_pick(args.samples, cfg, ("samples",), default_count))
-    seed = int(_pick(args.seed, cfg, ("seed",), 0))
-    level = _pick(args.level, cfg, ("level",))
-    rows = cones.sample_cone(n, k, count, seed,
-                             level=None if level is None else float(level))
+    count = _pick(args.samples, cfg, ("samples",), default_count, int)
+    seed = _pick(args.seed, cfg, ("seed",), 0, int)
+    level = _pick(args.level, cfg, ("level",), kind=float)
+    rows = cones.sample_cone(n, k, count, seed, level=level)
     return rows, count, seed
 
 
 def _run_verify_cone(args, cfg, n: int) -> int:
-    k = int(_pick(args.k, cfg, ("k",), n - 1))
+    k = _pick(args.k, cfg, ("k",), n - 1, int)
     rows, count, seed = _sample_cone(args, cfg, n, k, 100000)
     member = cones.cone_mask_batch(rows, k)
     quad = cones.second_moment_slack_batch(rows, k)
@@ -276,8 +283,8 @@ def _run_verify_cone(args, cfg, n: int) -> int:
 
 def _run_renwang(args, cfg, n: int) -> int:
     rows, count, seed = _sample_cone(args, cfg, n, n - 1, 10000)
-    eps_rw = float(_pick(args.eps_rw, cfg, ("audit", "eps_rw"),
-                         audit_mod.AuditConfig.eps_rw))
+    eps_rw = _pick(args.eps_rw, cfg, ("audit", "eps_rw"),
+                   audit_mod.AuditConfig.eps_rw, float)
     min_k = cones.ren_wang_min_k_batch(rows, eps_rw)
     finite = np.isfinite(min_k)
     report = {
@@ -296,23 +303,22 @@ def _run_renwang(args, cfg, n: int) -> int:
 
 
 def _run_audit(args, cfg, n: int) -> int:
+    csv_path, json_path = _resolve_out(args, cfg, "audit")
     sigma = _sigma(args, cfg)
     domain = _domain_from_args(args, cfg, n)
     radial = domain.kind == "ball"
+    audit_cfg = _build(audit_mod.AuditConfig, args, cfg, "audit")
     fields = _solve(_solve_config(args, cfg, n, sigma, radial), domain,
                     radial)
-    audit_cfg = _build(audit_mod.AuditConfig, args, cfg, "audit")
     bundle = audit_mod.audit_bundle(fields, audit_cfg)
 
     final = fields[-1]
-    q = audit_mod.test_function_field(final, audit_cfg)
     rw = bundle["ren_wang"]
     rw_col = np.full(len(final.u), np.nan)
     rw_col[rw.indices] = rw.min_k
     rw_cells = [None if np.isnan(v) else float(v) for v in rw_col]
-    csv_path, json_path = _resolve_out(args, cfg, "audit")
     io.write_field_csv(final, csv_path,
-                       extra={"Q": q, "rw_minK": rw_cells})
+                       extra={"Q": bundle["estimate"].q, "rw_minK": rw_cells})
     io.write_json(bundle, json_path)
     print(f"audit ok={bundle['ok']} -> {csv_path}, {json_path}")
     return EXIT_OK if bundle["ok"] else EXIT_VIOLATION
@@ -345,8 +351,8 @@ def _sweep_domains(args, cfg, n: int):
 
 
 def _run_sweep(args, cfg, n: int) -> int:
-    sigmas = tuple(float(v) for v in (args.sigmas
-                                      or _pick(None, cfg, ("sigmas",)) or ()))
+    csv_path = _out_path(args.out_csv, cfg, "csv", "sweep")
+    sigmas = args.sigmas or _pick(None, cfg, ("sigmas",), (), float_tuple)
     schedule = _eps_schedule(args, cfg)
     domains = _sweep_domains(args, cfg, n)
     if not sigmas or not domains or not schedule:
@@ -387,7 +393,6 @@ def _run_sweep(args, cfg, n: int) -> int:
                     "status": "ok",
                 })
     rows.sort(key=lambda r: (r["domain"], r["n"], r["sigma"], -r["eps"]))
-    csv_path = _out_path(args.out_csv, cfg, "csv", "sweep")
     io.write_sweep_csv(rows, csv_path)
     print(f"{len(rows)} rows -> {csv_path}")
     return code
@@ -490,12 +495,12 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _check_keys(cfg, args.subcommand)
-        return args.runner(args, cfg, int(_pick(args.n, cfg, ("n",), 3)))
+        return args.runner(args, cfg, _pick(args.n, cfg, ("n",), 3, int))
     except tuple(_SOLVE_FAILURES) as exc:
         _emit_error(exc)
         return _SOLVE_FAILURES[type(exc)][0]
     except (ValueError, HPlateauError, OSError) as exc:
-        # HPlateauError here: audit preconditions, frame ambiguity
+        # HPlateauError here: audit preconditions
         _emit_error(exc)
         return EXIT_CONFIG
 

@@ -195,22 +195,39 @@ def make_star2d(samples) -> DomainSpec:
     return DomainSpec(kind="star", n=2, star_samples=vals)
 
 
-def _required(params: dict, key: str, kind: str):
-    if key not in params:
-        raise ValueError(f"{kind} domains need params.{key}")
-    return params[key]
+def float_tuple(values) -> tuple:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
+def config_value(convert, value, key: str):
+    """convert(value); a JSON value of the wrong type or form raises a
+    ValueError that names its config key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
 
 
 def domain_from_config(cfg: dict) -> DomainSpec:
     """Build a DomainSpec from the CLI JSON shape {kind, params}."""
     kind = cfg.get("kind")
     params = cfg.get("params", {})
+
+    def param(key, convert, default=None):
+        value = default if params.get(key) is None else params[key]
+        if value is None:
+            raise ValueError(f"{kind} domains need params.{key}")
+        return config_value(convert, value, f"params.{key}")
+
     if kind == "ball":
-        return make_ball(int(params.get("n", 3)), float(params.get("radius", 1.0)))
+        return make_ball(param("n", int, 3), param("radius", float, 1.0))
     if kind == "ellipsoid":
-        return make_ellipsoid(_required(params, "semi_axes", kind))
+        return make_ellipsoid(param("semi_axes", float_tuple))
     if kind in ("star", "star_shaped", "star2d"):
-        if int(params.get("n", 2)) != 2:
+        if param("n", int, 2) != 2:
             raise ValueError("star-shaped domains are supported for n = 2 only")
-        return make_star2d(_required(params, "samples", kind))
+        return make_star2d(param("samples", float_tuple))
     raise ValueError(f"unknown domain kind {kind!r}")

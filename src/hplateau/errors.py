@@ -2,7 +2,7 @@
 
 Invalid arguments raise plain ValueError; the classes here mark states a
 caller may want to catch and handle (solver stagnation, guard rejection,
-frame ambiguity) rather than misuse of the API.
+audit preconditions) rather than misuse of the API.
 """
 
 
@@ -16,10 +16,6 @@ class ConePreconditionError(HPlateauError, ValueError):
 
 class DegenerateSpectrumError(HPlateauError):
     """Top eigenvalue not simple within tolerance; derivative formulas undefined."""
-
-
-class AmbiguousFrameError(HPlateauError):
-    """Principal directions not determined by the spectrum at this point."""
 
 
 class InvalidHeightError(HPlateauError, ValueError):

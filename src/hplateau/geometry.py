@@ -33,14 +33,13 @@ import numpy as np
 import scipy.linalg
 
 from .cones import EIG_GAP_TOL, CurvatureVector
-from .errors import AmbiguousFrameError, InvalidHeightError
+from .errors import InvalidHeightError
 
 __all__ = [
     "GraphJet",
     "CapSolution",
     "ResidualSample",
     "FrameInfo",
-    "ConstantHeightField",
     "RadialHeightField",
     "graph_jet",
     "jet_from_field",
@@ -132,10 +131,9 @@ def jet_from_field(field, x) -> GraphJet:
 def principal_chart_frame(jet: GraphJet) -> FrameInfo:
     """Hyperbolic-orthonormal principal frame with a degeneracy verdict.
 
-    'umbilic' means the whole spectrum collapses (any orthonormal frame
-    is principal, so the pencil frame is usable for every identity);
-    'partial' means some but not all gaps collapse, which leaves the
-    per-direction identities frame-ambiguous.
+    'umbilic' means the whole spectrum collapses, 'partial' that some
+    but not all gaps do.  Either way the returned frame is principal:
+    every orthonormal basis of a degenerate eigenspace is.
     """
     kappa = jet.hyperbolic_spectrum.array()
     tol = EIG_GAP_TOL * (1.0 + abs(kappa[0]))
@@ -225,25 +223,6 @@ def exact_cap(n: int, sigma: float, R: float, eps_bdry: float = 0.0) -> CapSolut
 # ---------------------------------------------------------------------------
 # Height fields
 # ---------------------------------------------------------------------------
-
-class ConstantHeightField:
-    """u = const: the flat graph, a horosphere-like surface with kappa = 1."""
-
-    def __init__(self, height: float, dim: int):
-        if height <= 0.0:
-            raise InvalidHeightError("constant height must be positive")
-        self.height = float(height)
-        self.dim = int(dim)
-
-    def value(self, x) -> float:
-        return self.height
-
-    def gradient(self, x) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    def hessian(self, x) -> np.ndarray:
-        return np.zeros((self.dim, self.dim))
-
 
 class RadialHeightField:
     """Rotationally symmetric height field u(x) = f(|x|).
@@ -344,6 +323,16 @@ def _nu_at(field, y: np.ndarray) -> float:
 # Identity residuals: vertical normal component
 # ---------------------------------------------------------------------------
 
+def _sample(surface, x, fd_step: float):
+    """(h, x, jet, frame, location) of one identity sample at x."""
+    if fd_step <= 0.0:
+        raise ValueError("fd_step must be positive")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    jet = jet_from_field(surface, x)
+    return (float(fd_step), x, jet, principal_chart_frame(jet),
+            tuple(float(c) for c in x))
+
+
 def nu_identity_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
     """Residuals of the three vertical-component identities at x.
 
@@ -351,30 +340,24 @@ def nu_identity_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
 
         sum_i u_i^2 / u^2  =  1 - nu^2
 
-    Returned per principal direction when the frame is unambiguous (a
-    partially degenerate frame skips them; a fully umbilic spectrum is
-    not ambiguous, since every orthonormal frame is principal):
+    Returned per principal direction, except on a partially degenerate
+    frame (principal too, but skipped to bound cost: on radial profiles
+    in n >= 3 such frames cover most radii):
 
         nu_i  = (u_i/u)(nu - kappa_i)
         nu_ii = 2 (u_i/u) nu_i + (1 + nu^2) kappa_i - nu (1 + kappa_i^2)
+                - nabla_X h(e_i, e_i),   X = sum_k (u_k/u) e_k
 
     Frame derivatives (u_i, nu_i, nu_ii) are central differences along
-    the frame; everything pointwise (u, nu, kappa_i) is exact.
+    the frame, nabla_X h a Christoffel-corrected one along X; everything
+    pointwise (u, nu, kappa_i) is exact.
     """
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
-    h = float(fd_step)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    jet = jet_from_field(surface, x)
-    fr = principal_chart_frame(jet)
+    h, x, jet, fr, loc = _sample(surface, x, fd_step)
     n = fr.kappa.size
     u, nu = jet.u, jet.nu_vertical
-    loc = tuple(float(c) for c in x)
 
-    u_fd = np.empty(n)
-    for i in range(n):
-        eta = fr.eta[:, i]
-        u_fd[i] = (surface.value(x + h * eta) - surface.value(x - h * eta)) / (2.0 * h)
+    u_fd = np.array([(surface.value(x + h * eta) - surface.value(x - h * eta))
+                     / (2.0 * h) for eta in fr.eta.T])
 
     out = [ResidualSample(
         location=loc, identity_name="nu_first", fd_step=h,
@@ -384,6 +367,12 @@ def nu_identity_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
         return out
 
     Gamma = christoffel(u, jet.grad_u, jet.hess_u)
+    X = fr.eta @ (u_fd / u)
+    dh = (_second_form_at(surface, x + h * X)
+          - _second_form_at(surface, x - h * X)) / (2.0 * h)
+    gam_h = np.einsum("mca,c,mb->ab", Gamma, X,
+                      second_fundamental_form_chart(u, jet.grad_u, jet.hess_u))
+    dh_X = dh - gam_h - gam_h.T
     for i in range(n):
         eta = fr.eta[:, i]
         kap = fr.kappa[i]
@@ -391,11 +380,11 @@ def nu_identity_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
         out.append(ResidualSample(
             location=loc, identity_name="nu_gradient", fd_step=h, direction=i,
             residual=nu_i - (u_fd[i] / u) * (nu - kap), measured=nu_i))
-        acc = -np.einsum("gab,a,b->g", Gamma, eta, eta)
-        corr = 0.5 * h * h * acc
+        corr = -0.5 * h * h * np.einsum("gab,a,b->g", Gamma, eta, eta)
         nu_ii = (_nu_at(surface, x + h * eta + corr) - 2.0 * nu
                  + _nu_at(surface, x - h * eta + corr)) / (h * h)
-        rhs = 2.0 * (u_fd[i] / u) * nu_i + (1.0 + nu ** 2) * kap - nu * (1.0 + kap ** 2)
+        rhs = 2.0 * (u_fd[i] / u) * nu_i + (1.0 + nu ** 2) * kap \
+            - nu * (1.0 + kap ** 2) - float(eta @ dh_X @ eta)
         out.append(ResidualSample(
             location=loc, identity_name="nu_second", fd_step=h, direction=i,
             residual=nu_ii - rhs, measured=nu_ii))
@@ -487,7 +476,8 @@ def commutator_rhs(h_frame: np.ndarray, d2h_swapped: np.ndarray) -> np.ndarray:
 def gauss_commutator_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
     """Gauss, Codazzi and derivative-exchange residuals at x.
 
-    All three are checked in the principal orthonormal frame:
+    All three are checked in the principal orthonormal frame, whatever
+    its degeneracy:
 
     * gauss: sectional curvature R_ijij vs -1 + kappa_i kappa_j, one
       sample per pair i < j, with the measured sectional attached;
@@ -495,22 +485,9 @@ def gauss_commutator_residuals(surface, x, fd_step: float) -> list[ResidualSampl
       hypersurfaces of a space form);
     * commutator: sup norm of h_kl;ij minus the exchange rule built from
       h_ij;kl and the curvature terms.
-
-    A partially degenerate frame raises AmbiguousFrameError; a fully
-    umbilic one is fine (any orthonormal frame is principal).
     """
-    if fd_step <= 0.0:
-        raise ValueError("fd_step must be positive")
-    h = float(fd_step)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    jet = jet_from_field(surface, x)
-    fr = principal_chart_frame(jet)
-    if fr.status == "partial":
-        raise AmbiguousFrameError(
-            "partially degenerate principal frame; curvature-identity frame "
-            "components are ambiguous here")
+    h, x, _, fr, loc = _sample(surface, x, fd_step)
     n = fr.kappa.size
-    loc = tuple(float(c) for c in x)
     eta = fr.eta
 
     out = []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hplateau import geometry
-from hplateau.errors import AmbiguousFrameError, InvalidHeightError
+from hplateau.errors import InvalidHeightError
 
 
 CAP = geometry.exact_cap(3, 1.5, 1.0, eps_bdry=0.01)
@@ -71,8 +71,13 @@ def test_cap_parameter_validation():
 # Jets and frames
 # ---------------------------------------------------------------------------
 
+def _constant(height, dim):
+    return geometry.RadialHeightField(lambda r: height, lambda r: 0.0,
+                                      lambda r: 0.0, dim)
+
+
 def test_constant_graph_has_unit_spectrum():
-    field = geometry.ConstantHeightField(2.0, 3)
+    field = _constant(2.0, 3)
     jet = geometry.jet_from_field(field, np.zeros(3))
     assert jet.nu_vertical == 1.0
     assert np.allclose(jet.hyperbolic_spectrum.array(), 1.0, atol=1e-14)
@@ -82,7 +87,7 @@ def test_jet_rejects_nonpositive_height():
     with pytest.raises(InvalidHeightError):
         geometry.graph_jet(np.zeros(2), 0.0, np.zeros(2), np.zeros((2, 2)))
     with pytest.raises(InvalidHeightError):
-        geometry.ConstantHeightField(-1.0, 2)
+        geometry.jet_from_field(_constant(-1.0, 2), np.zeros(2))
 
 
 def test_jet_rejects_bad_hessian():
@@ -111,6 +116,45 @@ def _bumpy_radial(dim):
         lambda r: 0.6 + 1.2 * r ** 2,
         dim,
     )
+
+
+class _CubicGraph:
+    """u = 2 - 0.30 x1^2 - 0.18 x2^2 - 0.07 x3^2 + 0.05 x1 x2 + 0.04 x1^3
+    + 0.03 x2 x3^2: no symmetry, so grad u, grad h and the principal
+    gaps are all nonzero at generic points."""
+
+    def value(self, x):
+        x1, x2, x3 = x
+        return (2.0 - 0.30 * x1 ** 2 - 0.18 * x2 ** 2 - 0.07 * x3 ** 2
+                + 0.05 * x1 * x2 + 0.04 * x1 ** 3 + 0.03 * x2 * x3 ** 2)
+
+    def gradient(self, x):
+        x1, x2, x3 = x
+        return np.array([-0.60 * x1 + 0.05 * x2 + 0.12 * x1 ** 2,
+                         -0.36 * x2 + 0.05 * x1 + 0.03 * x3 ** 2,
+                         -0.14 * x3 + 0.06 * x2 * x3])
+
+    def hessian(self, x):
+        x1, x2, x3 = x
+        return np.array([[-0.60 + 0.24 * x1, 0.05, 0.0],
+                         [0.05, -0.36, 0.06 * x3],
+                         [0.0, 0.06 * x3, -0.14 + 0.06 * x2]])
+
+
+CUBIC_POINT = np.array([0.3, -0.2, 0.25])
+
+
+def _orders(residuals, field, x, coarse, fine):
+    """{identity: log2 of the sup |residual| ratio from coarse to fine}."""
+    def sups(h):
+        out = {}
+        for s in residuals(field, x, h):
+            out[s.identity_name] = max(out.get(s.identity_name, 0.0),
+                                       abs(s.residual))
+        return out
+
+    a, b = sups(coarse), sups(fine)
+    return {name: math.log2(a[name] / b[name]) for name in a}
 
 
 def test_radial_field_center_formulas():
@@ -161,12 +205,27 @@ def test_nu_identity_refinement_order():
 
 
 def test_directional_identities_respect_frame_ambiguity():
+    # partially degenerate frames skip the per-direction identities
     field = _bumpy_radial(3)
     x = np.array([0.5, 0.0, 0.0])
     auto = geometry.nu_identity_residuals(field, x, 1e-3)
     assert [s.identity_name for s in auto] == ["nu_first"]
     with pytest.raises(ValueError):
         geometry.nu_identity_residuals(field, x, 0.0)
+
+
+def test_nu_identities_off_the_cap():
+    # grad h != 0 here, so nu_second needs its sum_k (u_k/u) h_ii;k term
+    field = _CubicGraph()
+    jet = geometry.jet_from_field(field, CUBIC_POINT)
+    assert geometry.principal_chart_frame(jet).status == "distinct"
+    samples = geometry.nu_identity_residuals(field, CUBIC_POINT, 1e-2)
+    assert [s.identity_name for s in samples].count("nu_second") == 3
+    assert max(abs(s.residual) for s in samples) <= 1e-4
+    orders = _orders(geometry.nu_identity_residuals, field, CUBIC_POINT,
+                     2e-2, 1e-2)
+    assert orders["nu_gradient"] >= 1.8
+    assert orders["nu_second"] >= 1.8
 
 
 def test_frame_free_identity_off_symmetry():
@@ -197,19 +256,20 @@ def test_gauss_codazzi_commutator_on_cap():
     assert abs(by_name["commutator"][0].residual) <= 1e-3
 
 
-def test_gauss_refinement_order():
-    field = CAP.height_field()
-    x = np.array([0.4, -0.15, 0.25])
-
-    def sup(h):
-        return max(abs(s.residual)
-                   for s in geometry.gauss_commutator_residuals(field, x, h)
-                   if s.identity_name == "gauss")
-
-    assert math.log2(sup(2e-2) / sup(1e-2)) >= 1.8
+def test_gauss_codazzi_commutator_off_the_cap():
+    # h != lambda I, so the curvature terms of commutator_rhs count
+    orders = _orders(geometry.gauss_commutator_residuals, _CubicGraph(),
+                     CUBIC_POINT, 1e-2, 5e-3)
+    assert set(orders) == {"gauss", "codazzi", "commutator"}
+    assert min(orders.values()) >= 1.8
 
 
-def test_gauss_rejects_partial_frame():
-    with pytest.raises(AmbiguousFrameError):
-        geometry.gauss_commutator_residuals(_bumpy_radial(3),
-                                            np.array([0.5, 0.0, 0.0]), 1e-2)
+@pytest.mark.parametrize("x", [(0.5, 0.0, 0.0), (0.3, 0.2, -0.1)])
+def test_gauss_codazzi_commutator_on_partial_frame(x):
+    # any orthonormal basis of the repeated angular eigenspace is principal
+    field, x = _bumpy_radial(3), np.array(x)
+    jet = geometry.jet_from_field(field, x)
+    assert geometry.principal_chart_frame(jet).status == "partial"
+    orders = _orders(geometry.gauss_commutator_residuals, field, x,
+                     2e-2, 1e-2)
+    assert min(orders.values()) >= 1.8

@@ -642,7 +642,39 @@ def test_non_object_config_exits_2(tmp_path, monkeypatch, capsys, cfg):
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+_SWEEP = ["sweep", "--domains", "ball", "--n", "2", "--nodes", "51",
+          "--eps-schedule", "0.1"]
+_RADIAL = ["solve-radial", "--n", "3", "--sigma", "1.5", "--nodes", "51"]
+
+
+@pytest.mark.parametrize("argv,cfg,key", [
+    (_SWEEP, {"sigmas": 1.5}, "sigmas"),
+    (_RADIAL, {"eps_schedule": 0.1}, "eps_schedule"),
+    (["oracle-cap", "--sigma", "1.5"], {"n": [3]}, "n"),
+    (["solve-radial", "--n", "3", "--sigma", "1.5"],
+     {"mesh": {"nodes": [401]}}, "mesh.nodes"),
+    (["verify-cone", "--n", "3", "--samples", "10"], {"seed": {}}, "seed"),
+    (["audit", "--domain", "ball", "--n", "3", "--sigma", "1.5",
+      "--nodes", "51"], {"audit": {"N": [1]}}, "audit.N"),
+    (["sweep", "--n", "2", "--sigmas", "1.0", "--nodes", "51"],
+     {"domains": [{"kind": "ball", "params": {"radius": [1.0]}}]},
+     "params.radius"),
+    (["oracle-cap", "--n", "3", "--sigma", "1.5", "--nodes", "5"],
+     {"out": {"json": 1}}, "out.json"),
+], ids=["sigmas", "eps_schedule", "n", "mesh-nodes", "seed", "audit-N",
+        "domains-radius", "out-json"])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch,
+                                                capsys, argv, cfg, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert cli.main(argv + ["--config", "c.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert f"config key {key}" in rec["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+README =pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _readme_key_table():
