@@ -202,9 +202,22 @@ def float_tuple(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def exact_int(value) -> int:
+    """A JSON number with no fractional part as an int; a boolean, a
+    non-number or a fractional number is refused, not truncated."""
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, float, np.integer)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def config_value(convert, value, key: str):
-    """convert(value); a JSON value of the wrong type or form raises a
-    ValueError that names its config key."""
+    """convert(value), where int means exact_int; a JSON value of the
+    wrong type or form raises a ValueError that names its config key."""
+    if convert is int:
+        convert = exact_int
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:

@@ -44,34 +44,46 @@ closed forms to a complex step through _shape.
 
 The Newton step is inexact (Eisenstat and Walker 1996): GMRES on the
 exact Jacobian, stopped at ||J s + F||_2 <= GMRES_RTOL ||F||_2 and
-right-preconditioned by an incomplete LU (Saad 2003).  _gmres is a lean
-restarted GMRES: the Krylov basis is one array, so each Gram-Schmidt
-pass is two BLAS products, and only the small Givens and triangular
-work stays in Python.  The ILU is built by the first step that needs
-one and held on the _GridGeometry, which every scheme of a path shares,
-so the first leg, the sigma walk, split legs and the eps descent all
-reuse it.  When GMRES misses GMRES_RTOL, the ILU is rebuilt from the
-current Jacobian and GMRES runs once more; when a fresh ILU misses as
-well, the step raises NewtonDivergenceError with the iterate it started
-from, and the continuation driver splits the leg.  The forcing term
-stays loose because a tight one is not reachable: the relative residual
-of J s + F bottoms out at a few 1e-12 in float64.  The returned fields
-hold no scheme, so the geometry and its ILU live exactly as long as
-their path.
+right-preconditioned by an incomplete LU (Saad 2003).  The ILU keeps the
+natural order of the unknowns, ring-major, with no fill-reducing column
+ordering: on the default n = 3 mesh it then holds 0.11M entries against
+0.19M under SuperLU's default COLAMD, and is built in half the time,
+for about 10% more GMRES iterations.  _gmres is a lean restarted GMRES:
+the Krylov basis is one array, so each Gram-Schmidt pass is two BLAS
+products, and only the small Givens and triangular work stays in
+Python.  The ILU is built by the first step that needs one and held on
+the _GridGeometry, which every scheme of a path shares, so the first
+leg, the sigma walk, split legs and the eps descent all reuse it.  When
+GMRES misses GMRES_RTOL, the ILU is rebuilt from the current Jacobian
+and GMRES runs once more; when a fresh ILU misses as well, the step
+raises NewtonDivergenceError with the iterate it started from, and the
+continuation driver splits the leg.  The forcing term stays loose
+because a tight one is not reachable: the relative residual of J s + F
+bottoms out at a few 1e-12 in float64.  The returned fields hold no
+scheme, so the geometry and its ILU live exactly as long as their path.
 
 _GridScheme packages all of this, for one (sigma, eps_bdry), in the
 scheme interface of solver._solve_path, the continuation driver the
 radial solver uses as well (sigma walk, split legs, eps descent):
-at(sigma, eps), cap, evaluate(v), jacobian_step(v, data, F),
-newton(v, params) and field_parts(v).  Every path starts on its cap
+at(sigma, eps), cap, evaluate(d), jacobian_step(d, data, F),
+newton(d, params) and field_parts(d).  Every path starts on its cap
 family, the umbilic cap of the domain's mean-radius ball composed with
-s.  evaluate(v) is the iterate's one shape pass, returned as the
-residual, the cone verdict and the data the Jacobian reads; the scheme
-stores nothing of it, and the solver._Leg of each Newton leg holds the
-last one.  field_parts(v) gives the per-node arrays of a converged v,
-which solver._build_field assembles into the SolutionField, as it does
-for the radial scheme.  The legs call this module's damped_newton, so
-they stay apart from the radial ones.
+s, and the unknowns d are the deviation of the interior heights from
+that cap: the heights are u = cap + d, the cap's chart jet is computed
+once per scheme, and the jet of u is the cap's jet plus the jet of d
+with a zero boundary ring (chart_jet is linear).  The discrete equation
+is the same as in the heights, but one ulp of d, not one ulp of u, now
+sets the rounding floor of the residual: 1/h^2 times an ulp of u ~ 1
+put that floor near the 1e-10 residual tolerance on the default meshes.
+The scheme's cap is d = 0, so the driver's transport along the cap
+family keeps d as it is.  evaluate(d) is the iterate's one shape pass,
+returned as the residual, the verdict that u > 0 and the nodes lie in
+the cone, and the data the Jacobian reads; the scheme stores nothing
+of it, and the solver._Leg of each Newton leg holds the last one.
+field_parts(d) gives the per-node arrays of a converged d, which
+solver._build_field assembles into the SolutionField, as it does for
+the radial scheme.  The legs call this module's damped_newton, so they
+stay apart from the radial ones.
 """
 
 from __future__ import annotations
@@ -92,28 +104,31 @@ from .solver import (NewtonParams, PolarGridMesh, SolveConfig, SolutionField,
 __all__ = ["solve_graph", "solve_graph_path"]
 
 #: Drop tolerance of the incomplete LU that preconditions every GMRES
-#: solve of a path.  At 1e-2 one ILU, built on the path's first leg,
-#: still solves the eps = 1e-4 systems in about 25 inner iterations on
-#: the default n = 3 mesh (the (1.3, 1, 1) ellipsoid at sigma = 1.5), and
-#: its build takes less than half the time of a full sparse LU there.
+#: solve of a path, built in the natural ordering.  At 1e-2 one ILU,
+#: built on the path's first leg, solves every system of the path in 22
+#: to 24 inner iterations on the default n = 3 mesh (the (1.3, 1, 1)
+#: ellipsoid at sigma = 1.5, eps 0.1 down to 1e-4).  There it holds 0.11M
+#: entries and takes 0.09-0.12 s to build, against 4.7M entries and
+#: 0.53 s for a full sparse LU (SuperLU, COLAMD ordering).
 ILU_DROP_TOL = 1.0e-2
 
 #: Forcing term of the inexact Newton step: GMRES stops once
 #: ||J s + F||_2 <= GMRES_RTOL ||F||_2.  A tighter one cannot be reached:
-#: at the first step of that path the ratio bottoms out near 2.5e-12 in
-#: float64 (a full LU gives 6.5e-12), so at 2e-12 GMRES stagnates and
-#: misses.  At 1e-8 a path mostly takes the Newton steps of an exact LU
-#: step and ends within 1e-15 of its heights; where a leg takes one step
-#: more on one side, or stalls at the residual floor on one side only,
-#: the two end a few 1e-12 apart (the (2, 1, 1) ellipsoid at
-#: sigma = 0.5: 20 LU steps, 41 GMRES steps, 4.6e-12).
+#: at the first step of that path the ratio bottoms out near 3e-12 in
+#: float64 (a full LU gives 1.0e-11), so at 2e-12 GMRES stagnates and
+#: misses.  At 1e-8 a path takes the Newton steps of an exact LU step and
+#: ends within 2e-15 of its heights (the (1.3, 1, 1) ellipsoid at sigma
+#: 0.05, 0.5 and 1.5 and the (2, 1, 1) one at 0.5: 20, 11, 10 and 16
+#: steps either way), and halving or doubling it moves criterion 9's
+#: witnesses by at most 6e-13.
 GMRES_RTOL = 1.0e-8
 
 #: Krylov basis size per GMRES cycle, and the cycles allowed before the
-#: ILU counts as stale and is rebuilt.  The slowest solve seen on 29
-#: probed default-mesh paths (n = 3 ellipsoids of aspect 1.3 to 3 and
-#: n = 2 ellipses, sigma 0.05 to n - 0.05) took 96 inner iterations, on
-#: the (2, 1, 1) ellipsoid walked to sigma = 0.05; none missed.
+#: ILU counts as stale and is rebuilt.  The slowest solve seen on the 27
+#: paths of the default-mesh probe (n = 3 ellipsoids of aspect 1.3 to 3
+#: and n = 2 ellipses, sigma 0.05 to n - 0.1) took 91 inner iterations
+#: in three cycles, on the (2, 1, 1) ellipsoid walked to sigma = 0.05;
+#: none missed, so each path built one ILU.
 GMRES_RESTART = 40
 GMRES_MAXITER = 3
 
@@ -491,9 +506,13 @@ class _GridScheme:
     """The grid discretization for one (geometry, sigma, eps_bdry), in the
     scheme interface that solver._solve_path drives.
 
-    cap is the umbilic cap of the mean-radius ball (radius, mean
-    semi-axis or mean star sample R) at (sigma, eps_bdry), composed with
-    s: the exact cap on a ball.
+    The unknowns d are the deviation of the interior heights from the
+    cap, the umbilic cap of the mean-radius ball (radius, mean semi-axis
+    or mean star sample R) at (sigma, eps_bdry) composed with s: the
+    exact cap on a ball.  cap_height is the cap on every node and
+    cap_jet its interior chart jet, both computed once; the heights are
+    cap_height plus d with a zero boundary ring.  cap, the start of
+    every path, is d = 0.
     """
 
     def __init__(self, geo: _GridGeometry, sigma: float, eps_bdry: float):
@@ -502,27 +521,40 @@ class _GridScheme:
         self.eps_bdry = float(eps_bdry)
         dom = self.domain = geo.domain
         R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
-        self.cap = exact_cap(geo.n, sigma, R,
-                             eps_bdry).height(R * geo.s_node[:geo.n_int])
+        self.cap_height = np.full(geo.n_all, self.eps_bdry)
+        self.cap_height[:geo.n_int] = exact_cap(
+            geo.n, sigma, R, eps_bdry).height(R * geo.s_node[:geo.n_int])
+        self.cap_jet = geo.chart_jet(self.cap_height)
+        self.cap = np.zeros(geo.n_int)
 
     def at(self, sigma: float, eps: float) -> "_GridScheme":
         return _GridScheme(self.geo, sigma, eps)
 
-    def full_height(self, v: np.ndarray) -> np.ndarray:
-        U = np.full(self.geo.n_all, self.eps_bdry, dtype=v.dtype)
-        U[:self.geo.n_int] = v
-        return U
+    def _padded(self, d: np.ndarray) -> np.ndarray:
+        """d on every node, zero on the boundary ring."""
+        D = np.zeros(self.geo.n_all, dtype=d.dtype)
+        D[:self.geo.n_int] = d
+        return D
 
-    def evaluate(self, v: np.ndarray):
-        """(F, inside, (u, P, shape)) from _shape of v's interior chart
+    def full_height(self, d: np.ndarray) -> np.ndarray:
+        return self.cap_height + self._padded(d)
+
+    def _jet(self, d: np.ndarray) -> np.ndarray:
+        """Interior chart jet of the heights: the cap's plus d's, which is
+        the jet of full_height(d) since chart_jet is linear."""
+        return self.cap_jet + self.geo.chart_jet(self._padded(d))
+
+    def evaluate(self, d: np.ndarray):
+        """(F, inside, (u, P, shape)) from _shape of the interior chart
         jet, whose height and second chart derivatives are u and P:
-        inside when sigma_1 = tr S and sigma_{n-1} = _sigma(S) are
+        inside when u, sigma_1 = tr S and sigma_{n-1} = _sigma(S) are
         positive at every interior node, Gamma_{n-1} for n <= 3."""
         geo, ni = self.geo, self.geo.n_int
-        u, p, P = geo.unpack(geo.chart_jet(self.full_height(v)))
+        u, p, P = geo.unpack(self._jet(d))
         shape = _shape(u, p, P, geo.A[:ni], geo.Xcc[:ni])
         F0 = _sigma(shape[0])
-        inside = bool((np.trace(shape[0], axis1=1, axis2=2) > 0.0).all()
+        inside = bool((u > 0.0).all()
+                      and (np.trace(shape[0], axis1=1, axis2=2) > 0.0).all()
                       and (F0 > 0.0).all())
         return F0 - self.sigma, inside, (u, P, shape)
 
@@ -543,13 +575,13 @@ class _GridScheme:
         return scipy.sparse.csc_matrix((entries, geo.jac_rows, geo.jac_indptr),
                                        shape=(geo.n_int, geo.n_int))
 
-    def jacobian_step(self, v: np.ndarray, data, F: np.ndarray) -> np.ndarray:
-        """Inexact Newton step: ||J(v) s + F||_2 <= GMRES_RTOL ||F||_2.
+    def jacobian_step(self, d: np.ndarray, data, F: np.ndarray) -> np.ndarray:
+        """Inexact Newton step: ||J(d) s + F||_2 <= GMRES_RTOL ||F||_2.
 
         GMRES runs on the exact Jacobian, preconditioned by the geometry's
         cached ILU.  When it misses GMRES_RTOL, the ILU is rebuilt from
-        J(v) and GMRES runs once more; if that misses too, the step raises
-        NewtonDivergenceError carrying v, and _leg splits the leg.
+        J(d) and GMRES runs once more; if that misses too, the step raises
+        NewtonDivergenceError carrying d, and _leg splits the leg.
         """
         geo = self.geo
         J = self.jacobian(data)
@@ -557,23 +589,26 @@ class _GridScheme:
             s = _gmres(J, F, geo.ilu)
             if s is not None:
                 return s
-        geo.ilu = scipy.sparse.linalg.spilu(J, drop_tol=ILU_DROP_TOL)
+        geo.ilu = scipy.sparse.linalg.spilu(J, drop_tol=ILU_DROP_TOL,
+                                            permc_spec="NATURAL")
         s = _gmres(J, F, geo.ilu)
         if s is None:
             raise NewtonDivergenceError(
                 f"GMRES missed rtol {GMRES_RTOL:.0e} with a fresh ILU",
-                state=v)
+                state=d)
         return s
 
-    def newton(self, v: np.ndarray, params: NewtonParams):
+    def newton(self, d: np.ndarray, params: NewtonParams):
         leg = _Leg(self)
-        return damped_newton(v, leg.residual, leg.guard, leg.step, params)
+        return damped_newton(d, leg.residual, leg.guard, leg.step, params)
 
-    def field_parts(self, v: np.ndarray):
-        """The shape pass over the interior and boundary-ring jets."""
+    def field_parts(self, d: np.ndarray):
+        """The shape pass over the interior and boundary-ring jets; the
+        interior jet is evaluate's own sum, so the residual field equals
+        the last Newton residual bit for bit."""
         geo = self.geo
-        U = self.full_height(v)
-        jet = np.concatenate([geo.chart_jet(U), geo.boundary_jet(U)])
+        U = self.full_height(d)
+        jet = np.concatenate([self._jet(d), geo.boundary_jet(U)])
         S_all, w_all, *_ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
         return (geo.xyz.copy(), U, w_all, np.linalg.eigvalsh(S_all)[:, ::-1],
                 _sigma(S_all),

@@ -238,8 +238,8 @@ class _Leg:
     and matches the next iterate by value: a line-search trial at the
     rounding floor can equal its iterate bit for bit.  The iterate is
     held without a copy, since the engine never changes one in place.
-    The guard tests u > 0 before it evaluates; the evaluation's cone
-    verdict inside tests the rest.
+    The guard is the evaluation's verdict inside, which tests u > 0 and
+    the cone.
     """
 
     def __init__(self, scheme):
@@ -256,7 +256,7 @@ class _Leg:
         return self._evaluate(v)[0]
 
     def guard(self, v: np.ndarray) -> bool:
-        return bool((v > 0.0).all()) and self._evaluate(v)[1]
+        return self._evaluate(v)[1]
 
     def step(self, v: np.ndarray, F: np.ndarray) -> np.ndarray:
         return self.scheme.jacobian_step(v, self._evaluate(v)[2], F)
@@ -297,17 +297,21 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     """Continuation from the umbilic cap to one field per scheduled eps.
 
     scheme is a discretization at (sigma, eps_bdry) =
-    (config.sigma_target, config.eps_schedule[0]).  Its unknowns v are
-    the heights off the Dirichlet boundary, and it provides
+    (config.sigma_target, config.eps_schedule[0]).  Its unknowns v live
+    on the nodes off the Dirichlet boundary: the heights there on the
+    radial side, their deviation from the cap on the grid.  It provides
 
     * domain, sigma, eps_bdry and cap: the point it discretizes and the
-      umbilic cap there on the unknowns, which every path starts on and
-      along which a converged v is transported to a new (sigma, eps);
+      umbilic cap there in the unknowns (the cap's heights on the radial
+      side, zero on the grid), which every path starts on and along
+      which a converged v is transported to a new (sigma, eps) as
+      v + (end.cap - start.cap), so a grid deviation is kept as it is;
     * at(sigma, eps): the same discretization at another point;
     * evaluate(v): the one pass over v (stencil or shape), returned as
       (F, inside, data) and stored nowhere: the discrete equation's
-      residual, the cone test of the equation nodes (u > 0 is tested by
-      the caller, _Leg.guard), and what jacobian_step reads;
+      residual, the verdict that the heights are positive and the
+      equation nodes lie in the cone, which _Leg.guard returns, and what
+      jacobian_step reads;
     * jacobian_step(v, data, F): the step s solving J(v) s = -F
       (exactly on the radial side, by preconditioned GMRES to a
       relative tolerance on the grid);
@@ -450,12 +454,13 @@ class _RadialScheme:
     def evaluate(self, v: np.ndarray):
         """(F, inside, stencil) from _stencil of v's full height and
         elem_sym_table(rows, n - 1) of the spectra rows at the m-1
-        equation nodes: inside when every row has sigma_1 .. sigma_{n-1}
-        positive, that is lies in Gamma_{n-1}."""
+        equation nodes: inside when every height v is positive and every
+        row has sigma_1 .. sigma_{n-1} positive, that is lies in
+        Gamma_{n-1}."""
         stencil = self._stencil(self.full_height(v))
         table = elem_sym_table(self._rows(*stencil[3:])[:-1], self.n - 1)
-        return (table[:, -1] - self.sigma, bool((table[:, 1:] > 0.0).all()),
-                stencil)
+        inside = bool((v > 0.0).all() and (table[:, 1:] > 0.0).all())
+        return table[:, -1] - self.sigma, inside, stencil
 
     def jacobian_step(self, v: np.ndarray, stencil,
                       F: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from hplateau import cli, domains, geometry, gridsolver, solver
+from hplateau import audit, cli, domains, geometry, gridsolver, solver
 from hplateau.errors import GridDegeneracyError, NewtonDivergenceError
 
 BALL3 = domains.make_ball(3, 1.0)
@@ -24,9 +24,34 @@ def _ball_solve(J, M, L, sigma=1.5, eps_schedule=(1e-2,)):
     return gridsolver.solve_graph(cfg, BALL3)
 
 
+def _record_ends(mp):
+    """The unknowns each grid Newton leg returns, in a list, once mp has
+    wrapped gridsolver.damped_newton."""
+    ends = []
+    real = gridsolver.damped_newton
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        ends.append(out[0])
+        return out
+
+    mp.setattr(gridsolver, "damped_newton", recorded)
+    return ends
+
+
 @pytest.fixture(scope="module")
-def ball16():
-    return _ball_solve(16, 10, 20)
+def ball16_end():
+    """The 16 x 10 x 20 ball field and the unknowns d its last Newton leg
+    returned."""
+    with pytest.MonkeyPatch.context() as mp:
+        ends = _record_ends(mp)
+        field = _ball_solve(16, 10, 20)
+    return field, ends[-1]
+
+
+@pytest.fixture(scope="module")
+def ball16(ball16_end):
+    return ball16_end[0]
 
 
 def _cap_error(field, cap):
@@ -146,9 +171,15 @@ STAR = domains.make_star2d(
 
 
 def _small_scheme(domain, mesh, sigma, eps=0.1):
+    """A scheme and its cap start d = 0."""
     scheme = gridsolver._GridScheme(gridsolver._GridGeometry(domain, mesh),
                                     sigma, eps)
     return scheme, scheme.cap
+
+
+def _cap_heights(scheme):
+    """The cap's heights at the interior nodes."""
+    return scheme.cap_height[:scheme.geo.n_int]
 
 
 def _residual(scheme, v):
@@ -179,9 +210,10 @@ def test_jacobian_matches_central_differences(domain, mesh, sigma):
     scheme, v = _small_scheme(domain, mesh, sigma)
     J = _jacobian(scheme, v).toarray()
     fd = np.empty_like(J)
+    heights = scheme.full_height(v)
     for c in range(v.size):
         d = np.zeros(v.size)
-        d[c] = 1e-6 * (1.0 + abs(v[c]))
+        d[c] = 1e-6 * (1.0 + abs(heights[c]))
         fd[:, c] = (_residual(scheme, v + d)
                     - _residual(scheme, v - d)) / (2.0 * d[c])
     assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
@@ -293,7 +325,8 @@ def test_leg_matches_the_iterate_by_value(shape_passes):
     F = leg.residual(v)
     assert np.array_equal(leg.residual(v.copy()), F)
     assert len(shape_passes) == 1
-    assert not np.array_equal(leg.residual(v * 1.01), F)
+    # the heights times 1.01
+    assert not np.array_equal(leg.residual(v + 0.01 * _cap_heights(scheme)), F)
     assert len(shape_passes) == 2
 
 
@@ -335,8 +368,9 @@ def ell_iterate():
     geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh())
     scheme = gridsolver._GridScheme(geo, 1.5, 0.1)
     x = geo.xyz[:geo.n_int]
-    v = scheme.cap \
-        * (1.0 + 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]))
+    # the heights cap * (1 + 0.05 sin(3 x1) cos(2 x2))
+    v = _cap_heights(scheme) \
+        * 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
     assert _guard(scheme, v)
     return scheme, v, _residual(scheme, v)
 
@@ -364,9 +398,8 @@ def _ball16_scheme():
 @pytest.mark.parametrize("case", ["ball16", "ell_iterate"])
 def test_step_meets_the_forcing_term(case, request):
     if case == "ball16":
-        field = request.getfixturevalue("ball16")
+        _, v = request.getfixturevalue("ball16_end")
         scheme = _ball16_scheme()
-        v = field.u[field.interior]
         F = _residual(scheme, v)
     else:
         scheme, v, F = request.getfixturevalue("ell_iterate")
@@ -562,9 +595,11 @@ def test_boundary_jet_is_second_order(domain, coarse, fine):
 # the residual on a returned field, the guard on a cap start
 # ---------------------------------------------------------------------------
 
-def test_grid_residual_at_solution(ball16):
+def test_grid_residual_at_solution(ball16_end):
+    ball16, d = ball16_end
     scheme = _ball16_scheme()
-    res = _residual(scheme, ball16.u[ball16.interior])
+    assert np.array_equal(scheme.full_height(d), ball16.u)
+    res = _residual(scheme, d)
     assert res.shape == (ball16.interior.sum(),)
     assert np.abs(res).max() <= 1e-9
     assert np.array_equal(res, ball16.residual_field[ball16.interior])
@@ -576,7 +611,75 @@ def test_cap_start_passes_guard_off_ball():
         scheme = gridsolver._GridScheme(geo, sigma, 0.1)
         v0 = scheme.cap
         assert v0.shape == (geo.n_int,)
+        assert not v0.any()
         assert _guard(scheme, v0)
+
+
+# ---------------------------------------------------------------------------
+# the unknowns are the deviation from the cap
+# ---------------------------------------------------------------------------
+
+def test_rounding_floor_is_one_ulp_of_the_deviation(monkeypatch):
+    # one ulp of d moves the residual of a converged iterate at least ten
+    # times less than one ulp of the heights cap + d would; that spread
+    # is the floor Newton can reach, and in heights this path stalled
+    # at 1.2e-10
+    ends = _record_ends(monkeypatch)
+    mesh = solver.SphericalGridMesh(24, 14, 28)
+    gridsolver.solve_graph(solver.SolveConfig(n=3, sigma_target=1.5,
+                                              eps_schedule=(0.1,), mesh=mesh),
+                           ELL)
+    d = ends[-1]
+    scheme = gridsolver._GridScheme(gridsolver._GridGeometry(ELL, mesh),
+                                    1.5, 0.1)
+    F = _residual(scheme, d)
+    sign = np.random.default_rng(0).choice([-1.0, 1.0], d.size)
+
+    def spread(ulp):
+        return np.abs(_residual(scheme, d + sign * ulp) - F).max()
+
+    heights = scheme.full_height(d)[:d.size]
+    assert 10.0 * spread(np.spacing(np.abs(d))) <= spread(np.spacing(heights))
+
+
+def _half_path_witnesses():
+    """Criterion 9's (1.3, 1, 1) sigma = 0.5 path on the default mesh:
+    its curvature-bound witness per eps."""
+    fields = gridsolver.solve_graph_path(
+        solver.SolveConfig(n=3, sigma_target=0.5), ELL)
+    return np.array(audit.curvature_bound_check(fields).witnesses)
+
+
+@pytest.fixture(scope="module")
+def half_path_witnesses():
+    return _half_path_witnesses()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("GMRES_RTOL", 0.5 * gridsolver.GMRES_RTOL),
+    ("GMRES_RTOL", 2.0 * gridsolver.GMRES_RTOL),
+    ("ILU_DROP_TOL", 0.009), ("ILU_DROP_TOL", 0.011),
+    ("permc_spec", "COLAMD"), ("permc_spec", "MMD_AT_PLUS_A")],
+    ids=["rtol-half", "rtol-double", "drop-0.009", "drop-0.011", "colamd",
+         "mmd"])
+def test_half_path_holds_under_ilu_and_gmres_changes(half_path_witnesses,
+                                                     monkeypatch, name, value):
+    # in heights the path's first leg stalled at 1.49e-10 under five of
+    # these six; criterion 9 passed only on the one left
+    if name == "permc_spec":
+        monkeypatch.setattr(scipy.sparse.linalg, "spilu",
+                            lambda J, **kw: _SPILU(J, **{**kw, name: value}))
+    else:
+        monkeypatch.setattr(gridsolver, name, value)
+    assert np.abs(_half_path_witnesses() - half_path_witnesses).max() <= 1e-11
+
+
+def test_elongated_ellipse_solves_at_small_sigma():
+    # in heights the (2, 1) ellipse stalled at 2.7e-10 on this mesh
+    f = gridsolver.solve_graph(solver.SolveConfig(n=2, sigma_target=0.3),
+                               domains.make_ellipsoid((2.0, 1.0)))
+    assert f.cone_ok
+    assert f.convergence.residual <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -674,6 +674,40 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
+_CAP = ["oracle-cap", "--sigma", "1.0"]
+
+
+@pytest.mark.parametrize("argv,cfg,key", [
+    (_CAP, {"mesh": {"nodes": 51.9}, "n": 2.7}, "n"),
+    (_CAP + ["--n", "2"], {"mesh": {"nodes": 51.9}}, "mesh.nodes"),
+    (_RADIAL, {"newton": {"max_iters": 2.5}}, "newton.max_iters"),
+    (_RADIAL, {"newton": {"max_iters": True}}, "newton.max_iters"),
+    (["verify-cone", "--n", "3", "--samples", "10"], {"seed": False}, "seed"),
+    (["sweep", "--n", "2", "--sigmas", "1.0", "--nodes", "51"],
+     {"domains": [{"kind": "ball", "params": {"n": 2.5}}]}, "params.n"),
+], ids=["n", "mesh-nodes", "newton-fraction", "newton-bool", "seed-bool",
+        "domains-n"])
+def test_integer_config_key_refuses_fractions_and_booleans(
+        tmp_path, monkeypatch, capsys, argv, cfg, key):
+    # an integer key is converted exactly or refused, never truncated
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert cli.main(argv + ["--config", "c.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert f"config key {key}: expected an integer" in rec["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_integral_float_config_key_is_that_integer(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"mesh": {"nodes": 51.0},
+                                                 "n": 2.0}))
+    assert cli.main(_CAP + ["--config", "c.json"]) == 0
+    assert json.loads((tmp_path / "oracle-cap.json").read_text())["n"] == 2
+    assert len((tmp_path / "oracle-cap.csv").read_text().splitlines()) == 52
+
+
 README =pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -353,8 +353,21 @@ def test_path_starts_on_the_cap_family(monkeypatch, make):
     config = solver.SolveConfig(n=3, sigma_target=0.2, eps_schedule=(0.1,))
     solver._solve_path(scheme, config)
     assert visited[:2] == [(0.2, 0.1), (1.5, 0.1)]
-    assert np.array_equal(starts[0], scheme.cap)
-    assert np.array_equal(starts[1], scheme.at(1.5, 0.1).cap)
+    # the start heights, whatever the scheme's unknowns, are the exact cap
+    for start, sigma in zip(starts, (0.2, 1.5)):
+        heights = scheme.at(sigma, 0.1).full_height(start)[:start.size]
+        assert np.array_equal(heights, _cap_heights(scheme, sigma))
+
+
+def _cap_heights(scheme, sigma):
+    """The exact cap at (sigma, 0.1) on scheme's unknown nodes: the
+    domain's radius (radial) or mean semi-axis R (grid) at R s."""
+    if isinstance(scheme, solver._RadialScheme):
+        return geometry.exact_cap(3, sigma, 1.0, 0.1).height(scheme.r[:-1])
+    geo = scheme.geo
+    R = float(np.mean(geo.domain.semi_axes))
+    return geometry.exact_cap(3, sigma, R, 0.1).height(
+        R * geo.s_node[:geo.n_int])
 
 
 def test_radial_walk_fires_when_first_leg_fails(monkeypatch):
