@@ -29,7 +29,8 @@ writes.  Any other top-level file key, or an out key for a file it does
 not write, exits 2 before any work; nested keys are not checked (a sweep
 file may carry radial and grid mesh keys).  A file value of the wrong
 JSON type exits 2 as well, as does a fractional number or a boolean for
-an integer key; a null one counts as unset.  --eps with
+an integer key and a boolean or a string for a number key; a null one
+counts as unset.  --eps with
 --eps-schedule exits 2, as does a mesh flag that the run's mesh class
 has no field for (--nodes on a grid domain, --lat on n = 2, ...),
 except in sweep, whose domains may need either kind.

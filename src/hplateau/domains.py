@@ -195,11 +195,20 @@ def make_star2d(samples) -> DomainSpec:
     return DomainSpec(kind="star", n=2, star_samples=vals)
 
 
+def exact_float(value) -> float:
+    """A JSON number as a float; a boolean or a non-number, a numeric
+    string such as "0.01" too, is refused, not converted."""
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def float_tuple(values) -> tuple:
-    """A JSON list of numbers as a tuple of floats."""
+    """A JSON list of numbers as a tuple of floats (each by exact_float)."""
     if not isinstance(values, (list, tuple)):
         raise TypeError(f"expected a list of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
+    return tuple(exact_float(v) for v in values)
 
 
 def exact_int(value) -> int:
@@ -214,10 +223,10 @@ def exact_int(value) -> int:
 
 
 def config_value(convert, value, key: str):
-    """convert(value), where int means exact_int; a JSON value of the
-    wrong type or form raises a ValueError that names its config key."""
-    if convert is int:
-        convert = exact_int
+    """convert(value), where int means exact_int and float exact_float; a
+    JSON value of the wrong type or form raises a ValueError that names
+    its config key."""
+    convert = {int: exact_int, float: exact_float}.get(convert, convert)
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:

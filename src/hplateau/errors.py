@@ -26,7 +26,11 @@ class NewtonDivergenceError(HPlateauError):
     """Residual was not reduced after backtracking down to the damping floor.
 
     Carries the last iterate so callers can inspect how far the solve got:
-    ``state`` is the raw vector of unknown heights.
+    ``state`` is the raw vector of the scheme's unknowns, not a height
+    field: the heights off the boundary node on the radial side, and on
+    the grid the deviation from the cap at one representative node per
+    mirror orbit (gridsolver._GridScheme.full_height spreads it onto
+    every node).
     """
 
     def __init__(self, message, state=None):
@@ -35,7 +39,11 @@ class NewtonDivergenceError(HPlateauError):
 
 
 class ConeViolationError(HPlateauError):
-    """Cone guard rejected every damped step down to the floor."""
+    """Cone guard rejected every damped step down to the floor.
+
+    ``state`` is the last accepted iterate in the scheme's unknowns, as
+    for NewtonDivergenceError.
+    """
 
     def __init__(self, message, state=None):
         super().__init__(message)

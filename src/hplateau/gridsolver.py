@@ -42,13 +42,30 @@ term depend on Du alone, which is linear in the first chart
 derivatives.  The solver does no complex arithmetic; the tests hold the
 closed forms to a complex step through _shape.
 
+Balls and ellipsoids are symmetric under the coordinate mirrors
+x_i -> -x_i, and the discrete equation is equivariant under them: the
+stencils and the wraps commute with the mirrors, and the map tensors
+are mirrored up to rounding.  An equivariant map sends its fixed-point
+subspace into itself (Golubitsky, Stewart and Schaeffer 1988, vol. II),
+so Newton runs on the mirror-symmetric fields alone, with one unknown
+per orbit of the mirror group: a quarter (n = 2) or an eighth (n = 3)
+of the interior nodes, 798 of 5472 on the default n = 3 mesh and 799 of
+3008 on the default n = 2 one.  _GridGeometry picks the smallest flat
+index of each orbit as its representative (reps) and maps every
+interior node to its representative's position (fold); the residual,
+the guard and the Jacobian run on the representatives' rows, and the
+Jacobian's columns sum each orbit's stencil weights.  Star domains
+take the identity group, through the same code.  Only the reported
+fields are formed on every node, so their residual field checks the
+reduced solution on the full grid.
+
 The Newton step is inexact (Eisenstat and Walker 1996): GMRES on the
 exact Jacobian, stopped at ||J s + F||_2 <= GMRES_RTOL ||F||_2 and
 right-preconditioned by an incomplete LU (Saad 2003).  The ILU keeps the
 natural order of the unknowns, ring-major, with no fill-reducing column
-ordering: on the default n = 3 mesh it then holds 0.11M entries against
-0.19M under SuperLU's default COLAMD, and is built in half the time,
-for about 10% more GMRES iterations.  _gmres is a lean restarted GMRES:
+ordering: on the default n = 3 mesh it then holds 16k entries against
+24k under SuperLU's default COLAMD, and is built in half the time,
+for about 8% more GMRES iterations.  _gmres is a lean restarted GMRES:
 the Krylov basis is one array, so each Gram-Schmidt pass is two BLAS
 products, and only the small Givens and triangular work stays in
 Python.  The ILU is built by the first step that needs one and held on
@@ -65,25 +82,27 @@ scheme, so the geometry and its ILU live exactly as long as their path.
 _GridScheme packages all of this, for one (sigma, eps_bdry), in the
 scheme interface of solver._solve_path, the continuation driver the
 radial solver uses as well (sigma walk, split legs, eps descent):
-at(sigma, eps), cap, evaluate(d), jacobian_step(d, data, F),
+at(sigma, eps), cap, n_int, evaluate(d), jacobian_step(d, data, F),
 newton(d, params) and field_parts(d).  Every path starts on its cap
 family, the umbilic cap of the domain's mean-radius ball composed with
 s, and the unknowns d are the deviation of the interior heights from
-that cap: the heights are u = cap + d, the cap's chart jet is computed
-once per scheme, and the jet of u is the cap's jet plus the jet of d
-with a zero boundary ring (chart_jet is linear).  The discrete equation
-is the same as in the heights, but one ulp of d, not one ulp of u, now
-sets the rounding floor of the residual: 1/h^2 times an ulp of u ~ 1
-put that floor near the 1e-10 residual tolerance on the default meshes.
-The scheme's cap is d = 0, so the driver's transport along the cap
-family keeps d as it is.  evaluate(d) is the iterate's one shape pass,
+that cap at the representatives: the heights are u = cap + d[fold],
+the cap's chart jet is computed once per scheme, and the jet of u is
+the cap's jet plus the jet of the spread d with a zero boundary ring
+(chart_jet is linear).  The discrete equation is the same as in the
+heights, but one ulp of d, not one ulp of u, now sets the rounding
+floor of the residual: 1/h^2 times an ulp of u ~ 1 put that floor near
+the 1e-10 residual tolerance on the default meshes.  The scheme's cap
+is d = 0, so _leg's transport along the cap family keeps d as it is.
+evaluate(d) is the iterate's one shape pass over the representatives,
 returned as the residual, the verdict that u > 0 and the nodes lie in
-the cone, and the data the Jacobian reads; the scheme stores nothing
-of it, and the solver._Leg of each Newton leg holds the last one.
-field_parts(d) gives the per-node arrays of a converged d, which
-solver._build_field assembles into the SolutionField, as it does for
-the radial scheme.  The legs call this module's damped_newton, so they
-stay apart from the radial ones.
+the cone, and the data the Jacobian reads; the scheme stores nothing of
+it, and the solver._Leg of each Newton leg holds the last one.
+field_parts(d) gives the per-node arrays of a converged d on every
+node, which solver._build_field assembles into the SolutionField, as it
+does for the radial scheme; n_int tells it how many of those nodes
+carry the equation.  The legs call this module's damped_newton, so
+they stay apart from the radial ones.
 """
 
 from __future__ import annotations
@@ -105,29 +124,29 @@ __all__ = ["solve_graph", "solve_graph_path"]
 
 #: Drop tolerance of the incomplete LU that preconditions every GMRES
 #: solve of a path, built in the natural ordering.  At 1e-2 one ILU,
-#: built on the path's first leg, solves every system of the path in 22
-#: to 24 inner iterations on the default n = 3 mesh (the (1.3, 1, 1)
-#: ellipsoid at sigma = 1.5, eps 0.1 down to 1e-4).  There it holds 0.11M
-#: entries and takes 0.09-0.12 s to build, against 4.7M entries and
-#: 0.53 s for a full sparse LU (SuperLU, COLAMD ordering).
+#: built on the path's first leg, solves every system of the path in 14
+#: to 17 inner iterations on the default n = 3 mesh (the (1.3, 1, 1)
+#: ellipsoid at sigma = 1.5, eps 0.1 down to 1e-4, 798 unknowns).  There
+#: it holds 16k entries and takes 5 ms to build, against 0.10M entries
+#: and 9 ms for a full sparse LU (SuperLU, COLAMD ordering).
 ILU_DROP_TOL = 1.0e-2
 
 #: Forcing term of the inexact Newton step: GMRES stops once
 #: ||J s + F||_2 <= GMRES_RTOL ||F||_2.  A tighter one cannot be reached:
-#: at the first step of that path the ratio bottoms out near 3e-12 in
-#: float64 (a full LU gives 1.0e-11), so at 2e-12 GMRES stagnates and
-#: misses.  At 1e-8 a path takes the Newton steps of an exact LU step and
-#: ends within 2e-15 of its heights (the (1.3, 1, 1) ellipsoid at sigma
-#: 0.05, 0.5 and 1.5 and the (2, 1, 1) one at 0.5: 20, 11, 10 and 16
-#: steps either way), and halving or doubling it moves criterion 9's
-#: witnesses by at most 6e-13.
+#: at the first step of that path the ratio bottoms out between 2e-12
+#: and 2.5e-12 in float64 (a full LU gives 6.3e-12), so at 2e-12 GMRES
+#: stagnates and misses.  At 1e-8 a path takes the Newton steps of an
+#: exact LU step and ends within 1.4e-14 of its heights (the (1.3, 1, 1)
+#: ellipsoid at sigma 0.05, 0.5 and 1.5 and the (2, 1, 1) one at 0.5: 20,
+#: 11, 10 and 16 steps either way), and halving or doubling it moves
+#: criterion 9's witnesses by at most 5.2e-13.
 GMRES_RTOL = 1.0e-8
 
 #: Krylov basis size per GMRES cycle, and the cycles allowed before the
 #: ILU counts as stale and is rebuilt.  The slowest solve seen on the 27
 #: paths of the default-mesh probe (n = 3 ellipsoids of aspect 1.3 to 3
-#: and n = 2 ellipses, sigma 0.05 to n - 0.1) took 91 inner iterations
-#: in three cycles, on the (2, 1, 1) ellipsoid walked to sigma = 0.05;
+#: and n = 2 ellipses, sigma 0.05 to n - 0.1) took 77 inner iterations
+#: in two cycles, on the (2, 1, 1) ellipsoid walked to sigma = 0.05;
 #: none missed, so each path built one ILU.
 GMRES_RESTART = 40
 GMRES_MAXITER = 3
@@ -197,6 +216,7 @@ class _GridGeometry:
 
         self._build_map_tensors()
         self._build_stencil()
+        self._build_orbits()
         self.ilu = None
 
     # -- map tensors ---------------------------------------------------------
@@ -260,16 +280,13 @@ class _GridGeometry:
         return (jj - 1) * M * L + mm * L + ll
 
     def _build_stencil(self):
-        """Neighbor map, stencil weights and the Jacobian's sparsity.
+        """Neighbor map and stencil weights.
 
         nbr[o, i] is the flat index of node i's neighbor at offset o.  The
         chart jet is linear in the neighbor values, with one scalar weight
         coef[k, o] per (jet component, offset), read off chart_jet itself.
-        The Jacobian entry of interior row i at offset o sits at
-        jac_pos[o, i] of the CSC data (jac_nnz if the neighbor is on the
-        boundary ring).
         """
-        n, ni = self.n, self.n_int
+        n = self.n
         self.offsets = _offsets(n)
         self.nbr = np.stack([self._wrap_flat(off) for off in self.offsets])
         unit = np.eye(len(self.offsets))
@@ -278,15 +295,63 @@ class _GridGeometry:
         for r, (a, b) in enumerate(_jet_pairs(n), 1 + n):
             self.sym[a, b] = self.sym[b, a] = r
 
-        keys = np.where(self.nbr[:, :ni] < ni,
-                        self.nbr[:, :ni] * ni + np.arange(ni), -1)
+    # -- mirror orbits -------------------------------------------------------
+
+    def _mirror_images(self) -> np.ndarray:
+        """Flat index of each node's image under every element of the
+        domain's mirror group, one row per element.
+
+        Balls and ellipsoids are symmetric under each x_i -> -x_i, which
+        on the grid are l -> -l (x_2), l -> L/2 - l (x_1) and, for n = 3,
+        m -> M-1-m (x_n): a group of order 4 (n = 2) or 8 (n = 3), whose
+        rows repeat for n = 2, where M = 1.  Star domains take the
+        identity alone.
+        """
+        if self.domain.kind not in ("ball", "ellipsoid"):
+            return np.arange(self.n_all)[None]
+        M, L = self.M, self.L
+        ring = (self.jj - 1) * M * L
+        lon = [self.ll, -self.ll % L, (L // 2 - self.ll) % L,
+               (self.ll + L // 2) % L]
+        return np.stack([ring + m * L + ll for m in (self.mm, M - 1 - self.mm)
+                         for ll in lon])
+
+    def _build_orbits(self):
+        """The unknowns: one representative node per interior orbit of
+        the mirror group, and the folded Jacobian's sparsity.
+
+        reps holds the smallest flat index of each orbit, ascending, and
+        fold[i] the position in reps of interior node i's representative,
+        so d[fold] spreads the unknowns d onto every interior node.  The
+        discrete equation is equivariant under the group, so the residual
+        of a symmetric iterate is symmetric and its rows at reps determine
+        it; A, Xcc, AXcc and nbr are sliced to those rows once.  The
+        reduced Jacobian is J_full[reps] @ P with P[i, fold[i]] = 1: its
+        entry of row k at offset o sits at jac_pos[o, k] of the CSC data
+        (jac_nnz if the neighbor is on the boundary ring), and column
+        fold[nbr[o, reps[k]]] sums the offsets whose neighbors share an
+        orbit.
+        """
+        ni = self.n_int
+        orbit_min = self._mirror_images().min(axis=0)[:ni]
+        self.reps = np.flatnonzero(orbit_min == np.arange(ni))
+        self.fold = np.searchsorted(self.reps, orbit_min)
+        r = self.reps
+        self.A_rep, self.Xcc_rep, self.AXcc_rep = \
+            self.A[r], self.Xcc[r], self.AXcc[r]
+        self.nbr_rep = self.nbr[:, r]
+
+        nr = r.size
+        inner = self.nbr_rep < ni
+        cols = self.fold[np.where(inner, self.nbr_rep, 0)]
+        keys = np.where(inner, cols * nr + np.arange(nr), -1)
         # sort, then drop repeats: np.unique hashes these keys, 20x slower
         nz = np.sort(keys[keys >= 0])
         nz = nz[np.concatenate(([True], nz[1:] != nz[:-1]))]
         self.jac_nnz = nz.size
         self.jac_pos = np.where(keys >= 0, np.searchsorted(nz, keys), nz.size)
-        self.jac_rows = nz % ni
-        self.jac_indptr = np.searchsorted(nz, np.arange(ni + 1) * ni)
+        self.jac_rows = nz % nr
+        self.jac_indptr = np.searchsorted(nz, np.arange(nr + 1) * nr)
 
     # -- chart derivatives -----------------------------------------------------
 
@@ -312,11 +377,14 @@ class _GridGeometry:
                     / (4 * h[a] * h[b])
         return jet
 
-    def chart_jet(self, U: np.ndarray) -> np.ndarray:
-        """Packed chart jet of the full height array at the interior nodes."""
-        ni = self.n_int
-        return self._jet_from({off: U[ix[:ni]]
-                               for off, ix in zip(self.offsets, self.nbr)})
+    def chart_jet(self, U: np.ndarray, nbr=None) -> np.ndarray:
+        """Packed chart jet of the full height array at the interior nodes,
+        or at the nodes whose neighbor columns nbr holds (nbr_rep: the
+        representatives).  Each node's jet reads its own neighbors only,
+        so a node's jet is the same bits in either call."""
+        if nbr is None:
+            nbr = self.nbr[:, :self.n_int]
+        return self._jet_from(dict(zip(self.offsets, U[nbr])))
 
     def unpack(self, jet: np.ndarray):
         """(u, first chart derivatives, second chart derivatives)."""
@@ -507,51 +575,58 @@ class _GridScheme:
     scheme interface that solver._solve_path drives.
 
     The unknowns d are the deviation of the interior heights from the
-    cap, the umbilic cap of the mean-radius ball (radius, mean semi-axis
-    or mean star sample R) at (sigma, eps_bdry) composed with s: the
-    exact cap on a ball.  cap_height is the cap on every node and
-    cap_jet its interior chart jet, both computed once; the heights are
-    cap_height plus d with a zero boundary ring.  cap, the start of
-    every path, is d = 0.
+    cap at the representative nodes geo.reps, one per mirror orbit; every
+    interior node takes its representative's value, d[geo.fold].  The
+    cap is the umbilic cap of the mean-radius ball (radius, mean
+    semi-axis or mean star sample R) at (sigma, eps_bdry) composed with
+    s: the exact cap on a ball.  cap_height is the cap on every node and
+    cap_jet its chart jet at the representatives, both computed once;
+    the heights are cap_height plus the spread d with a zero boundary
+    ring.  cap, the start of every path, is d = 0.  n_int counts the
+    equation nodes, which field_parts lists first.
     """
 
     def __init__(self, geo: _GridGeometry, sigma: float, eps_bdry: float):
         self.geo = geo
         self.sigma = sigma
         self.eps_bdry = float(eps_bdry)
+        self.n_int = geo.n_int
         dom = self.domain = geo.domain
         R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
         self.cap_height = np.full(geo.n_all, self.eps_bdry)
         self.cap_height[:geo.n_int] = exact_cap(
             geo.n, sigma, R, eps_bdry).height(R * geo.s_node[:geo.n_int])
-        self.cap_jet = geo.chart_jet(self.cap_height)
-        self.cap = np.zeros(geo.n_int)
+        self.cap_jet = geo.chart_jet(self.cap_height, geo.nbr_rep)
+        self.cap = np.zeros(geo.reps.size)
 
     def at(self, sigma: float, eps: float) -> "_GridScheme":
         return _GridScheme(self.geo, sigma, eps)
 
     def _padded(self, d: np.ndarray) -> np.ndarray:
-        """d on every node, zero on the boundary ring."""
+        """d spread onto every interior node, zero on the boundary ring."""
         D = np.zeros(self.geo.n_all, dtype=d.dtype)
-        D[:self.geo.n_int] = d
+        D[:self.geo.n_int] = d[self.geo.fold]
         return D
 
     def full_height(self, d: np.ndarray) -> np.ndarray:
         return self.cap_height + self._padded(d)
 
     def _jet(self, d: np.ndarray) -> np.ndarray:
-        """Interior chart jet of the heights: the cap's plus d's, which is
-        the jet of full_height(d) since chart_jet is linear."""
-        return self.cap_jet + self.geo.chart_jet(self._padded(d))
+        """Chart jet of the heights at the representatives: the cap's plus
+        the spread d's, which is the jet of full_height(d) since chart_jet
+        is linear."""
+        geo = self.geo
+        return self.cap_jet + geo.chart_jet(self._padded(d), geo.nbr_rep)
 
     def evaluate(self, d: np.ndarray):
-        """(F, inside, (u, P, shape)) from _shape of the interior chart
-        jet, whose height and second chart derivatives are u and P:
-        inside when u, sigma_1 = tr S and sigma_{n-1} = _sigma(S) are
-        positive at every interior node, Gamma_{n-1} for n <= 3."""
-        geo, ni = self.geo, self.geo.n_int
+        """(F, inside, (u, P, shape)) from _shape of the chart jet at the
+        representatives, whose height and second chart derivatives are u
+        and P: inside when u, sigma_1 = tr S and sigma_{n-1} = _sigma(S)
+        are positive at every representative, Gamma_{n-1} for n <= 3.
+        By the mirror symmetry these rows stand for every interior node."""
+        geo = self.geo
         u, p, P = geo.unpack(self._jet(d))
-        shape = _shape(u, p, P, geo.A[:ni], geo.Xcc[:ni])
+        shape = _shape(u, p, P, geo.A_rep, geo.Xcc_rep)
         F0 = _sigma(shape[0])
         inside = bool((u > 0.0).all()
                       and (np.trace(shape[0], axis1=1, axis2=2) > 0.0).all()
@@ -559,21 +634,22 @@ class _GridScheme:
         return F0 - self.sigma, inside, (u, P, shape)
 
     def jacobian(self, data) -> scipy.sparse.csc_matrix:
-        """Exact Jacobian of the residual: the stencil chain.
+        """Exact Jacobian of the residual in the unknowns: the stencil
+        chain, folded onto the orbits.
 
         The residual at node i depends on its own chart jet only, so
-        J[i, nbr[o, i]] sums (dF_i/djet) @ coef[:, o] over the offsets o,
-        with dF_i/djet from _jet_gradient.
+        J[k, fold[nbr[o, reps[k]]]] sums (dF_k/djet) @ coef[:, o] over
+        the offsets o, with dF_k/djet from _jet_gradient.
         """
         geo = self.geo
-        ni = geo.n_int
+        nr = geo.reps.size
         u, P, shape = data
-        dF = _jet_gradient(u, P, geo.A[:ni], geo.AXcc[:ni], shape)
-        weights = geo.coef.T @ dF.T  # (offset, node), as jac_pos
+        dF = _jet_gradient(u, P, geo.A_rep, geo.AXcc_rep, shape)
+        weights = geo.coef.T @ dF.T  # (offset, representative), as jac_pos
         entries = np.bincount(geo.jac_pos.ravel(), weights=weights.ravel(),
                               minlength=geo.jac_nnz + 1)[:geo.jac_nnz]
         return scipy.sparse.csc_matrix((entries, geo.jac_rows, geo.jac_indptr),
-                                       shape=(geo.n_int, geo.n_int))
+                                       shape=(nr, nr))
 
     def jacobian_step(self, d: np.ndarray, data, F: np.ndarray) -> np.ndarray:
         """Inexact Newton step: ||J(d) s + F||_2 <= GMRES_RTOL ||F||_2.
@@ -603,12 +679,17 @@ class _GridScheme:
         return damped_newton(d, leg.residual, leg.guard, leg.step, params)
 
     def field_parts(self, d: np.ndarray):
-        """The shape pass over the interior and boundary-ring jets; the
-        interior jet is evaluate's own sum, so the residual field equals
-        the last Newton residual bit for bit."""
+        """The shape pass over every interior node and the boundary ring.
+
+        The interior jet is the cap's plus the spread d's, as in _jet, on
+        all interior nodes, so the residual field at the representatives
+        equals the last Newton residual bit for bit, and at every other
+        node it checks the reduced solution on the full grid."""
         geo = self.geo
-        U = self.full_height(d)
-        jet = np.concatenate([self._jet(d), geo.boundary_jet(U)])
+        D = self._padded(d)
+        U = self.cap_height + D
+        jet = np.concatenate([geo.chart_jet(self.cap_height)
+                              + geo.chart_jet(D), geo.boundary_jet(U)])
         S_all, w_all, *_ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
         return (geo.xyz.copy(), U, w_all, np.linalg.eigvalsh(S_all)[:, ::-1],
                 _sigma(S_all),

@@ -88,6 +88,7 @@ def write_sidecar_json(field: SolutionField, path):
         "eps": field.convergence.eps_bdry,
         "sigma": field.convergence.sigma,
         "cone_ok": bool(field.cone_ok),
+        "unknowns": field.meta["unknowns"],
     }
     write_json(payload, path)
 

@@ -267,25 +267,28 @@ def _build_field(scheme, v: np.ndarray, iterations: int,
     """The SolutionField of the converged unknowns v of scheme.
 
     scheme.field_parts(v) gives (nodes, u, w, spectra, sigma_{n-1} of
-    the spectra, meta) on every node, the v.size equation nodes first
-    and the Dirichlet nodes after; cone_ok is taken over the equation
-    nodes.
+    the spectra, meta) on every node, the scheme.n_int equation nodes
+    first and the Dirichlet nodes after; cone_ok is taken over the
+    equation nodes.  The grid has fewer unknowns than equation nodes (one
+    per mirror orbit), so the count comes from the scheme, not v.size;
+    meta["unknowns"] records v.size.
     """
     nodes, u, w, spectra, sigma_field, meta = scheme.field_parts(v)
+    ni = scheme.n_int
     return SolutionField(
         domain=scheme.domain,
         nodes=nodes,
         u=u,
-        boundary=np.arange(u.size) >= v.size,
+        boundary=np.arange(u.size) >= ni,
         nu_vertical=1.0 / w,
         spectra=spectra,
         residual_field=sigma_field - scheme.sigma,
         convergence=ConvergenceInfo(iterations=iterations, residual=resid,
                                     eps_bdry=scheme.eps_bdry,
                                     sigma=scheme.sigma),
-        cone_ok=bool(cone_mask_batch(spectra[:v.size],
+        cone_ok=bool(cone_mask_batch(spectra[:ni],
                                      scheme.domain.n - 1).all()),
-        meta=meta,
+        meta={**meta, "unknowns": v.size},
     )
 
 
@@ -297,10 +300,16 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     """Continuation from the umbilic cap to one field per scheduled eps.
 
     scheme is a discretization at (sigma, eps_bdry) =
-    (config.sigma_target, config.eps_schedule[0]).  Its unknowns v live
-    on the nodes off the Dirichlet boundary: the heights there on the
-    radial side, their deviation from the cap on the grid.  It provides
+    (config.sigma_target, config.eps_schedule[0]).  Its equation nodes
+    are the nodes off the Dirichlet boundary.  Its unknowns v are the
+    heights at every equation node on the radial side, and on the grid
+    the deviation of the heights from the cap at one representative
+    equation node per mirror orbit of the domain (every equation node on
+    a star domain), so v can be shorter than the equation nodes.  The
+    state of a typed error raised by a leg is such a v.  It provides
 
+    * n_int: the number of equation nodes, which field_parts lists
+      first;
     * domain, sigma, eps_bdry and cap: the point it discretizes and the
       umbilic cap there in the unknowns (the cap's heights on the radial
       side, zero on the grid), which every path starts on and along
@@ -398,12 +407,12 @@ def _leg(start, params: NewtonParams, v, sigma, eps, depth=0):
 class _RadialScheme:
     """Second-order FD discretization of the reduced rotational problem.
 
-    Unknowns are the heights at nodes 0..m-2 (center plus interior);
-    u(R) = eps_bdry is imposed exactly at the last node.  The center
-    uses the symmetry conditions u'(0) = 0, u''(0) = 2(u_1 - u_0)/h^2.
-    cap is the exact cap at (sigma, eps_bdry) on the unknowns.  An
-    iterate's residual, cone test and Jacobian step come from one
-    evaluate(v).
+    Unknowns are the heights at the n_int = m-1 nodes 0..m-2 (center
+    plus interior); u(R) = eps_bdry is imposed exactly at the last
+    node.  The center uses the symmetry conditions u'(0) = 0,
+    u''(0) = 2(u_1 - u_0)/h^2.  cap is the exact cap at (sigma,
+    eps_bdry) on the unknowns.  An iterate's residual, cone test and
+    Jacobian step come from one evaluate(v).
     """
 
     def __init__(self, domain: DomainSpec, nodes: int, sigma: float,
@@ -417,6 +426,7 @@ class _RadialScheme:
         self.eps_bdry = float(eps_bdry)
         self.cap = exact_cap(self.n, sigma, domain.radius,
                              eps_bdry).height(self.r[:-1])
+        self.n_int = nodes - 1
 
     def at(self, sigma: float, eps: float) -> "_RadialScheme":
         return _RadialScheme(self.domain, self.m, sigma, eps)

@@ -178,8 +178,8 @@ def _small_scheme(domain, mesh, sigma, eps=0.1):
 
 
 def _cap_heights(scheme):
-    """The cap's heights at the interior nodes."""
-    return scheme.cap_height[:scheme.geo.n_int]
+    """The cap's heights at the representative nodes, one per unknown."""
+    return scheme.cap_height[scheme.geo.reps]
 
 
 def _residual(scheme, v):
@@ -209,8 +209,9 @@ def test_jacobian_matches_central_differences(domain, mesh, sigma):
     # an independent check of the closed-form slots and their assembly
     scheme, v = _small_scheme(domain, mesh, sigma)
     J = _jacobian(scheme, v).toarray()
+    assert J.shape == (scheme.geo.reps.size,) * 2
     fd = np.empty_like(J)
-    heights = scheme.full_height(v)
+    heights = scheme.full_height(v)[scheme.geo.reps]
     for c in range(v.size):
         d = np.zeros(v.size)
         d[c] = 1e-6 * (1.0 + abs(heights[c]))
@@ -364,13 +365,14 @@ def spilu_calls(monkeypatch):
 
 @pytest.fixture
 def ell_iterate():
-    """A smooth, guard-admissible non-solution on the default n = 3 mesh."""
+    """A smooth, guard-admissible non-solution on the default n = 3 mesh,
+    even in each coordinate like every iterate of the unknowns."""
     geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh())
     scheme = gridsolver._GridScheme(geo, 1.5, 0.1)
-    x = geo.xyz[:geo.n_int]
-    # the heights cap * (1 + 0.05 sin(3 x1) cos(2 x2))
+    x = geo.xyz[geo.reps]
+    # the heights cap * (1 + 0.05 cos(3 x1) cos(2 x2))
     v = _cap_heights(scheme) \
-        * 0.05 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
+        * 0.05 * np.cos(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
     assert _guard(scheme, v)
     return scheme, v, _residual(scheme, v)
 
@@ -495,6 +497,102 @@ def test_step_fails_typed_when_a_fresh_ilu_misses(ell_iterate, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# one unknown per mirror orbit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("domain,mesh,unknowns", [
+    (ELL, solver.SphericalGridMesh(), 19 * 6 * 7),
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(), 47 * 17),
+    (STAR, solver.PolarGridMesh(), 47 * 64)],
+    ids=["ellipsoid3", "ball2", "star"])
+def test_one_unknown_per_mirror_orbit(domain, mesh, unknowns):
+    # latitudes pair up under z -> -z; longitudes 0 and L/4 have orbits
+    # of two under x -> -x and y -> -y, the others of four; a star domain
+    # keeps the identity alone
+    geo = gridsolver._GridGeometry(domain, mesh)
+    assert geo.reps.size == unknowns
+    assert np.array_equal(geo.fold[geo.reps], np.arange(geo.reps.size))
+    assert (geo.reps[geo.fold] <= np.arange(geo.n_int)).all()
+    if domain.kind == "star":
+        assert geo.reps.size == geo.n_int
+        assert np.array_equal(geo.fold, np.arange(geo.n_int))
+
+
+def _mirror_perms(nodes):
+    """{axis: perm} with nodes[perm] the nodes mirrored in that axis,
+    found from the coordinates."""
+    perms = {}
+    for axis in range(nodes.shape[1]):
+        flipped = nodes.copy()
+        flipped[:, axis] *= -1.0
+        dist = np.abs(flipped[:, None, :] - nodes[None]).max(axis=2)
+        perms[axis] = dist.argmin(axis=1)
+        assert dist.min(axis=1).max() <= 1e-12
+    return perms
+
+
+@pytest.mark.parametrize("domain,mesh,sigma", [
+    (ELL, solver.SphericalGridMesh(10, 8, 16), 0.5),
+    (domains.make_ellipsoid((1.3, 1.0)), solver.PolarGridMesh(12, 16), 1.5)],
+    ids=["n3", "n2"])
+def test_solution_is_mirror_symmetric_bit_for_bit(domain, mesh, sigma):
+    fields = gridsolver.solve_graph_path(
+        solver.SolveConfig(n=domain.n, sigma_target=sigma, mesh=mesh), domain)
+    perms = _mirror_perms(np.asarray(fields[0].nodes)).values()
+    for f in fields:
+        for perm in perms:
+            assert np.array_equal(f.u[perm], f.u)
+
+
+def _criterion9_paths():
+    """Criterion 9's eight paths (radial ball, grid (1.3, 1, 1)
+    ellipsoid) and the (1.3, 1, 1) sigma = 0.05 path on 28 x 16 x 32."""
+    for sigma in (0.05, 0.5, 1.5, 2.9):
+        yield solver.solve_radial_path(
+            solver.SolveConfig(n=3, sigma_target=sigma,
+                               mesh=solver.RadialMesh(401)), BALL3)
+        yield gridsolver.solve_graph_path(
+            solver.SolveConfig(n=3, sigma_target=sigma), ELL)
+    yield gridsolver.solve_graph_path(
+        solver.SolveConfig(n=3, sigma_target=0.05,
+                           mesh=solver.SphericalGridMesh(28, 16, 32)), ELL)
+
+
+def test_reported_fields_meet_residual_tol_on_every_node():
+    # Newton holds the representatives' rows to residual_tol; the field's
+    # residual is a full-grid pass, so this checks every other node too
+    tol = solver.NewtonParams().residual_tol
+    for fields in _criterion9_paths():
+        for f in fields:
+            assert np.abs(f.residual_field[f.interior]).max() <= tol
+
+
+@pytest.mark.parametrize("domain,mesh", [
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(12, 16)),
+    (ELL, solver.SphericalGridMesh(8, 6, 12))], ids=["ball2", "ellipsoid3"])
+def test_field_marks_the_ring_and_checks_every_equation_node(
+        domain, mesh, monkeypatch):
+    # the unknowns are fewer than the equation nodes: the Dirichlet ring
+    # and the cone check follow the nodes, not the unknowns
+    rows = []
+    real = solver.cone_mask_batch
+
+    def recorded(spectra, k):
+        rows.append(len(spectra))
+        return real(spectra, k)
+
+    monkeypatch.setattr(solver, "cone_mask_batch", recorded)
+    geo = gridsolver._GridGeometry(domain, mesh)
+    f = gridsolver.solve_graph(
+        solver.SolveConfig(n=domain.n, sigma_target=1.0, eps_schedule=(0.1,),
+                           mesh=mesh), domain)
+    assert np.array_equal(f.boundary, geo.jj == geo.J)
+    assert rows == [geo.n_int]
+    assert f.cone_ok
+    assert f.meta["unknowns"] == geo.reps.size < geo.n_int
+
+
+# ---------------------------------------------------------------------------
 # map tensors
 # ---------------------------------------------------------------------------
 
@@ -600,9 +698,9 @@ def test_grid_residual_at_solution(ball16_end):
     scheme = _ball16_scheme()
     assert np.array_equal(scheme.full_height(d), ball16.u)
     res = _residual(scheme, d)
-    assert res.shape == (ball16.interior.sum(),)
+    assert res.shape == (scheme.geo.reps.size,)
     assert np.abs(res).max() <= 1e-9
-    assert np.array_equal(res, ball16.residual_field[ball16.interior])
+    assert np.array_equal(res, ball16.residual_field[scheme.geo.reps])
 
 
 def test_cap_start_passes_guard_off_ball():
@@ -610,7 +708,7 @@ def test_cap_start_passes_guard_off_ball():
     for sigma in (0.5, 1.0, 2.0):
         scheme = gridsolver._GridScheme(geo, sigma, 0.1)
         v0 = scheme.cap
-        assert v0.shape == (geo.n_int,)
+        assert v0.shape == (geo.reps.size,)
         assert not v0.any()
         assert _guard(scheme, v0)
 
@@ -638,7 +736,7 @@ def test_rounding_floor_is_one_ulp_of_the_deviation(monkeypatch):
     def spread(ulp):
         return np.abs(_residual(scheme, d + sign * ulp) - F).max()
 
-    heights = scheme.full_height(d)[:d.size]
+    heights = scheme.full_height(d)[scheme.geo.reps]
     assert 10.0 * spread(np.spacing(np.abs(d))) <= spread(np.spacing(heights))
 
 

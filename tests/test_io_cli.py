@@ -105,6 +105,7 @@ def test_write_field_csv_and_sidecar(tmp_path, small_field):
         "eps": small_field.convergence.eps_bdry,
         "sigma": small_field.convergence.sigma,
         "cone_ok": True,
+        "unknowns": 50,
     }
 
 
@@ -194,6 +195,8 @@ def test_solve_grid_runs_on_polar_mesh(tmp_path, monkeypatch):
                      "--eps", "0.1"]) == 0
     side = json.loads((tmp_path / "solve-grid.json").read_text())
     assert side["cone_ok"] is True
+    # one unknown per mirror orbit: 7 rings of 5 orbits of 16 nodes
+    assert side["unknowns"] == 7 * 5
     header, rows = _read_csv(tmp_path / "solve-grid.csv")
     assert tuple(header[:2]) == ("x1", "x2")
     assert len(rows) == 8 * 16
@@ -696,6 +699,37 @@ def test_integer_config_key_refuses_fractions_and_booleans(
     rec = _stderr_record(capsys)
     assert rec["error"] == "ValueError"
     assert f"config key {key}: expected an integer" in rec["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("argv,cfg,key", [
+    (["oracle-cap", "--n", "3"], {"sigma": True}, "sigma"),
+    (["oracle-cap", "--n", "3", "--sigma", "1.5"], {"eps_schedule": ["0.01"]},
+     "eps_schedule"),
+    (["oracle-cap", "--n", "3", "--sigma", "1.5"],
+     {"domain": {"params": {"radius": "1.0"}}}, "params.radius"),
+    (_RADIAL, {"newton": {"residual_tol": "1e-10"}}, "newton.residual_tol"),
+    (["renwang", "--n", "3", "--samples", "10"], {"audit": {"eps_rw": True}},
+     "audit.eps_rw"),
+    (["verify-cone", "--n", "3", "--samples", "10"], {"level": "1.0"},
+     "level"),
+    (["sweep", "--n", "2", "--nodes", "51"], {"sigmas": [1.0, False]},
+     "sigmas"),
+    (["solve-grid", "--n", "3", "--domain", "ellipsoid", "--sigma", "1.0"],
+     {"domain": {"params": {"semi_axes": [1.3, True, 1.0]}}},
+     "params.semi_axes"),
+], ids=["sigma-bool", "eps-string", "radius-string", "residual-tol-string",
+        "eps-rw-bool", "level-string", "sigmas-bool", "semi-axes-bool"])
+def test_float_config_key_refuses_booleans_and_strings(
+        tmp_path, monkeypatch, capsys, argv, cfg, key):
+    # float() would read true as 1.0 and "0.01" as 0.01; a float key
+    # takes a JSON number only
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    assert cli.main(argv + ["--config", "c.json"]) == 2
+    rec = _stderr_record(capsys)
+    assert rec["error"] == "ValueError"
+    assert f"config key {key}: expected a number" in rec["message"]
     assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 

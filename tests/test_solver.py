@@ -355,12 +355,12 @@ def test_path_starts_on_the_cap_family(monkeypatch, make):
     assert visited[:2] == [(0.2, 0.1), (1.5, 0.1)]
     # the start heights, whatever the scheme's unknowns, are the exact cap
     for start, sigma in zip(starts, (0.2, 1.5)):
-        heights = scheme.at(sigma, 0.1).full_height(start)[:start.size]
+        heights = scheme.at(sigma, 0.1).full_height(start)[:scheme.n_int]
         assert np.array_equal(heights, _cap_heights(scheme, sigma))
 
 
 def _cap_heights(scheme, sigma):
-    """The exact cap at (sigma, 0.1) on scheme's unknown nodes: the
+    """The exact cap at (sigma, 0.1) on scheme's equation nodes: the
     domain's radius (radial) or mean semi-axis R (grid) at R s."""
     if isinstance(scheme, solver._RadialScheme):
         return geometry.exact_cap(3, sigma, 1.0, 0.1).height(scheme.r[:-1])
