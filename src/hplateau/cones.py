@@ -206,9 +206,7 @@ def elementary_symmetric_batch(rows: np.ndarray, k: int) -> np.ndarray:
 
 def elementary_symmetric(kappa, k: int) -> float:
     """sigma_k(kappa); sigma_0 = 1 by convention."""
-    kv = _coerce(kappa)
-    _check_k(kv.n, k)
-    return float(elementary_symmetric_batch(kv.array(), k))
+    return float(elementary_symmetric_batch(_coerce(kappa).array(), k))
 
 
 def jet_gradient_batch(rows: np.ndarray, k: int) -> np.ndarray:
@@ -233,13 +231,12 @@ def jet_hessian_batch(rows: np.ndarray, k: int) -> np.ndarray:
 
 
 def symmetric_jet(kappa, k: int) -> SymmetricJet:
-    kv = _coerce(kappa)
-    _check_k(kv.n, k, kmin=1)
-    arr = kv.array()
+    arr = _coerce(kappa).array()
+    gradient = jet_gradient_batch(arr, k)   # its check holds k >= 1
     return SymmetricJet(
         k=k,
         value=float(elementary_symmetric_batch(arr, k)),
-        gradient=jet_gradient_batch(arr, k),
+        gradient=gradient,
         hessian=jet_hessian_batch(arr, k),
     )
 
@@ -287,7 +284,6 @@ def second_moment_slack_batch(rows: np.ndarray, k: int) -> np.ndarray:
 
 def second_moment_slack(kappa, k: int) -> float:
     kv = _coerce(kappa)
-    _check_k(kv.n, k, kmin=1)
     _require_cone(kv, k, "second_moment_slack")
     return float(second_moment_slack_batch(kv.array(), k))
 
@@ -308,7 +304,6 @@ def negative_part_slack_batch(rows: np.ndarray, k: int) -> np.ndarray:
 
 def negative_part_slack(kappa, k: int) -> float:
     kv = _coerce(kappa)
-    _check_k(kv.n, k, kmin=1)
     _require_cone(kv, k, "negative_part_slack")
     return float(negative_part_slack_batch(kv.array(), k))
 

@@ -254,8 +254,6 @@ class _GridGeometry:
                 f"(min |det| = {np.abs(det).min():.3e})")
         self.A = np.linalg.inv(Xc)
         self.Xcc = Xcc
-        # the u-independent factor of _jet_gradient's dC term
-        self.AXcc = self.A @ Xcc.reshape(-1, n, n * n)
         self.xyz = s_node[:, None] * q[direction]
         self.s_node = s_node
 
@@ -325,20 +323,21 @@ class _GridGeometry:
         so d[fold] spreads the unknowns d onto every interior node.  The
         discrete equation is equivariant under the group, so the residual
         of a symmetric iterate is symmetric and its rows at reps determine
-        it; A, Xcc, AXcc and nbr are sliced to those rows once.  The
-        reduced Jacobian is J_full[reps] @ P with P[i, fold[i]] = 1: its
-        entry of row k at offset o sits at jac_pos[o, k] of the CSC data
-        (jac_nnz if the neighbor is on the boundary ring), and column
-        fold[nbr[o, reps[k]]] sums the offsets whose neighbors share an
-        orbit.
+        it; A, Xcc and nbr are sliced to those rows once, and A @ Xcc is
+        formed on them alone.  The reduced Jacobian is J_full[reps] @ P
+        with P[i, fold[i]] = 1: its entry of row k at offset o sits at
+        jac_pos[o, k] of the CSC data (jac_nnz if the neighbor is on the
+        boundary ring), and column fold[nbr[o, reps[k]]] sums the offsets
+        whose neighbors share an orbit.
         """
         ni = self.n_int
         orbit_min = self._mirror_images().min(axis=0)[:ni]
         self.reps = np.flatnonzero(orbit_min == np.arange(ni))
         self.fold = np.searchsorted(self.reps, orbit_min)
-        r = self.reps
-        self.A_rep, self.Xcc_rep, self.AXcc_rep = \
-            self.A[r], self.Xcc[r], self.AXcc[r]
+        r, n = self.reps, self.n
+        self.A_rep, self.Xcc_rep = self.A[r], self.Xcc[r]
+        # the u-independent factor of _jet_gradient's dC term
+        self.AXcc_rep = self.A_rep @ self.Xcc_rep.reshape(-1, n, n * n)
         self.nbr_rep = self.nbr[:, r]
 
         nr = r.size

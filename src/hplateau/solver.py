@@ -477,53 +477,43 @@ class _RadialScheme:
         """Newton step from the exact tridiagonal Jacobian.
 
         The rotational curvature formulas are explicit in the stencil
-        values (no eigendecomposition), so the chain rule through
-        kappa_rad, kappa_ang and the sigma_{n-1} gradient is smooth and
-        is assembled in closed form.  A secant Jacobian is useless here:
-        perturbing a single node by delta moves the curvatures by
-        delta/h^2, and the secant error that induces grows like the mesh
-        is refined until Newton stalls at the discretization residual.
+        values (no eigendecomposition), so each equation's partials in
+        its node's (u, u', u'') are closed forms, and the Jacobian is
+        those partials times the stencil weights, as on the grid.  A
+        secant Jacobian is useless here: perturbing a single node by
+        delta moves the curvatures by delta/h^2, and the secant error
+        that induces grows like the mesh is refined until Newton stalls
+        at the discretization residual.
         """
-        m1 = v.size
-        n, h = self.n, self.h
-        u = self.full_height(v)
-        du, d2u, w, krad, kang = stencil
-        band = np.zeros((3, m1))  # rows: super, main, sub
-
+        n, h, m1 = self.n, self.h, v.size
+        F_u, F_p, F_q = np.empty((3, m1))   # partials in (u, u', u'')
         # center equation: all curvatures equal u0*u''(0) + 1
-        c0 = n * (n - 1) * krad[0] ** (n - 2)
-        band[1, 0] = c0 * (d2u[0] - 2.0 * u[0] / h ** 2)
-        if m1 > 1:
-            band[0, 1] = c0 * (2.0 * u[0] / h ** 2)
-
-        # interior equations i = 1..m-2 handled vectorized
-        b, p, q, r = u[1:-1], du[1:-1], d2u[1:-1], self.r[1:-1]
-        w, krad, kang = w[1:-1], krad[1:-1], kang[1:-1]
+        c0 = n * (n - 1) * stencil[3][0] ** (n - 2)
+        F_u[0], F_p[0], F_q[0] = c0 * stencil[1][0], 0.0, c0 * v[0]
+        # interior equations i = 1..m-2, through kappa_rad and kappa_ang
+        p, q, w, krad, kang = (s[1:m1] for s in stencil)
+        b, r, w3 = v[1:], self.r[1:m1], w ** 3
         if n == 2:
-            g_rad = np.ones_like(b)
-            g_ang = np.ones_like(b)
+            g_rad = g_ang = 1.0
         else:
             g_rad = (n - 1) * kang ** (n - 2)
             g_ang = (n - 1) * ((n - 2) * krad * kang ** (n - 3) + kang ** (n - 2))
+        F_u[1:] = g_rad * q / w3 + g_ang * p / (r * w)
+        F_p[1:] = g_ang * (b / (r * w) - b * p * p / (r * w3) - p / w3) \
+            - g_rad * (3.0 * b * q * p / (w3 * w * w) + p / w3)
+        F_q[1:] = g_rad * b / w3
 
-        def dF_dx(px, qx, is_mid):
-            mid = 1.0 if is_mid else 0.0
-            dkrad = (mid * q + b * qx) / w ** 3 \
-                - (3.0 * b * q * p * px) / w ** 5 - p * px / w ** 3
-            dkang = (mid * p + b * px) / (r * w) \
-                - b * p * p * px / (r * w ** 3) - p * px / w ** 3
-            return g_rad * dkrad + g_ang * dkang
-
-        lower = dF_dx(-1.0 / (2.0 * h), 1.0 / h ** 2, False)
-        diag = dF_dx(0.0, -2.0 / h ** 2, True)
-        upper = dF_dx(1.0 / (2.0 * h), 1.0 / h ** 2, False)
-
-        # equation at node i sits in Jacobian row i; its unknowns are
-        # v[i-1], v[i], v[i+1] except that the last column is the fixed
-        # boundary value and is dropped
-        band[1, 1:] = diag
-        band[2, 0:m1 - 1] = lower
-        band[0, 2:] = upper[:-1]
+        # difference weights; jac[k, i] is equation i's weight on u[i-1+k]
+        d1 = np.array([[-1.0], [0.0], [1.0]]) / (2.0 * h)
+        d2 = np.array([[1.0], [-2.0], [1.0]]) / h ** 2
+        jac = d1 * F_p + d2 * F_q
+        jac[1] += F_u
+        # the center's ghost u[-1] = u[1], node 1's mirror image: column 1
+        jac[2, 0] += jac[0, 0]
+        # solve_banded's rows are super, main, sub; the last upper
+        # weight falls on the fixed boundary value and is dropped
+        band = np.zeros_like(jac)
+        band[0, 1:], band[1], band[2, :-1] = jac[2, :-1], jac[1], jac[0, 1:]
         return scipy.linalg.solve_banded((1, 1), band, -F)
 
     def newton(self, v: np.ndarray, params: NewtonParams):

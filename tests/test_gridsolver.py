@@ -257,8 +257,9 @@ def test_closed_form_slots_are_the_complex_step(eps4_jet):
     geo, jet = eps4_jet
     assert jet[:, 0].min() == pytest.approx(1e-4)
     u, p, P = geo.unpack(jet)
+    AXcc = geo.A @ geo.Xcc.reshape(-1, geo.n, geo.n * geo.n)
     dF = gridsolver._jet_gradient(
-        u, P, geo.A, geo.AXcc, gridsolver._shape(u, p, P, geo.A, geo.Xcc))
+        u, P, geo.A, AXcc, gridsolver._shape(u, p, P, geo.A, geo.Xcc))
     assert dF.shape[1] == 1 + geo.n + len(gridsolver._jet_pairs(geo.n))
     scale = np.abs(dF).max(axis=1)
     cjet = jet.astype(complex)

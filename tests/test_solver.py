@@ -187,6 +187,40 @@ def test_radial_step_solves_the_linearization(n, nodes):
     assert np.abs(fd + F).max() <= 1e-5 * np.abs(F).max()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_radial_step_inverts_the_whole_jacobian(n):
+    # the columns of J^-1 from steps on -e_k, times a dense central
+    # difference of the residual, give I: every band entry is checked,
+    # the center row's folded ghost column too
+    scheme, v = _radial_iterate(n)
+    data = scheme.evaluate(v)[2]
+    inv = np.column_stack([scheme.jacobian_step(v, data, -e)
+                           for e in np.eye(v.size)])
+    h = 1e-6
+    fd = np.column_stack([(_radial_residual(scheme, v + h * e)
+                           - _radial_residual(scheme, v - h * e)) / (2.0 * h)
+                          for e in np.eye(v.size)])
+    assert np.abs(inv @ fd - np.eye(v.size)).max() <= 1e-6
+
+
+def test_radial_stencil_differences_are_pinned():
+    # the residual's rounding sets the radial floor, so _stencil's
+    # differences keep this exact arithmetic; re-associating them (as
+    # weight sums, say) changes which ladder paths stall
+    scheme, v = _radial_iterate(3, 41)
+    u, h = scheme.full_height(v), scheme.h
+    du, d2u = scheme._stencil(u)[:2]
+    du_ref = np.concatenate((
+        [0.0], (u[2:] - u[:-2]) / (2.0 * h),
+        [(3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)]))
+    d2u_ref = np.concatenate((
+        [2.0 * (u[1] - u[0]) / h ** 2],
+        (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2,
+        [(2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h ** 2]))
+    assert np.array_equal(du, du_ref)
+    assert np.array_equal(d2u, d2u_ref)
+
+
 # ---------------------------------------------------------------------------
 # Newton engine on synthetic problems
 # ---------------------------------------------------------------------------
