@@ -28,14 +28,14 @@ import numpy as np
 
 from . import cones
 from .errors import AuditPreconditionError
-from .geometry import RadialHeightField, exact_cap, nu_identity_residuals
+from .geometry import RadialHeightField, _nu_residuals, _sample, exact_cap
 from .solver import SolutionField
 
 __all__ = [
     "AuditConfig", "EstimateReport", "NuLowerBoundReport",
     "CurvatureBoundReport", "RWSolutionReport", "IdentityAuditReport",
     "test_function_field", "nu_lower_bound_check", "curvature_bound_check",
-    "rw_on_solution", "nu_identity_audit", "estimate_report",
+    "rw_on_path", "rw_on_solution", "nu_identity_audit", "estimate_report",
     "audit_bundle", "BOUND_C1", "BOUND_C2", "Q_SWEEP_EXPONENTS",
 ]
 
@@ -270,35 +270,57 @@ def _rw_sample_indices(solution: SolutionField, cap: int) -> np.ndarray:
     return candidates[::stride][:cap]
 
 
-def rw_on_solution(solution: SolutionField,
-                   config: AuditConfig) -> RWSolutionReport:
-    """Certify the quadratic-form inequality on sampled solution spectra.
+def rw_on_path(fields, config: AuditConfig) -> list[RWSolutionReport]:
+    """Certify the quadratic-form inequality on each field's sampled
+    spectra, with one K search and one check for all the fields.
 
-    Every sampled node must certify at the worst (largest) minimal K
-    found across the sample; monotonicity in K makes that the natural
-    joint constant for the field.
+    Each field samples its own non-boundary rows, and its report is the
+    one rw_on_solution gives: every sampled node must certify at the
+    worst (largest) minimal K of its field's sample; monotonicity in K
+    makes that the natural joint constant for the field.  The rows of
+    all the fields go through ren_wang_min_k_batch as one stack, and the
+    eigvalsh check of M(K) runs once on the rows of the fields whose K
+    are all finite, each row at its own field's K.  Both treat every row
+    on its own, so each K and each verdict has the bits of a separate
+    call per field.  The fields must form one path (_require_path).
     """
-    _require_solution(solution, "rw_on_solution")
-    idx = _rw_sample_indices(solution, config.rw_sample_cap)
-    rows = solution.spectra[idx]
+    fields = _require_path(fields, "rw_on_path")
+    picks = [_rw_sample_indices(f, config.rw_sample_cap) for f in fields]
+    sizes = [idx.size for idx in picks]
+    rows = np.concatenate([f.spectra[idx] for f, idx in zip(fields, picks)])
     min_k, form = cones.ren_wang_min_k_batch(rows, config.eps_rw,
                                              return_form=True)
-    finite = bool(np.isfinite(min_k).all())
-    k_star = float(min_k.max()) if finite else float("inf")
-    if finite:
-        # eigvalsh on M(k_star) checks the closed form independently
-        certified, _ = cones._certified_batch(form.matrices(k_star))
-        certified_at_max = bool(certified.all())
-    else:
-        certified_at_max = False
-    return RWSolutionReport(
-        sampled=int(idx.size),
-        min_k_low=float(min_k.min()),
-        min_k_median=float(np.median(min_k)),
-        min_k_max=k_star,
-        certified_at_max=certified_at_max,
-        ok=finite and certified_at_max,
-        indices=idx, min_k=min_k)
+    bounds = np.cumsum(sizes)[:-1]
+    per_field = np.split(min_k, bounds)
+    k_star = [float(k.max()) if np.isfinite(k).all() else float("inf")
+              for k in per_field]
+    # eigvalsh on M(k_star) checks the closed form independently
+    k_row = np.repeat(k_star, sizes)
+    checked = np.isfinite(k_row)
+    certified = np.zeros(k_row.size, dtype=bool)
+    certified[checked] = cones._certified_batch(cones.RWForm(
+        form.A[..., checked], form.b[:, checked]).matrices(
+            k_row[checked]))[0]
+    reports = []
+    for idx, k, top, cert in zip(picks, per_field, k_star,
+                                 np.split(certified, bounds)):
+        at_max = math.isfinite(top) and bool(cert.all())
+        reports.append(RWSolutionReport(
+            sampled=int(idx.size),
+            min_k_low=float(k.min()),
+            min_k_median=float(np.median(k)),
+            min_k_max=top,
+            certified_at_max=at_max,
+            ok=at_max,
+            indices=idx, min_k=k))
+    return reports
+
+
+def rw_on_solution(solution: SolutionField,
+                   config: AuditConfig) -> RWSolutionReport:
+    """rw_on_path on the one field solution: its sampled spectra
+    certified at the largest minimal K of the sample."""
+    return rw_on_path([solution], config)[0]
 
 
 def _radial_interpolant(solution: SolutionField) -> RadialHeightField:
@@ -323,7 +345,9 @@ def nu_identity_audit(solution: SolutionField,
     identities involve second derivatives; the interpolant must not add
     a noise floor above the finite-difference truncation term) and the
     identity residuals are evaluated at a deterministic radius sample at
-    fd_step and fd_step/2 to expose the refinement order.
+    fd_step and fd_step/2 to expose the refinement order.  Each radius's
+    jet and principal frame are computed once and serve both steps;
+    the residuals are those of nu_identity_residuals at that radius.
     """
     _require_solution(solution, "nu_identity_audit")
     if solution.meta.get("kind") != "radial":
@@ -343,12 +367,16 @@ def nu_identity_audit(solution: SolutionField,
     skipped = int((~keep).sum())
     radii = radii[keep]
 
+    samples = []
+    for rr in radii:
+        x = np.zeros(dim)
+        x[0] = rr
+        samples.append(_sample(surface, x))
+
     def sup_at(h: float) -> float:
         worst = 0.0
-        for rr in radii:
-            x = np.zeros(dim)
-            x[0] = rr
-            for s in nu_identity_residuals(surface, x, h):
+        for sample in samples:
+            for s in _nu_residuals(surface, sample, h):
                 worst = max(worst, abs(s.residual))
         return worst
 
@@ -366,8 +394,10 @@ def estimate_report(solution: SolutionField, config: AuditConfig,
                     rw: RWSolutionReport | None = None) -> EstimateReport:
     """Headline estimate quantities for one solved field.
 
-    `rw` is a report that `rw_on_solution` already made for this field
-    and config; it is computed here when not given.
+    `rw` is this field's report at this config, as `rw_on_solution`
+    makes it or `rw_on_path` makes it for each field of a path (the
+    sweep passes those, one K search per path); it is computed here by
+    `rw_on_solution` when not given.
     """
     log_k1, log_nu = _log_terms(solution, "estimate_report")
     max_kappa_interior, max_kappa_boundary, witness = _kappa_maxima(solution)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -378,9 +379,11 @@ def _run_sweep(args, cfg, n: int) -> int:
                 rows += [{"domain": label, "n": n, "sigma": sigma,
                           "eps": eps, "status": status} for eps in schedule]
                 continue
-            for fld in fields:
+            # one K search and check over the path's stacked samples
+            rws = audit_mod.rw_on_path(fields, audit_cfg)
+            for fld, rw in zip(fields, rws, strict=True):
                 est = audit_mod.estimate_report(fld, audit_cfg,
-                                                sweep_exponents=())
+                                                sweep_exponents=(), rw=rw)
                 rows.append({
                     "domain": label, "n": n, "sigma": sigma,
                     "eps": fld.convergence.eps_bdry,
@@ -477,7 +480,10 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hplateau parser, built once per process: main parses with it
+    and changes nothing in it."""
     ap = argparse.ArgumentParser(
         prog="hplateau",
         description="asymptotic Plateau solves and curvature-estimate "

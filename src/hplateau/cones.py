@@ -35,6 +35,7 @@ __all__ = [
     "elementary_symmetric",
     "elementary_symmetric_batch",
     "elem_sym_table",
+    "elem_sym_columns",
     "symmetric_jet",
     "jet_gradient_batch",
     "jet_hessian_batch",
@@ -137,21 +138,29 @@ def _check_k(n: int, k: int, kmin: int = 0) -> None:
         raise ValueError(f"k={k} out of range [{kmin}, {n}]")
 
 
-def _sigma_into(out, entries) -> None:
-    """Accumulate sigma_1 .. sigma_kmax of ``entries`` into out[1 .. kmax].
+def elem_sym_columns(columns, kmax: int, shape=None) -> list:
+    """[sigma_0, ..., sigma_kmax] of spectra given column by column.
 
-    out[0] holds 1 and out[1:] zeros on entry; kmax = len(out) - 1.  Both
-    are sequences of same-shape arrays, combined elementwise.  This is
+    columns is a sequence of n same-shape arrays, entry i holding kappa_i
+    of every spectrum; one array may stand for several entries (a
+    repeated curvature).  Each sigma comes back as its own array of that
+    shape (given as shape when columns is empty), sigma_0 = 1.  This is
     the one copy of the product expansion of prod (x + kappa_i): every
     sigma in the package, table or deletion, goes through it in the same
     order, so they agree to the bit.
     """
-    kmax = len(out) - 1
-    for i, v in enumerate(entries):
+    if shape is None:
+        shape = np.shape(columns[0])
+    # separate arrays: a view into one (kmax + 1, ...) block would keep
+    # the lower sigmas alive with any one of them, megabytes per form on
+    # 20 000 rows, and fresh memory costs page faults on every call
+    out = [np.ones(shape)] + [np.zeros(shape) for _ in range(kmax)]
+    for i, v in enumerate(columns):
         for j in range(min(i + 1, kmax), 1, -1):
             out[j] += v * out[j - 1]
         if kmax:
             out[1] += v   # v * sigma_0, exactly
+    return out
 
 
 def elem_sym_table(rows: np.ndarray, kmax: int) -> np.ndarray:
@@ -161,19 +170,11 @@ def elem_sym_table(rows: np.ndarray, kmax: int) -> np.ndarray:
     sigma_0 = 1 in the first slot.
     """
     vals = np.asarray(rows, dtype=float)
-    out = np.zeros(vals.shape[:-1] + (kmax + 1,), dtype=float)
-    out[..., 0] = 1.0
-    _sigma_into(np.moveaxis(out, -1, 0), np.moveaxis(vals, -1, 0))
-    return out
+    return np.stack(elem_sym_columns(_entries(vals), kmax), axis=-1)
 
 
 def _sigma_top(entries, k: int, shape) -> np.ndarray:
-    # separate arrays: a view into one (k + 1, ...) block would keep the
-    # lower sigmas alive with the result, megabytes per form on 20 000
-    # rows, and fresh memory costs page faults on every call
-    out = [np.ones(shape)] + [np.zeros(shape) for _ in range(k)]
-    _sigma_into(out, entries)
-    return out[k]
+    return elem_sym_columns(entries, k, shape)[k]
 
 
 def _deleted_gradient(entries, k: int, shape) -> list:

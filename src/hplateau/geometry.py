@@ -224,6 +224,12 @@ def exact_cap(n: int, sigma: float, R: float, eps_bdry: float = 0.0) -> CapSolut
 # Height fields
 # ---------------------------------------------------------------------------
 
+def _norm(x: np.ndarray) -> float:
+    # np.linalg.norm's own arithmetic for a real vector, sqrt(x . x),
+    # without its per-call dispatch; the audits call it per point
+    return math.sqrt(x.dot(x))
+
+
 class RadialHeightField:
     """Rotationally symmetric height field u(x) = f(|x|).
 
@@ -239,19 +245,19 @@ class RadialHeightField:
         self.dim = int(dim)
 
     def value(self, x) -> float:
-        r = float(np.linalg.norm(np.asarray(x, dtype=float)))
+        r = _norm(np.asarray(x, dtype=float))
         return float(self.profile(r))
 
     def gradient(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        r = float(np.linalg.norm(x))
+        r = _norm(x)
         if r == 0.0:
             return np.zeros(self.dim)
         return float(self.profile_d1(r)) / r * x
 
     def hessian(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        r = float(np.linalg.norm(x))
+        r = _norm(x)
         if r == 0.0:
             return float(self.profile_d2(0.0)) * np.eye(self.dim)
         xh = x / r
@@ -323,14 +329,18 @@ def _nu_at(field, y: np.ndarray) -> float:
 # Identity residuals: vertical normal component
 # ---------------------------------------------------------------------------
 
-def _sample(surface, x, fd_step: float):
-    """(h, x, jet, frame, location) of one identity sample at x."""
+def _step(fd_step: float) -> float:
     if fd_step <= 0.0:
         raise ValueError("fd_step must be positive")
+    return float(fd_step)
+
+
+def _sample(surface, x):
+    """(x, jet, frame, location) of one identity sample at x: everything
+    the residuals read at x itself, whatever the step."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     jet = jet_from_field(surface, x)
-    return (float(fd_step), x, jet, principal_chart_frame(jet),
-            tuple(float(c) for c in x))
+    return x, jet, principal_chart_frame(jet), tuple(float(c) for c in x)
 
 
 def nu_identity_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
@@ -352,7 +362,13 @@ def nu_identity_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
     the frame, nabla_X h a Christoffel-corrected one along X; everything
     pointwise (u, nu, kappa_i) is exact.
     """
-    h, x, jet, fr, loc = _sample(surface, x, fd_step)
+    h = _step(fd_step)
+    return _nu_residuals(surface, _sample(surface, x), h)
+
+
+def _nu_residuals(surface, sample, h: float) -> list[ResidualSample]:
+    """nu_identity_residuals at step h > 0 on a _sample of surface."""
+    x, jet, fr, loc = sample
     n = fr.kappa.size
     u, nu = jet.u, jet.nu_vertical
 
@@ -486,7 +502,8 @@ def gauss_commutator_residuals(surface, x, fd_step: float) -> list[ResidualSampl
     * commutator: sup norm of h_kl;ij minus the exchange rule built from
       h_ij;kl and the curvature terms.
     """
-    h, x, _, fr, loc = _sample(surface, x, fd_step)
+    h = _step(fd_step)
+    x, _, fr, loc = _sample(surface, x)
     n = fr.kappa.size
     eta = fr.eta
 

@@ -25,6 +25,8 @@ RADIAL_COLUMNS = ("r", "u", "du", "d2u", "kappa_rad", "kappa_ang",
 
 
 def format_value(x) -> str:
+    if type(x) is float:   # most cells: field_csv_rows passes Python floats
+        return repr(x)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -66,7 +68,10 @@ def field_csv_rows(field: SolutionField, extra: dict | None = None):
         cols += [field.u, field.nu_vertical]
         cols += [field.spectra[:, i] for i in range(n)]
         cols += [field.residual_field]
-    return header + tuple(extra), zip(*cols, *extra.values(), strict=True)
+    # Python floats format faster than numpy scalars, to the same repr
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c
+            for c in (*cols, *extra.values())]
+    return header + tuple(extra), zip(*cols, strict=True)
 
 
 def write_csv(path, header, rows):
@@ -74,7 +79,7 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.write(",".join(map(format_value, row)) + "\n")
 
 
 def write_field_csv(field: SolutionField, path, extra: dict | None = None):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hplateau import audit, cones, domains, gridsolver, solver
+from hplateau import audit, cones, domains, geometry, gridsolver, solver
 from hplateau.errors import AuditPreconditionError
 
 
@@ -214,9 +214,86 @@ def test_rw_sample_cap(ball_path):
     assert rep.ok
 
 
+def _ball_path_at(n, nodes=101):
+    cfg = solver.SolveConfig(n=n, sigma_target=0.5 * n,
+                             mesh=solver.RadialMesh(nodes))
+    return solver.solve_radial_path(cfg, domains.make_ball(n, 1.0))
+
+
+def _same_rw(joint, alone):
+    # == compares sampled, min_k_low/median/max, certified_at_max and ok
+    assert joint == alone
+    assert np.array_equal(joint.indices, alone.indices)
+    assert np.array_equal(joint.min_k, alone.min_k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rw_on_path_is_rw_on_solution_per_field(n):
+    # one K search and one check over the stacked rows keep every bit
+    fields = _ball_path_at(n)
+    assert len(fields) == 4
+    cfg = audit.AuditConfig()
+    reports = audit.rw_on_path(fields, cfg)
+    assert len(reports) == len(fields)
+    for f, rep in zip(fields, reports):
+        _same_rw(rep, audit.rw_on_solution(f, cfg))
+        assert rep.ok
+
+
+def test_rw_on_path_on_a_grid_path_and_an_uncertified_field():
+    cfg = solver.SolveConfig(n=2, sigma_target=1.0,
+                             mesh=solver.PolarGridMesh(12, 24))
+    fields = gridsolver.solve_graph_path(cfg,
+                                         domains.make_ellipsoid((1.3, 1.0)))
+    assert len(fields) == 4
+    # a sampled row with kappa_1 = 0 (off Gamma_1, b = 0) gives its field
+    # K* = inf and no check; the other fields are checked as before
+    conf = audit.AuditConfig(rw_sample_cap=64)
+    spectra = fields[1].spectra.copy()
+    spectra[audit.rw_on_solution(fields[1], conf).indices[3]] = (0.0, -1.0)
+    fields[1] = dataclasses.replace(fields[1], spectra=spectra)
+    reports = audit.rw_on_path(fields, conf)
+    for f, rep in zip(fields, reports):
+        _same_rw(rep, audit.rw_on_solution(f, conf))
+    assert [rep.ok for rep in reports] == [True, False, True, True]
+    assert reports[1].min_k_max == math.inf
+
+
+def test_rw_on_path_holds_the_path_rule(two_radii):
+    with pytest.raises(AuditPreconditionError):
+        audit.rw_on_path([], audit.AuditConfig())
+    with pytest.raises(AuditPreconditionError):
+        audit.rw_on_path(two_radii, audit.AuditConfig())
+
+
 # ---------------------------------------------------------------------------
 # derivative-identity audit
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_identity_audit_shares_one_sample_per_radius(n):
+    # the jet and frame made once per radius give, at both steps, the
+    # residual list of a pointwise nu_identity_residuals call
+    f = _ball_path_at(n)[-1]
+    conf = audit.AuditConfig(fd_step=1e-2)
+    surface = audit._radial_interpolant(f)
+    rep = audit.nu_identity_audit(f, conf)
+    r = f.nodes[:-1:(f.nodes.size - 1) // audit.IDENTITY_SAMPLES]
+    radii = r[r <= 1.0 - 2.0 * conf.fd_step * max(1.0, f.u.max())]
+    assert radii.size == rep.samples
+    sups = []
+    for h in (conf.fd_step, conf.fd_step / 2.0):
+        worst = 0.0
+        for rr in radii:
+            x = np.zeros(n)
+            x[0] = rr
+            pointwise = geometry.nu_identity_residuals(surface, x, h)
+            assert geometry._nu_residuals(
+                surface, geometry._sample(surface, x), h) == pointwise
+            worst = max([worst] + [abs(s.residual) for s in pointwise])
+        sups.append(worst)
+    assert sups == [rep.sup_residual, rep.sup_residual_half_step]
+
 
 def test_identity_audit_order_in_truncation_regime(ball_path):
     rep = audit.nu_identity_audit(ball_path[-1],

@@ -11,7 +11,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from hplateau import audit, cli, domains, geometry, gridsolver, solver
-from hplateau.errors import GridDegeneracyError, NewtonDivergenceError
+from hplateau.errors import (ConeViolationError, GridDegeneracyError,
+                             NewtonDivergenceError)
 
 BALL3 = domains.make_ball(3, 1.0)
 ELL = domains.make_ellipsoid((1.3, 1.0, 1.0))
@@ -779,6 +780,41 @@ def test_elongated_ellipse_solves_at_small_sigma():
                                domains.make_ellipsoid((2.0, 1.0)))
     assert f.cone_ok
     assert f.convergence.residual <= 1e-10
+
+
+def test_a_split_lands_a_leg_that_stalled_at_the_floor(monkeypatch):
+    # on the default mesh the leg 0.0618 -> 0.05 at eps 0.1 stalls just
+    # above residual_tol, and its two halves converge: a split can land
+    # a stalled leg, so _leg splits stalls as it splits cone failures
+    legs = []
+    real = gridsolver.damped_newton
+
+    def recorded(v0, residual_fn, guard_fn, jacobian_solver, params):
+        scheme = residual_fn.__self__.scheme
+        end = (scheme.sigma, scheme.eps_bdry)
+        try:
+            out = real(v0, residual_fn, guard_fn, jacobian_solver, params)
+        except NewtonDivergenceError:
+            legs.append((end, "stalled"))
+            raise
+        except ConeViolationError:
+            legs.append((end, "cone"))
+            raise
+        legs.append((end, "ok"))
+        return out
+
+    monkeypatch.setattr(gridsolver, "damped_newton", recorded)
+    fields = gridsolver.solve_graph_path(
+        solver.SolveConfig(n=3, sigma_target=0.05),
+        domains.make_ellipsoid((3.0, 1.0, 1.0)))
+    assert [f.convergence.eps_bdry for f in fields] == \
+        list(solver.DEFAULT_EPS_SCHEDULE)
+    for f in fields:
+        assert f.cone_ok
+        assert f.convergence.residual <= 1e-10
+    stall = legs.index(((0.05, 0.1), "stalled"))
+    assert legs[stall + 1][1] == "ok"
+    assert legs[stall + 2] == ((0.05, 0.1), "ok")
 
 
 # ---------------------------------------------------------------------------

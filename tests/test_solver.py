@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hplateau import domains, geometry, gridsolver, solver
+from hplateau import cones, domains, geometry, gridsolver, solver
 from hplateau.errors import ConeViolationError, NewtonDivergenceError
 
 BALL3 = domains.make_ball(3, 1.0)
@@ -219,6 +219,24 @@ def test_radial_stencil_differences_are_pinned():
         [(2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h ** 2]))
     assert np.array_equal(du, du_ref)
     assert np.array_equal(d2u, d2u_ref)
+
+
+@pytest.mark.parametrize("nodes", [401, 1601])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_radial_sigmas_from_columns_are_the_table(n, nodes):
+    # evaluate and field_parts expand (kappa_rad, kappa_ang, ...) from the
+    # curvature columns; the sigmas must be the stacked rows' table bits
+    scheme, v = _radial_iterate(n, nodes)
+    krad, kang = scheme._stencil(scheme.full_height(v))[3:]
+    table = cones.elem_sym_table(
+        np.column_stack([krad] + [kang] * (n - 1)), n - 1)
+    sigmas = scheme._sigmas(krad, kang)
+    assert len(sigmas) == n
+    for k, s in enumerate(sigmas):
+        assert np.array_equal(s, table[:, k])
+    F, inside, _ = scheme.evaluate(v)
+    assert np.array_equal(F, table[:-1, -1] - scheme.sigma)
+    assert inside == bool((table[:-1, 1:] > 0.0).all())
 
 
 # ---------------------------------------------------------------------------
