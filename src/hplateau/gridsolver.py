@@ -55,9 +55,17 @@ index of each orbit as its representative (reps) and maps every
 interior node to its representative's position (fold); the residual,
 the guard and the Jacobian run on the representatives' rows, and the
 Jacobian's columns sum each orbit's stencil weights.  Star domains
-take the identity group, through the same code.  Only the reported
-fields are formed on every node, so their residual field checks the
-reduced solution on the full grid.
+take the identity group, through the same code.  Only the shape pass of
+the reported fields runs on every node, so their residual field checks
+the reduced solution on the full grid.  The two costly per-node pieces
+run once per orbit of all nodes, interior and boundary ring (840 of
+5760 on the default n = 3 mesh): the spectra's eigvalsh, spread through
+node_fold as u is, so they are mirror-symmetric bit for bit; and det
+and inv of the map Jacobian, whose inverse A at every other node is the
+representative's times exact +-1 factors.  Off the representatives
+that moves A, and with it the residual field and the spectra, at
+rounding level only; the representatives' rows, and so Newton, keep
+their bits.
 
 The Newton step is inexact (Eisenstat and Walker 1996): GMRES on the
 exact Jacobian, stopped at ||J s + F||_2 <= GMRES_RTOL ||F||_2 and
@@ -214,9 +222,9 @@ class _GridGeometry:
         self.mm = mm.ravel()
         self.ll = ll.ravel()
 
-        self._build_map_tensors()
         self._build_stencil()
         self._build_orbits()
+        self._build_map_tensors()
         self.ilu = None
 
     # -- map tensors ---------------------------------------------------------
@@ -227,6 +235,10 @@ class _GridGeometry:
 
         One chain rule over the M * L grid directions gives q, q_a and
         q_ab; node i sits on direction i % (M * L) at radius s_node[i].
+        det and the inverse A run on the orbit representatives alone: a
+        mirror maps Xc to diag(cart_sign) Xc diag(chart_sign), so every
+        other node's A is its representative's times those exact +-1
+        factors, and A_rep keeps the bits of inv(Xc[reps]).
         """
         n = self.n
         w, dw, ddw = omega_jet(self.angles)
@@ -247,15 +259,21 @@ class _GridGeometry:
         Xcc[:, :, 0, 1:] = Xcc[:, :, 1:, 0] = q_a[direction].swapaxes(1, 2)
         Xcc[:, :, 1:, 1:] = sv[..., None] * np.moveaxis(q_ab[direction], 3, 1)
 
-        det = np.linalg.det(Xc)
+        Xc_rep = Xc[self.node_reps]
+        det = np.linalg.det(Xc_rep)
         if np.abs(det).min() < 1.0e-12:
             raise GridDegeneracyError(
                 "radial map loses injectivity on the grid "
                 f"(min |det| = {np.abs(det).min():.3e})")
-        self.A = np.linalg.inv(Xc)
+        self.A = self.chart_sign[:, :, None] \
+            * np.linalg.inv(Xc_rep)[self.node_fold] * self.cart_sign[:, None, :]
         self.Xcc = Xcc
         self.xyz = s_node[:, None] * q[direction]
         self.s_node = s_node
+        r = self.reps
+        self.A_rep, self.Xcc_rep = self.A[r], Xcc[r]
+        # the u-independent factor of _jet_gradient's dC term
+        self.AXcc_rep = self.A_rep @ self.Xcc_rep.reshape(-1, n, n * n)
 
     # -- wrapped stencil indices ---------------------------------------------
 
@@ -314,30 +332,59 @@ class _GridGeometry:
         return np.stack([ring + m * L + ll for m in (self.mm, M - 1 - self.mm)
                          for ll in lon])
 
-    def _build_orbits(self):
-        """The unknowns: one representative node per interior orbit of
-        the mirror group, and the folded Jacobian's sparsity.
+    def _mirror_signs(self):
+        """(chart, cart): the +-1 factor each element of _mirror_images
+        puts on every chart coordinate (s, angles) and every Cartesian
+        one, one row per element in the same order.
 
-        reps holds the smallest flat index of each orbit, ascending, and
-        fold[i] the position in reps of interior node i's representative,
-        so d[fold] spreads the unknowns d onto every interior node.  The
-        discrete equation is equivariant under the group, so the residual
-        of a symmetric iterate is symmetric and its rows at reps determine
-        it; A, Xcc and nbr are sliced to those rows once, and A @ Xcc is
-        formed on them alone.  The reduced Jacobian is J_full[reps] @ P
-        with P[i, fold[i]] = 1: its entry of row k at offset o sits at
-        jac_pos[o, k] of the CSC data (jac_nnz if the neighbor is on the
-        boundary ring), and column fold[nbr[o, reps[k]]] sums the offsets
-        whose neighbors share an orbit.
+        phi flips under l -> -l and l -> L/2 - l, theta under the
+        latitude flip; x_1 flips under l -> L/2 - l and l -> l + L/2, x_2
+        under l -> -l and l -> l + L/2, x_3 under the latitude flip.
+        """
+        if self.domain.kind not in ("ball", "ellipsoid"):
+            return np.ones((1, self.n)), np.ones((1, self.n))
+        phi, x1, x2 = [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]
+        if self.n == 2:
+            chart = [[1, p] for p in phi] * 2
+            cart = [[a, b] for a, b in zip(x1, x2)] * 2
+        else:
+            chart = [[1, t, p] for t in (1, -1) for p in phi]
+            cart = [[a, b, t] for t in (1, -1) for a, b in zip(x1, x2)]
+        return np.array(chart, dtype=float), np.array(cart, dtype=float)
+
+    def _build_orbits(self):
+        """The mirror group's orbits over all nodes, the unknowns among
+        them, and the folded Jacobian's sparsity.
+
+        node_reps holds the smallest flat index of each orbit, ascending,
+        and node_fold[i] the position in node_reps of node i's
+        representative, so x[node_fold] spreads one value per orbit onto
+        every node.  The mirrors keep the ring, so the interior orbits come
+        first: reps, their prefix, are the unknowns, and fold =
+        node_fold[:n_int] spreads the unknowns d onto every interior node.
+        The discrete equation is equivariant under the group, so the
+        residual of a symmetric iterate is symmetric and its rows at reps
+        determine it.  Each element is an involution, so the first one
+        that sends node i to its representative also sends the
+        representative to i: chart_sign and cart_sign hold its
+        _mirror_signs rows, all +1 at the representatives, for
+        _build_map_tensors.  nbr is sliced to the reps' columns once.  The
+        reduced Jacobian is J_full[reps] @ P with P[i, fold[i]] = 1: its
+        entry of row k at offset o sits at jac_pos[o, k] of the CSC data
+        (jac_nnz if the neighbor is on the boundary ring), and column
+        fold[nbr[o, reps[k]]] sums the offsets whose neighbors share an
+        orbit.
         """
         ni = self.n_int
-        orbit_min = self._mirror_images().min(axis=0)[:ni]
-        self.reps = np.flatnonzero(orbit_min == np.arange(ni))
-        self.fold = np.searchsorted(self.reps, orbit_min)
-        r, n = self.reps, self.n
-        self.A_rep, self.Xcc_rep = self.A[r], self.Xcc[r]
-        # the u-independent factor of _jet_gradient's dC term
-        self.AXcc_rep = self.A_rep @ self.Xcc_rep.reshape(-1, n, n * n)
+        images = self._mirror_images()
+        orbit_min = images.min(axis=0)
+        self.node_reps = np.flatnonzero(orbit_min == np.arange(self.n_all))
+        self.node_fold = np.searchsorted(self.node_reps, orbit_min)
+        self.reps = r = self.node_reps[self.node_reps < ni]
+        self.fold = self.node_fold[:ni]
+        element = (images == orbit_min).argmax(axis=0)
+        chart, cart = self._mirror_signs()
+        self.chart_sign, self.cart_sign = chart[element], cart[element]
         self.nbr_rep = self.nbr[:, r]
 
         nr = r.size
@@ -678,19 +725,25 @@ class _GridScheme:
         return damped_newton(d, leg.residual, leg.guard, leg.step, params)
 
     def field_parts(self, d: np.ndarray):
-        """The shape pass over every interior node and the boundary ring.
+        """The shape pass over every interior node and the boundary ring,
+        and the spectra on one node per mirror orbit.
 
         The interior jet is the cap's plus the spread d's, as in _jet, on
         all interior nodes, so the residual field at the representatives
         equals the last Newton residual bit for bit, and at every other
-        node it checks the reduced solution on the full grid."""
+        node it checks the reduced solution on the full grid.  eigvalsh
+        runs on the orbit representatives of all nodes, interior and
+        boundary ring, and node_fold spreads their spectra, which are
+        therefore mirror-symmetric bit for bit; at the representatives
+        they are the full-grid pass's own."""
         geo = self.geo
         D = self._padded(d)
         U = self.cap_height + D
         jet = np.concatenate([geo.chart_jet(self.cap_height)
                               + geo.chart_jet(D), geo.boundary_jet(U)])
         S_all, w_all, *_ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
-        return (geo.xyz.copy(), U, w_all, np.linalg.eigvalsh(S_all)[:, ::-1],
+        spectra = np.linalg.eigvalsh(S_all[geo.node_reps])[:, ::-1]
+        return (geo.xyz.copy(), U, w_all, spectra[geo.node_fold],
                 _sigma(S_all),
                 {"kind": "grid", "near_boundary": geo.jj >= geo.J - 1})
 

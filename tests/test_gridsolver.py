@@ -544,6 +544,71 @@ def test_solution_is_mirror_symmetric_bit_for_bit(domain, mesh, sigma):
     for f in fields:
         for perm in perms:
             assert np.array_equal(f.u[perm], f.u)
+            assert np.array_equal(f.spectra[perm], f.spectra)
+
+
+def _map_jacobians(geo):
+    """Xc = [q, s q_a] on every node, q = rho(omega) omega, by the chain
+    rule of _build_map_tensors."""
+    w, dw, _ = domains.omega_jet(geo.angles)
+    rho, grad, _ = geo.domain.rho_jet(geo.angles)
+    q = rho[:, None] * w
+    q_a = grad[:, :, None] * w[:, None, :] + rho[:, None, None] * dw
+    direction = np.arange(geo.n_all) % (geo.M * geo.L)
+    return np.concatenate(
+        [q[direction][:, :, None],
+         geo.s_node[:, None, None] * q_a[direction].swapaxes(1, 2)], axis=2)
+
+
+ORBIT_CASES = pytest.mark.parametrize("domain,mesh", [
+    (ELL, solver.SphericalGridMesh(10, 8, 16)),
+    (domains.make_ellipsoid((1.3, 1.0)), solver.PolarGridMesh(12, 16)),
+    (STAR, solver.PolarGridMesh(12, 16))],
+    ids=["ellipsoid3", "ellipse2", "star"])
+
+
+@ORBIT_CASES
+def test_map_tensor_inverses_run_once_per_orbit(domain, mesh):
+    # the representatives keep inv(Xc)'s bits, every other node takes
+    # its representative's A times exact +-1 factors, and that A is the
+    # node's own inv(Xc) to rounding (a wrong sign would miss by |A|)
+    geo = gridsolver._GridGeometry(domain, mesh)
+    inv = np.linalg.inv(_map_jacobians(geo))
+    assert np.array_equal(geo.A_rep, inv[geo.reps])
+    signs = geo.chart_sign[:, :, None] * geo.cart_sign[:, None, :]
+    assert np.array_equal(np.abs(signs), np.ones_like(signs))
+    assert np.array_equal(geo.A,
+                          signs * geo.A[geo.node_reps][geo.node_fold])
+    scale = np.abs(inv).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(geo.A - inv) / scale).max() <= 1e-14
+    if domain.kind == "star":
+        assert np.array_equal(geo.node_reps, np.arange(geo.n_all))
+        assert np.array_equal(geo.A, inv)
+
+
+@ORBIT_CASES
+def test_spectra_match_the_full_grid_pass(domain, mesh, monkeypatch):
+    # the reported spectra and residual field against one shape pass on
+    # every node with each node's own inv(Xc): the orbit spread moves
+    # them at rounding level, and not at all on a star domain
+    ends = _record_ends(monkeypatch)
+    sigma = 1.0
+    f = gridsolver.solve_graph(
+        solver.SolveConfig(n=domain.n, sigma_target=sigma,
+                           eps_schedule=(0.1,), mesh=mesh), domain)
+    geo = gridsolver._GridGeometry(domain, mesh)
+    scheme = gridsolver._GridScheme(geo, sigma, 0.1)
+    D = scheme._padded(ends[-1])
+    U = scheme.cap_height + D
+    assert np.array_equal(U, f.u)
+    jet = np.concatenate([geo.chart_jet(scheme.cap_height) + geo.chart_jet(D),
+                          geo.boundary_jet(U)])
+    S = gridsolver._shape(*geo.unpack(jet), np.linalg.inv(_map_jacobians(geo)),
+                          geo.Xcc)[0]
+    tol = 0.0 if domain.kind == "star" else 1e-13
+    assert np.abs(f.spectra - np.linalg.eigvalsh(S)[:, ::-1]).max() <= tol
+    assert np.abs(f.residual_field
+                  - (gridsolver._sigma(S) - sigma)).max() <= tol
 
 
 def _criterion9_paths():
