@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cones
 from .errors import AuditPreconditionError
-from .geometry import RadialHeightField, _nu_residuals, _sample, exact_cap
+from .geometry import RadialHeightField, exact_cap, nu_identity_batch
 from .solver import SolutionField
 
 __all__ = [
@@ -140,8 +140,13 @@ class RWSolutionReport:
 
 @dataclass(frozen=True)
 class IdentityAuditReport:
+    """samples radii were checked, skipped fell in the rim margin, and
+    partial_frames of the samples had a partially degenerate frame, so
+    only their frame-free identity was checked."""
+
     samples: int
     skipped: int
+    partial_frames: int
     sup_residual: float
     sup_residual_half_step: float
     refinement_order: float
@@ -345,9 +350,9 @@ def nu_identity_audit(solution: SolutionField,
     identities involve second derivatives; the interpolant must not add
     a noise floor above the finite-difference truncation term) and the
     identity residuals are evaluated at a deterministic radius sample at
-    fd_step and fd_step/2 to expose the refinement order.  Each radius's
-    jet and principal frame are computed once and serve both steps;
-    the residuals are those of nu_identity_residuals at that radius.
+    fd_step and fd_step/2 to expose the refinement order.  Both steps at
+    every radius are one nu_identity_batch; each radius's residuals are
+    those of nu_identity_residuals there, to rounding.
     """
     _require_solution(solution, "nu_identity_audit")
     if solution.meta.get("kind") != "radial":
@@ -358,7 +363,6 @@ def nu_identity_audit(solution: SolutionField,
     r = np.asarray(solution.nodes, dtype=float).ravel()
     R = float(r[-1])
     u_max = float(np.max(solution.u))
-    dim = solution.domain.n
 
     stride = max(1, (r.size - 1) // IDENTITY_SAMPLES)
     radii = r[:-1:stride]
@@ -367,24 +371,18 @@ def nu_identity_audit(solution: SolutionField,
     skipped = int((~keep).sum())
     radii = radii[keep]
 
-    samples = []
-    for rr in radii:
-        x = np.zeros(dim)
-        x[0] = rr
-        samples.append(_sample(surface, x))
-
-    def sup_at(h: float) -> float:
-        worst = 0.0
-        for sample in samples:
-            for s in _nu_residuals(surface, sample, h):
-                worst = max(worst, abs(s.residual))
-        return worst
-
-    sup1 = sup_at(config.fd_step)
-    sup2 = sup_at(config.fd_step / 2.0)
+    x = np.zeros((radii.size, solution.domain.n))
+    x[:, 0] = radii
+    batch = nu_identity_batch(surface, x,
+                              (config.fd_step, config.fd_step / 2.0))
+    sup1, sup2 = (float(max(np.abs(a[k]).max(initial=0.0)
+                            for a in (batch.first, batch.gradient,
+                                      batch.second)))
+                  for k in (0, 1))
     order = math.log2(sup1 / sup2) if sup1 > 0.0 and sup2 > 0.0 else float("nan")
     return IdentityAuditReport(
         samples=int(radii.size), skipped=skipped,
+        partial_frames=int(batch.partial.sum()),
         sup_residual=sup1, sup_residual_half_step=sup2,
         refinement_order=order, fd_step=config.fd_step)
 

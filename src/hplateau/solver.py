@@ -317,10 +317,11 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
       v + (end.cap - start.cap), so a grid deviation is kept as it is;
     * at(sigma, eps): the same discretization at another point;
     * evaluate(v): the one pass over v (stencil or shape), returned as
-      (F, inside, data) and stored nowhere: the discrete equation's
-      residual, the verdict that the heights are positive and the
-      equation nodes lie in the cone, which _Leg.guard returns, and what
-      jacobian_step reads;
+      (F, inside, data): the discrete equation's residual, the verdict
+      that the heights are positive and the equation nodes lie in the
+      cone, which _Leg.guard returns, and what jacobian_step reads.
+      The grid stores none of it; the radial scheme keeps its last
+      stencil, which field_parts of the same v reuses;
     * jacobian_step(v, data, F): the step s solving J(v) s = -F
       (exactly on the radial side, by preconditioned GMRES to a
       relative tolerance on the grid);
@@ -416,7 +417,9 @@ class _RadialScheme:
     node.  The center uses the symmetry conditions u'(0) = 0,
     u''(0) = 2(u_1 - u_0)/h^2.  cap is the exact cap at (sigma,
     eps_bdry) on the unknowns.  An iterate's residual, cone test and
-    Jacobian step come from one evaluate(v).
+    Jacobian step come from one evaluate(v).  The scheme keeps the last
+    iterate it evaluated and that iterate's stencil, so field_parts of
+    the converged v, which a leg evaluated last, runs no stencil pass.
     """
 
     def __init__(self, domain: DomainSpec, nodes: int, sigma: float,
@@ -431,6 +434,7 @@ class _RadialScheme:
         self.cap = exact_cap(self.n, sigma, domain.radius,
                              eps_bdry).height(self.r[:-1])
         self.n_int = nodes - 1
+        self._last = (None, None)  # (v, its _stencil) of the last evaluate
 
     def at(self, sigma: float, eps: float) -> "_RadialScheme":
         return _RadialScheme(self.domain, self.m, sigma, eps)
@@ -473,6 +477,8 @@ class _RadialScheme:
         every height v is positive and every spectrum has sigma_1 ..
         sigma_{n-1} positive, that is lies in Gamma_{n-1}."""
         stencil = self._stencil(self.full_height(v))
+        # a copy: a caller may change v in place after evaluating it
+        self._last = (v.copy(), stencil)
         sig = self._sigmas(stencil[3][:-1], stencil[4][:-1])
         inside = bool((v > 0.0).all() and all((s > 0.0).all()
                                                for s in sig[1:]))
@@ -527,9 +533,13 @@ class _RadialScheme:
         return damped_newton(v, leg.residual, leg.guard, leg.step, params)
 
     def field_parts(self, v: np.ndarray):
-        """The stencil over all m nodes."""
+        """The stencil over all m nodes, the last evaluate's when v
+        equals its iterate by value, as _Leg matches iterates."""
         u = self.full_height(v)
-        du, d2u, w, krad, kang = self._stencil(u)
+        last, stencil = self._last
+        if not np.array_equal(last, v):
+            stencil = self._stencil(u)
+        du, d2u, w, krad, kang = stencil
         rows = np.column_stack([krad] + [kang] * (self.n - 1))
         near = np.arange(self.m) >= self.m - 2
         return (self.r.copy(), u, w, np.sort(rows, axis=1)[:, ::-1],

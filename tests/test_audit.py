@@ -270,29 +270,56 @@ def test_rw_on_path_holds_the_path_rule(two_radii):
 # derivative-identity audit
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 4])
+# (sup_residual, sup_residual_half_step) of the identity audit on
+# _ball_path_at(n)[-1], as the pointwise audit (one scalar spline call
+# per point, one scipy pencil eigh per radius) read them
+POINTWISE_IDENTITY_SUPS = {
+    (2, 1e-2): (8.585621359544215e-05, 2.146268969837467e-05),
+    (3, 1e-2): (8.776649383368529e-07, 2.1941539180003744e-07),
+    (4, 1e-2): (2.908500447706963e-07, 7.271239180206557e-08),
+    (5, 1e-2): (1.2972819334045038e-07, 3.243201171510002e-08),
+    (2, 1e-3): (8.58476176583689e-07, 2.1477518560159004e-07),
+    (3, 1e-3): (8.776658316778096e-09, 2.19385640209957e-09),
+    (4, 1e-3): (2.9084058494888154e-09, 7.319922099013887e-10),
+    (5, 1e-3): (1.2973098012514228e-09, 1.1830625368247638e-09),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_identity_audit_shares_one_sample_per_radius(n):
-    # the jet and frame made once per radius give, at both steps, the
-    # residual list of a pointwise nu_identity_residuals call
+    # the audit's batch over all radii and both steps gives the sups of
+    # one nu_identity_residuals call (a batch of one) per radius, and
+    # those of the pointwise audit to rounding: in the truncation
+    # regime at fd 1e-2 relatively, at the default fd 1e-3, where the
+    # sup is the spline's rounding amplified by 1/h^2, absolutely
     f = _ball_path_at(n)[-1]
-    conf = audit.AuditConfig(fd_step=1e-2)
     surface = audit._radial_interpolant(f)
-    rep = audit.nu_identity_audit(f, conf)
-    r = f.nodes[:-1:(f.nodes.size - 1) // audit.IDENTITY_SAMPLES]
-    radii = r[r <= 1.0 - 2.0 * conf.fd_step * max(1.0, f.u.max())]
-    assert radii.size == rep.samples
-    sups = []
-    for h in (conf.fd_step, conf.fd_step / 2.0):
-        worst = 0.0
-        for rr in radii:
-            x = np.zeros(n)
-            x[0] = rr
-            pointwise = geometry.nu_identity_residuals(surface, x, h)
-            assert geometry._nu_residuals(
-                surface, geometry._sample(surface, x), h) == pointwise
-            worst = max([worst] + [abs(s.residual) for s in pointwise])
-        sups.append(worst)
-    assert sups == [rep.sup_residual, rep.sup_residual_half_step]
+    for fd, tol in ((1e-2, dict(rel=1e-9)), (1e-3, dict(abs=1e-12))):
+        rep = audit.nu_identity_audit(f, audit.AuditConfig(fd_step=fd))
+        r = f.nodes[:-1:(f.nodes.size - 1) // audit.IDENTITY_SAMPLES]
+        radii = r[r <= 1.0 - 2.0 * fd * max(1.0, f.u.max())]
+        assert radii.size == rep.samples
+        sups = []
+        for h in (fd, fd / 2.0):
+            worst = 0.0
+            for rr in radii:
+                x = np.zeros(n)
+                x[0] = rr
+                worst = max([worst] + [
+                    abs(s.residual)
+                    for s in geometry.nu_identity_residuals(surface, x, h)])
+            sups.append(worst)
+        assert sups == [rep.sup_residual, rep.sup_residual_half_step]
+        assert sups == pytest.approx(POINTWISE_IDENTITY_SUPS[n, fd], **tol)
+
+
+@pytest.mark.parametrize("n, partial", [(2, 0), (3, 33), (4, 31), (5, 29)])
+def test_identity_audit_counts_partial_frames(n, partial):
+    # a radial profile's angular curvatures repeat, so for n >= 3 every
+    # sampled radius off the umbilic centre has a partial frame
+    rep = audit.nu_identity_audit(_ball_path_at(n, nodes=401)[-1],
+                                  audit.AuditConfig())
+    assert (rep.samples, rep.partial_frames) == (40, partial)
 
 
 def test_identity_audit_order_in_truncation_regime(ball_path):
