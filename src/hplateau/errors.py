@@ -29,7 +29,7 @@ class NewtonDivergenceError(HPlateauError):
     ``state`` is the raw vector of the scheme's unknowns, not a height
     field: the heights off the boundary node on the radial side, and on
     the grid the deviation from the cap at one representative node per
-    mirror orbit (gridsolver._GridScheme.full_height spreads it onto
+    symmetry orbit (gridsolver._GridScheme.full_height spreads it onto
     every node).
     """
 

@@ -43,29 +43,36 @@ derivatives.  The solver does no complex arithmetic; the tests hold the
 closed forms to a complex step through _shape.
 
 Balls and ellipsoids are symmetric under the coordinate mirrors
-x_i -> -x_i, and the discrete equation is equivariant under them: the
-stencils and the wraps commute with the mirrors, and the map tensors
-are mirrored up to rounding.  An equivariant map sends its fixed-point
-subspace into itself (Golubitsky, Stewart and Schaeffer 1988, vol. II),
-so Newton runs on the mirror-symmetric fields alone, with one unknown
-per orbit of the mirror group: a quarter (n = 2) or an eighth (n = 3)
-of the interior nodes, 798 of 5472 on the default n = 3 mesh and 799 of
-3008 on the default n = 2 one.  _GridGeometry picks the smallest flat
-index of each orbit as its representative (reps) and maps every
-interior node to its representative's position (fold); the residual,
-the guard and the Jacobian run on the representatives' rows, and the
-Jacobian's columns sum each orbit's stencil weights.  Star domains
-take the identity group, through the same code.  Only the shape pass of
-the reported fields runs on every node, so their residual field checks
-the reduced solution on the full grid.  The two costly per-node pieces
-run once per orbit of all nodes, interior and boundary ring (840 of
-5760 on the default n = 3 mesh): the spectra's eigvalsh, spread through
-node_fold as u is, so they are mirror-symmetric bit for bit; and det
-and inv of the map Jacobian, whose inverse A at every other node is the
-representative's times exact +-1 factors.  Off the representatives
-that moves A, and with it the residual field and the spectra, at
-rounding level only; the representatives' rows, and so Newton, keep
-their bits.
+x_i -> -x_i, and balls and x3-aligned spheroids (semi_axes[0] ==
+semi_axes[1]) also under every rotation about x_n, whose grid images are
+the longitude rotations l -> l + k.  The discrete equation is equivariant
+under both: the stencils and the wraps commute with them, and the map
+tensors follow them up to rounding.  An equivariant map sends its
+fixed-point subspace into itself (Golubitsky, Stewart and Schaeffer 1988,
+vol. II), so Newton runs on the symmetric fields alone, with one unknown
+per orbit of the domain's full symmetry group.  Under the mirrors that
+is a quarter (n = 2) or an eighth (n = 3) of the interior nodes, 798 of
+5472 on the default n = 3 mesh and 799 of 3008 on the default n = 2 one;
+with the rotations it is one per ring (n = 2) or latitude ring pair
+m, M-1-m (n = 3), 47 and 114 unknowns on the same meshes.
+_GridGeometry picks the smallest flat index of each orbit as its
+representative (reps) and maps every interior node to its
+representative's position (fold); the residual, the guard and the
+Jacobian run on the representatives' rows, and the Jacobian's columns
+sum each orbit's stencil weights.  Star domains take the identity group,
+through the same code.  Only the shape pass of the reported fields runs
+on every node, so their residual field checks the reduced solution on
+the full grid.  The two costly per-node pieces run once per orbit of all
+nodes, interior and boundary ring: the spectra's eigvalsh, spread
+through node_fold as u is (and w with them), so they are symmetric under
+the whole group bit for bit; and det and inv of the map Jacobian, once
+per mirror orbit (840 of 5760 on the default n = 3 mesh), whose inverse
+A at every other node is the representative's times exact +-1 factors.
+A rotation has no such exact factors, so the map tensors keep the mirror
+orbits when the unknowns take the rotations too.  Off the
+representatives that moves A, and with it the residual field and the
+spectra, at rounding level only; the representatives' rows, and so
+Newton, keep their bits.
 
 The Newton step is inexact (Eisenstat and Walker 1996): GMRES on the
 exact Jacobian, stopped at ||J s + F||_2 <= GMRES_RTOL ||F||_2 and
@@ -182,6 +189,18 @@ def _jet_pairs(n: int) -> list:
         list(itertools.combinations(range(n), 2))
 
 
+def _rotates(domain: DomainSpec) -> bool:
+    """Whether the domain is invariant under every rotation about the
+    grid's polar axis, so that the longitude rotations l -> l + k join
+    its mirror group: balls, and ellipsoids with semi_axes[0] ==
+    semi_axes[1] exactly (x3-aligned spheroids for n = 3, circles for
+    n = 2).  Every other domain keeps the mirror group alone."""
+    if domain.kind == "ball":
+        return True
+    return domain.kind == "ellipsoid" \
+        and domain.semi_axes[0] == domain.semi_axes[1]
+
+
 class _GridGeometry:
     """Mesh, map tensors and wrapped index maps; independent of u.
 
@@ -235,10 +254,15 @@ class _GridGeometry:
 
         One chain rule over the M * L grid directions gives q, q_a and
         q_ab; node i sits on direction i % (M * L) at radius s_node[i].
-        det and the inverse A run on the orbit representatives alone: a
-        mirror maps Xc to diag(cart_sign) Xc diag(chart_sign), so every
-        other node's A is its representative's times those exact +-1
-        factors, and A_rep keeps the bits of inv(Xc[reps]).
+        det and the inverse A run on the mirror orbits' representatives
+        alone: a mirror maps Xc to diag(cart_sign) Xc diag(chart_sign), so
+        every other node's A is its mirror representative's times those
+        exact +-1 factors.  They stay on the mirror orbits when the
+        unknowns' group also holds the longitude rotations: a rotation
+        maps Xc by a rotation matrix, whose product with a representative's
+        inverse would not round to the node's own.  Every unknown's
+        representative is its own mirror representative, so A_rep keeps
+        the bits of inv(Xc[reps]).
         """
         n = self.n
         w, dw, ddw = omega_jet(self.angles)
@@ -259,14 +283,15 @@ class _GridGeometry:
         Xcc[:, :, 0, 1:] = Xcc[:, :, 1:, 0] = q_a[direction].swapaxes(1, 2)
         Xcc[:, :, 1:, 1:] = sv[..., None] * np.moveaxis(q_ab[direction], 3, 1)
 
-        Xc_rep = Xc[self.node_reps]
+        Xc_rep = Xc[self.mirror_reps]
         det = np.linalg.det(Xc_rep)
         if np.abs(det).min() < 1.0e-12:
             raise GridDegeneracyError(
                 "radial map loses injectivity on the grid "
                 f"(min |det| = {np.abs(det).min():.3e})")
         self.A = self.chart_sign[:, :, None] \
-            * np.linalg.inv(Xc_rep)[self.node_fold] * self.cart_sign[:, None, :]
+            * np.linalg.inv(Xc_rep)[self.mirror_fold] \
+            * self.cart_sign[:, None, :]
         self.Xcc = Xcc
         self.xyz = s_node[:, None] * q[direction]
         self.s_node = s_node
@@ -311,7 +336,7 @@ class _GridGeometry:
         for r, (a, b) in enumerate(_jet_pairs(n), 1 + n):
             self.sym[a, b] = self.sym[b, a] = r
 
-    # -- mirror orbits -------------------------------------------------------
+    # -- symmetry orbits -----------------------------------------------------
 
     def _mirror_images(self) -> np.ndarray:
         """Flat index of each node's image under every element of the
@@ -321,7 +346,9 @@ class _GridGeometry:
         on the grid are l -> -l (x_2), l -> L/2 - l (x_1) and, for n = 3,
         m -> M-1-m (x_n): a group of order 4 (n = 2) or 8 (n = 3), whose
         rows repeat for n = 2, where M = 1.  Star domains take the
-        identity alone.
+        identity alone.  The longitude rotations that _rotates adds for
+        some domains are not listed: _build_orbits sets their orbits in
+        closed form, and the map tensors need the mirrors alone.
         """
         if self.domain.kind not in ("ball", "ellipsoid"):
             return np.arange(self.n_all)[None]
@@ -353,38 +380,56 @@ class _GridGeometry:
         return np.array(chart, dtype=float), np.array(cart, dtype=float)
 
     def _build_orbits(self):
-        """The mirror group's orbits over all nodes, the unknowns among
-        them, and the folded Jacobian's sparsity.
+        """The symmetry group's orbits over all nodes, the unknowns among
+        them, the mirror orbits the map tensors use, and the folded
+        Jacobian's sparsity.
 
         node_reps holds the smallest flat index of each orbit, ascending,
         and node_fold[i] the position in node_reps of node i's
         representative, so x[node_fold] spreads one value per orbit onto
-        every node.  The mirrors keep the ring, so the interior orbits come
-        first: reps, their prefix, are the unknowns, and fold =
-        node_fold[:n_int] spreads the unknowns d onto every interior node.
-        The discrete equation is equivariant under the group, so the
-        residual of a symmetric iterate is symmetric and its rows at reps
-        determine it.  Each element is an involution, so the first one
-        that sends node i to its representative also sends the
-        representative to i: chart_sign and cart_sign hold its
-        _mirror_signs rows, all +1 at the representatives, for
-        _build_map_tensors.  nbr is sliced to the reps' columns once.  The
+        every node.  The group is the mirror group (_mirror_images), plus
+        the longitude rotations l -> l + k when _rotates(domain) holds.
+        There the orbit of (j, m, l) is the ring pair {(j, m', l'): m' in
+        {m, M-1-m}}, whose representative (j-1) M L + min(m, M-1-m) L is
+        set in closed form rather than by stacking L more image rows.
+        The group keeps the ring, so the interior orbits come first: reps,
+        their prefix, are the unknowns, and fold = node_fold[:n_int]
+        spreads the unknowns d onto every interior node.  The discrete
+        equation is equivariant under the group, so the residual of a
+        symmetric iterate is symmetric and its rows at reps determine it.
+
+        mirror_reps and mirror_fold are the same for the mirror group
+        alone, which _build_map_tensors needs: a mirror maps Xc by exact
+        +-1 factors, a rotation does not.  Each mirror is an involution,
+        so the first one that sends node i to its mirror representative
+        also sends the representative to i: chart_sign and cart_sign hold
+        its _mirror_signs rows, all +1 at the mirror representatives.
+        Every representative of the full group (l = 0) is its own mirror
+        representative.  nbr is sliced to the reps' columns once.  The
         reduced Jacobian is J_full[reps] @ P with P[i, fold[i]] = 1: its
         entry of row k at offset o sits at jac_pos[o, k] of the CSC data
         (jac_nnz if the neighbor is on the boundary ring), and column
         fold[nbr[o, reps[k]]] sums the offsets whose neighbors share an
         orbit.
         """
-        ni = self.n_int
+        ni, M, L = self.n_int, self.M, self.L
+        index = np.arange(self.n_all)
         images = self._mirror_images()
-        orbit_min = images.min(axis=0)
-        self.node_reps = np.flatnonzero(orbit_min == np.arange(self.n_all))
-        self.node_fold = np.searchsorted(self.node_reps, orbit_min)
-        self.reps = r = self.node_reps[self.node_reps < ni]
-        self.fold = self.node_fold[:ni]
-        element = (images == orbit_min).argmax(axis=0)
+        mirror_min = images.min(axis=0)
+        self.mirror_reps = np.flatnonzero(mirror_min == index)
+        self.mirror_fold = np.searchsorted(self.mirror_reps, mirror_min)
+        element = (images == mirror_min).argmax(axis=0)
         chart, cart = self._mirror_signs()
         self.chart_sign, self.cart_sign = chart[element], cart[element]
+        if _rotates(self.domain):
+            orbit_min = (self.jj - 1) * M * L \
+                + np.minimum(self.mm, M - 1 - self.mm) * L
+            self.node_reps = np.flatnonzero(orbit_min == index)
+            self.node_fold = np.searchsorted(self.node_reps, orbit_min)
+        else:
+            self.node_reps, self.node_fold = self.mirror_reps, self.mirror_fold
+        self.reps = r = self.node_reps[self.node_reps < ni]
+        self.fold = self.node_fold[:ni]
         self.nbr_rep = self.nbr[:, r]
 
         nr = r.size
@@ -621,7 +666,8 @@ class _GridScheme:
     scheme interface that solver._solve_path drives.
 
     The unknowns d are the deviation of the interior heights from the
-    cap at the representative nodes geo.reps, one per mirror orbit; every
+    cap at the representative nodes geo.reps, one per orbit of the
+    domain's symmetry group (mirrors, and rotations where _rotates); every
     interior node takes its representative's value, d[geo.fold].  The
     cap is the umbilic cap of the mean-radius ball (radius, mean
     semi-axis or mean star sample R) at (sigma, eps_bdry) composed with
@@ -669,7 +715,7 @@ class _GridScheme:
         representatives, whose height and second chart derivatives are u
         and P: inside when u, sigma_1 = tr S and sigma_{n-1} = _sigma(S)
         are positive at every representative, Gamma_{n-1} for n <= 3.
-        By the mirror symmetry these rows stand for every interior node."""
+        By the symmetry these rows stand for every interior node."""
         geo = self.geo
         u, p, P = geo.unpack(self._jet(d))
         shape = _shape(u, p, P, geo.A_rep, geo.Xcc_rep)
@@ -726,16 +772,19 @@ class _GridScheme:
 
     def field_parts(self, d: np.ndarray):
         """The shape pass over every interior node and the boundary ring,
-        and the spectra on one node per mirror orbit.
+        and the spectra and w on one node per orbit.
 
         The interior jet is the cap's plus the spread d's, as in _jet, on
         all interior nodes, so the residual field at the representatives
         equals the last Newton residual bit for bit, and at every other
         node it checks the reduced solution on the full grid.  eigvalsh
         runs on the orbit representatives of all nodes, interior and
-        boundary ring, and node_fold spreads their spectra, which are
-        therefore mirror-symmetric bit for bit; at the representatives
-        they are the full-grid pass's own."""
+        boundary ring, and node_fold spreads their spectra and w, which
+        are therefore symmetric under the whole group bit for bit; at the
+        representatives they are the full-grid pass's own.  Under the
+        mirrors alone w is symmetric before the spread (Du flips by
+        exact signs), so the spread moves it only under rotations, by an
+        ulp or two of the rotated map tensors."""
         geo = self.geo
         D = self._padded(d)
         U = self.cap_height + D
@@ -743,8 +792,8 @@ class _GridScheme:
                               + geo.chart_jet(D), geo.boundary_jet(U)])
         S_all, w_all, *_ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
         spectra = np.linalg.eigvalsh(S_all[geo.node_reps])[:, ::-1]
-        return (geo.xyz.copy(), U, w_all, spectra[geo.node_fold],
-                _sigma(S_all),
+        return (geo.xyz.copy(), U, w_all[geo.node_reps][geo.node_fold],
+                spectra[geo.node_fold], _sigma(S_all),
                 {"kind": "grid", "near_boundary": geo.jj >= geo.J - 1})
 
 

@@ -270,8 +270,8 @@ def _build_field(scheme, v: np.ndarray, iterations: int,
     the spectra, meta) on every node, the scheme.n_int equation nodes
     first and the Dirichlet nodes after; cone_ok is taken over the
     equation nodes.  The grid has fewer unknowns than equation nodes (one
-    per mirror orbit), so the count comes from the scheme, not v.size;
-    meta["unknowns"] records v.size.
+    per orbit of the domain's symmetry group), so the count comes from
+    the scheme, not v.size; meta["unknowns"] records v.size.
     """
     nodes, u, w, spectra, sigma_field, meta = scheme.field_parts(v)
     ni = scheme.n_int
@@ -304,9 +304,11 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     are the nodes off the Dirichlet boundary.  Its unknowns v are the
     heights at every equation node on the radial side, and on the grid
     the deviation of the heights from the cap at one representative
-    equation node per mirror orbit of the domain (every equation node on
-    a star domain), so v can be shorter than the equation nodes.  The
-    state of a typed error raised by a leg is such a v.  It provides
+    equation node per orbit of the domain's symmetry group: its mirrors,
+    and for a ball or an x3-aligned spheroid its rotations about x_n
+    (every equation node on a star domain), so v can be shorter than the
+    equation nodes.  The state of a typed error raised by a leg is such
+    a v.  It provides
 
     * n_int: the number of equation nodes, which field_parts lists
       first;

@@ -499,25 +499,51 @@ def test_step_fails_typed_when_a_fresh_ilu_misses(ell_iterate, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one unknown per mirror orbit
+# one unknown per orbit of the mirrors and, for some domains, rotations
 # ---------------------------------------------------------------------------
+
+SPHEROID = domains.make_ellipsoid((1.0, 1.0, 1.3))
+
 
 @pytest.mark.parametrize("domain,mesh,unknowns", [
     (ELL, solver.SphericalGridMesh(), 19 * 6 * 7),
-    (domains.make_ball(2, 1.0), solver.PolarGridMesh(), 47 * 17),
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(), 47),
+    (BALL3, solver.SphericalGridMesh(), 19 * 6),
+    (SPHEROID, solver.SphericalGridMesh(), 19 * 6),
     (STAR, solver.PolarGridMesh(), 47 * 64)],
-    ids=["ellipsoid3", "ball2", "star"])
+    ids=["ellipsoid3", "ball2", "ball3", "spheroid3", "star"])
 def test_one_unknown_per_mirror_orbit(domain, mesh, unknowns):
-    # latitudes pair up under z -> -z; longitudes 0 and L/4 have orbits
-    # of two under x -> -x and y -> -y, the others of four; a star domain
-    # keeps the identity alone
+    # latitudes pair up under z -> -z; under the mirrors alone longitudes
+    # 0 and L/4 have orbits of two under x -> -x and y -> -y, the others
+    # of four; the rotations l -> l + k of a ball or an x3-aligned
+    # spheroid join each ring pair into one orbit; a star domain keeps
+    # the identity alone
     geo = gridsolver._GridGeometry(domain, mesh)
     assert geo.reps.size == unknowns
     assert np.array_equal(geo.fold[geo.reps], np.arange(geo.reps.size))
     assert (geo.reps[geo.fold] <= np.arange(geo.n_int)).all()
+    if gridsolver._rotates(domain):
+        m = np.minimum(geo.mm, geo.M - 1 - geo.mm)
+        ring_pair = (geo.jj - 1) * geo.M * geo.L + m * geo.L
+        assert np.array_equal(geo.node_reps[geo.node_fold], ring_pair)
+        assert np.isin(geo.node_reps, geo.mirror_reps).all()
+    else:
+        assert geo.node_reps is geo.mirror_reps
     if domain.kind == "star":
         assert geo.reps.size == geo.n_int
         assert np.array_equal(geo.fold, np.arange(geo.n_int))
+
+
+def test_only_balls_and_polar_spheroids_rotate():
+    # exact equality of the two semi-axes in the x1-x2 plane
+    assert gridsolver._rotates(BALL3)
+    assert gridsolver._rotates(domains.make_ball(2, 1.0))
+    assert gridsolver._rotates(SPHEROID)
+    assert gridsolver._rotates(domains.make_ellipsoid((1.0, 1.0)))
+    for domain in (ELL, domains.make_ellipsoid((1.0, 1.3, 1.0)),
+                   domains.make_ellipsoid((1.0, 1.0 + 1e-15, 1.3)),
+                   domains.make_ellipsoid((1.3, 1.0)), STAR):
+        assert not gridsolver._rotates(domain)
 
 
 def _mirror_perms(nodes):
@@ -547,6 +573,56 @@ def test_solution_is_mirror_symmetric_bit_for_bit(domain, mesh, sigma):
             assert np.array_equal(f.spectra[perm], f.spectra)
 
 
+def _ring_pairs(values, geo):
+    """values on every node as (J, M, 2, L, ...): [j, m] holds rings m
+    and M-1-m of shell j, the ring pair of m (one ring twice on an odd
+    M's equator)."""
+    v = np.asarray(values).reshape(geo.J, geo.M, geo.L, -1)
+    return np.stack([v, v[:, ::-1]], axis=2)
+
+
+@pytest.mark.parametrize("domain,mesh", [
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(12, 16)),
+    (BALL3, solver.SphericalGridMesh(10, 8, 16)),
+    (SPHEROID, solver.SphericalGridMesh(10, 8, 16))],
+    ids=["ball2", "ball3", "spheroid3"])
+def test_solution_is_rotation_symmetric_bit_for_bit(domain, mesh):
+    # one unknown per ring pair: u, the spectra and nu_vertical repeat
+    # their bits over the pair, and the full-grid residual field holds
+    # every interior node to residual_tol
+    geo = gridsolver._GridGeometry(domain, mesh)
+    tol = solver.NewtonParams().residual_tol
+    fields = gridsolver.solve_graph_path(
+        solver.SolveConfig(n=domain.n, sigma_target=0.5, mesh=mesh), domain)
+    for f in fields:
+        assert f.meta["unknowns"] == (geo.J - 1) * ((geo.M + 1) // 2)
+        for values in (f.u, f.spectra, f.nu_vertical):
+            pairs = _ring_pairs(values, geo)
+            assert np.array_equal(pairs, np.broadcast_to(
+                pairs[:, :, :1, :1], pairs.shape))
+        assert np.abs(f.residual_field[f.interior]).max() <= tol
+
+
+@pytest.mark.parametrize("sigma", [1.5, 0.05])
+def test_rotations_match_the_mirror_only_solve(sigma, monkeypatch):
+    # the spheroid solved on ring pairs and on mirror orbits alone: the
+    # same Newton iterations and the same fields to rounding
+    mesh = solver.SphericalGridMesh(10, 8, 16)
+    cfg = solver.SolveConfig(n=3, sigma_target=sigma, mesh=mesh)
+    ring = gridsolver.solve_graph_path(cfg, SPHEROID)
+    with monkeypatch.context() as mp:
+        mp.setattr(gridsolver, "_rotates", lambda domain: False)
+        mirror = gridsolver.solve_graph_path(cfg, SPHEROID)
+    assert ring[0].meta["unknowns"] == 9 * 4
+    assert mirror[0].meta["unknowns"] == 9 * 4 * 5
+    for a, b in zip(ring, mirror, strict=True):
+        assert a.convergence.iterations == b.convergence.iterations
+        assert np.abs(a.u - b.u).max() <= 1e-13
+        assert np.abs(a.spectra - b.spectra).max() <= 1e-12
+    witnesses = [audit.curvature_bound_check(f).witnesses for f in (ring, mirror)]
+    assert np.abs(np.subtract(*witnesses)).max() <= 1e-12
+
+
 def _map_jacobians(geo):
     """Xc = [q, s q_a] on every node, q = rho(omega) omega, by the chain
     rule of _build_map_tensors."""
@@ -563,26 +639,30 @@ def _map_jacobians(geo):
 ORBIT_CASES = pytest.mark.parametrize("domain,mesh", [
     (ELL, solver.SphericalGridMesh(10, 8, 16)),
     (domains.make_ellipsoid((1.3, 1.0)), solver.PolarGridMesh(12, 16)),
-    (STAR, solver.PolarGridMesh(12, 16))],
-    ids=["ellipsoid3", "ellipse2", "star"])
+    (STAR, solver.PolarGridMesh(12, 16)),
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(12, 16)),
+    (SPHEROID, solver.SphericalGridMesh(10, 8, 16))],
+    ids=["ellipsoid3", "ellipse2", "star", "ball2", "spheroid3"])
 
 
 @ORBIT_CASES
 def test_map_tensor_inverses_run_once_per_orbit(domain, mesh):
     # the representatives keep inv(Xc)'s bits, every other node takes
-    # its representative's A times exact +-1 factors, and that A is the
-    # node's own inv(Xc) to rounding (a wrong sign would miss by |A|)
+    # its mirror representative's A times exact +-1 factors, and that A
+    # is the node's own inv(Xc) to rounding (a wrong sign would miss by
+    # |A|); on a ball or a spheroid the unknowns' orbits are the larger
+    # ring pairs, and the tensors still follow the mirror orbits
     geo = gridsolver._GridGeometry(domain, mesh)
     inv = np.linalg.inv(_map_jacobians(geo))
     assert np.array_equal(geo.A_rep, inv[geo.reps])
     signs = geo.chart_sign[:, :, None] * geo.cart_sign[:, None, :]
     assert np.array_equal(np.abs(signs), np.ones_like(signs))
     assert np.array_equal(geo.A,
-                          signs * geo.A[geo.node_reps][geo.node_fold])
+                          signs * geo.A[geo.mirror_reps][geo.mirror_fold])
     scale = np.abs(inv).max(axis=(1, 2))[:, None, None]
     assert (np.abs(geo.A - inv) / scale).max() <= 1e-14
     if domain.kind == "star":
-        assert np.array_equal(geo.node_reps, np.arange(geo.n_all))
+        assert np.array_equal(geo.mirror_reps, np.arange(geo.n_all))
         assert np.array_equal(geo.A, inv)
 
 

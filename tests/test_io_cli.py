@@ -195,8 +195,9 @@ def test_solve_grid_runs_on_polar_mesh(tmp_path, monkeypatch):
                      "--eps", "0.1"]) == 0
     side = json.loads((tmp_path / "solve-grid.json").read_text())
     assert side["cone_ok"] is True
-    # one unknown per mirror orbit: 7 rings of 5 orbits of 16 nodes
-    assert side["unknowns"] == 7 * 5
+    # one unknown per orbit of the mirrors and rotations: each of the 7
+    # interior rings of 16 nodes is one orbit
+    assert side["unknowns"] == 7
     header, rows = _read_csv(tmp_path / "solve-grid.csv")
     assert tuple(header[:2]) == ("x1", "x2")
     assert len(rows) == 8 * 16
