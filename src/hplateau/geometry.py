@@ -18,6 +18,12 @@ relied on everywhere else:
   Euclidean-unit tangent (v, Du.v); the hyperbolic-unit tangent in the
   same direction has chart velocity eta = u v.
 
+A surface is any object with a method jets(y) that returns (u, Du, D2u)
+at a stack of chart points y (..., n), shapes (...,), (..., n) and
+(..., n, n), computed point by point, so a point's values do not depend
+on the stack it comes in.  Every function here reads a surface only
+through jets.
+
 Frame (covariant) derivatives are measured by central differences along
 chart rays x + t*eta; second derivatives add the quadratic geodesic
 correction t^2/2 * (-Gamma(eta, eta)) so the symmetric difference of the
@@ -151,7 +157,7 @@ def graph_jet(x, u, grad_u, hess_u) -> GraphJet:
 
 def jet_from_field(field, x) -> GraphJet:
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    u, Du, D2u = _field_jets(field, x)
+    u, Du, D2u = field.jets(x)
     return graph_jet(x, u, Du, D2u)
 
 
@@ -270,10 +276,15 @@ class RadialHeightField:
     def jets(self, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, Du, D2u) at the points y (..., dim), each profile called
         once on the array of radii.  Everything is per point, so a
-        point's values do not depend on the stack it comes in."""
+        point's values do not depend on the stack it comes in: the
+        profiles see the radii raveled to 1-d even for one point, since
+        numpy scalar arithmetic (a scalar ** 3, say) can round apart
+        from the array path."""
         y = np.asarray(y, dtype=float)
         r = np.sqrt(np.vecdot(y, y))
-        f0, f1, f2 = (np.broadcast_to(np.asarray(p(r), dtype=float), r.shape)
+        flat = r.reshape(-1)
+        f0, f1, f2 = (np.broadcast_to(np.asarray(p(flat), dtype=float),
+                                      flat.shape).reshape(r.shape)
                       for p in (self.profile, self.profile_d1, self.profile_d2))
         center = r == 0.0
         r = np.where(center, 1.0, r)
@@ -285,29 +296,6 @@ class RadialHeightField:
         Du[center] = 0.0
         D2u[center] = f2[center][:, None, None] * np.eye(self.dim)
         return f0.copy(), Du, D2u
-
-    def value(self, x) -> float:
-        return float(self.jets(x)[0])
-
-    def gradient(self, x) -> np.ndarray:
-        return self.jets(np.atleast_1d(x))[1]
-
-    def hessian(self, x) -> np.ndarray:
-        return self.jets(np.atleast_1d(x))[2]
-
-
-def _field_jets(field, y: np.ndarray):
-    """(u, Du, D2u) of field at the points y (..., n): field.jets(y) if
-    the field evaluates stacks, else its value, gradient and hessian at
-    one point at a time."""
-    if hasattr(field, "jets"):
-        return field.jets(y)
-    pts = y.reshape(-1, y.shape[-1])
-    return (np.array([float(field.value(p)) for p in pts]).reshape(y.shape[:-1]),
-            np.array([field.gradient(p) for p in pts],
-                     dtype=float).reshape(y.shape),
-            np.array([field.hessian(p) for p in pts],
-                     dtype=float).reshape(y.shape + y.shape[-1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +351,6 @@ def christoffel(u, grad_u, hess_u) -> np.ndarray:
     return 0.5 * np.einsum("...gd,...dab->...gab", Ginv, sym)
 
 
-def _christoffel_at(field, y: np.ndarray) -> np.ndarray:
-    return christoffel(*_field_jets(field, y))
-
-
-def _second_form_at(field, y: np.ndarray) -> np.ndarray:
-    return second_fundamental_form_chart(*_field_jets(field, y))
-
-
 # ---------------------------------------------------------------------------
 # Identity residuals: vertical normal component
 # ---------------------------------------------------------------------------
@@ -418,7 +398,7 @@ def nu_identity_batch(surface, x, steps) -> NuBatch:
     x = np.asarray(x, dtype=float)
     steps = np.asarray(steps, dtype=float)
     n = x.shape[-1]
-    u, Du, D2u = _field_jets(surface, x)
+    u, Du, D2u = surface.jets(x)
     D2u, nu, kappa, V = _pencil(u, Du, D2u)
     partial = _frame_status(kappa) == "partial"
     full = ~partial
@@ -434,7 +414,7 @@ def nu_identity_batch(surface, x, steps) -> NuBatch:
     corr = (-0.5 * hs * hs) * np.einsum("pgab,pia,pib->pig", Gamma, Ef, Ef)
     ring = np.stack([fwd, bwd])
     geo = np.stack([fwd[:, full] + corr, bwd[:, full] + corr])
-    vals, grads, _ = _field_jets(surface, np.concatenate(
+    vals, grads, _ = surface.jets(np.concatenate(
         [ring.reshape(-1, n), geo.reshape(-1, n)]))
     cut = ring[..., 0].size
     vals = vals[:cut].reshape(ring.shape[:-1])
@@ -451,7 +431,7 @@ def nu_identity_batch(surface, x, steps) -> NuBatch:
     hX = steps[:, None, None] * X
     xf = x[full]
     II_pm = second_fundamental_form_chart(
-        *_field_jets(surface, np.stack([xf + hX, xf - hX])))
+        *surface.jets(np.stack([xf + hX, xf - hX])))
     dh = (II_pm[0] - II_pm[1]) / h2[..., None]
     II = second_fundamental_form_chart(uf, Du[full], D2u[full])
     gam_h = np.einsum("pmca,spc,pmb->spab", Gamma, X, II)
@@ -516,57 +496,6 @@ def nu_identity_residuals(surface, x, fd_step: float) -> list[ResidualSample]:
 # Gauss, Codazzi and the second-derivative commutator
 # ---------------------------------------------------------------------------
 
-def _central_differences(f, x: np.ndarray, h: float) -> np.ndarray:
-    """(f(x + h e_c) - f(x - h e_c)) / (2h) for each chart axis c,
-    stacked along a new first axis."""
-    out = []
-    for c in range(x.size):
-        step = np.zeros(x.size)
-        step[c] = h
-        out.append((f(x + step) - f(x - step)) / (2.0 * h))
-    return np.stack(out)
-
-
-def _riemann_lowered(field, x: np.ndarray, h: float) -> np.ndarray:
-    """R4[a, b, c, d] = <R(e_a, e_b) e_c, e_d> of the induced metric.
-
-    Christoffel symbols are analytic in the jet of u; their chart
-    derivatives are taken by central differences with step h.
-    """
-    dGam = _central_differences(lambda y: _christoffel_at(field, y), x, h)
-    Gam = _christoffel_at(field, x)
-    X1 = np.transpose(dGam, (1, 0, 2, 3))  # [g,a,b,c] = d_a Gamma^g_bc
-    X2 = np.transpose(dGam, (1, 2, 0, 3))  # [g,a,b,c] = d_b Gamma^g_ac
-    Q1 = np.einsum("gam,mbc->gabc", Gam, Gam)
-    Q2 = np.einsum("gbm,mac->gabc", Gam, Gam)
-    Rup = X1 - X2 + Q1 - Q2  # R^g_{c ab} indexed [g, a, b, c]
-    G = induced_metric(field.value(x), np.asarray(field.gradient(x), dtype=float))
-    return np.einsum("dg,gabc->abcd", G, Rup)
-
-
-def _covariant_dh(field, y: np.ndarray, h: float) -> np.ndarray:
-    """(nabla h)[a, b, c] = h_ab;c at y, central differences for d_c h_ab."""
-    dh = np.moveaxis(
-        _central_differences(lambda z: _second_form_at(field, z), y, h), 0, -1)
-    Gam = _christoffel_at(field, y)
-    hmat = _second_form_at(field, y)
-    corr1 = np.einsum("mca,mb->abc", Gam, hmat)
-    corr2 = np.einsum("mcb,am->abc", Gam, hmat)
-    return dh - corr1 - corr2
-
-
-def _second_covariant_dh(field, x: np.ndarray, h: float) -> np.ndarray:
-    """(nabla^2 h)[a, b, c, d] = h_ab;c;d at x."""
-    dB = np.moveaxis(
-        _central_differences(lambda y: _covariant_dh(field, y, h), x, h), 0, -1)
-    Gam = _christoffel_at(field, x)
-    B = _covariant_dh(field, x, h)
-    corr = (np.einsum("mda,mbc->abcd", Gam, B)
-            + np.einsum("mdb,amc->abcd", Gam, B)
-            + np.einsum("mdc,abm->abcd", Gam, B))
-    return dB - corr
-
-
 def commutator_rhs(h_frame: np.ndarray, d2h_swapped: np.ndarray) -> np.ndarray:
     """Right side of the second-derivative exchange rule, frame components.
 
@@ -606,35 +535,64 @@ def gauss_commutator_residuals(surface, x, fd_step: float) -> list[ResidualSampl
       hypersurfaces of a space form);
     * commutator: sup norm of h_kl;ij minus the exchange rule built from
       h_ij;kl and the curvature terms.
+
+    The surface is evaluated once, on the stack P[a, b] = (x + s_b) + s_a
+    of the steps s = 0, +h e_c, -h e_c (c = 1..n).  The Christoffel
+    symbols and h are analytic in the jet of u; central differences over
+    a give d_c Gamma at x (b = 0) and h_ab;c at every x + s_b, and
+    central differences of h_ab;c over b give h_ab;cd at x.
     """
     h = _step(fd_step)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    fr = principal_chart_frame(jet_from_field(surface, x))
     loc = tuple(float(c) for c in x)
-    n = fr.kappa.size
-    eta = fr.eta
+    n = x.size
+    s = np.concatenate([np.zeros((1, n)), h * np.eye(n), -h * np.eye(n)])
+    u, Du, D2u = surface.jets((x + s)[None, :, :] + s[:, None, :])
+    _, _, kappa, V = _pencil(u[0, :1], Du[0, :1], D2u[0, :1])
+    kappa, eta = kappa[0], u[0, 0] * V[0]
+    Gam = christoffel(u, Du, D2u)
+    II = second_fundamental_form_chart(u, Du, D2u)
+    Gx = Gam[0, 0]
+
+    def central(f):
+        """(f[+h e_c] - f[-h e_c]) / (2h) along axis 0, c first."""
+        return (f[1:n + 1] - f[n + 1:]) / (2.0 * h)
+
+    # R4[a, b, c, d] = <R(e_a, e_b) e_c, e_d> of the induced metric
+    dGam = central(Gam[:, 0])
+    X1 = np.transpose(dGam, (1, 0, 2, 3))  # [g,a,b,c] = d_a Gamma^g_bc
+    X2 = np.transpose(dGam, (1, 2, 0, 3))  # [g,a,b,c] = d_b Gamma^g_ac
+    Q1 = np.einsum("gam,mbc->gabc", Gx, Gx)
+    Q2 = np.einsum("gbm,mac->gabc", Gx, Gx)
+    Rup = X1 - X2 + Q1 - Q2  # R^g_{c ab} indexed [g, a, b, c]
+    R4 = np.einsum("dg,gabc->abcd", induced_metric(u[0, 0], Du[0, 0]), Rup)
 
     out = []
-    R4 = _riemann_lowered(surface, x, h)
     for i in range(n):
         for j in range(i + 1, n):
             sec = float(np.einsum("abcd,a,b,c,d->", R4,
                                   eta[:, i], eta[:, j], eta[:, j], eta[:, i]))
-            target = -1.0 + fr.kappa[i] * fr.kappa[j]
+            target = -1.0 + kappa[i] * kappa[j]
             out.append(ResidualSample(
                 location=loc, identity_name="gauss", fd_step=h,
                 direction=(i, j), residual=sec - target, measured=sec))
 
-    B = _covariant_dh(surface, x, h)
-    T3 = np.einsum("abc,ai,bj,ck->ijk", B, eta, eta, eta)
+    # B[p, a, b, c] = h_ab;c at x + s_p
+    dh = np.moveaxis(central(II), 0, -1)
+    B = dh - np.einsum("pmca,pmb->pabc", Gam[0], II[0]) \
+        - np.einsum("pmcb,pam->pabc", Gam[0], II[0])
+    T3 = np.einsum("abc,ai,bj,ck->ijk", B[0], eta, eta, eta)
     codazzi = float(np.abs(T3 - np.transpose(T3, (0, 2, 1))).max())
     out.append(ResidualSample(location=loc, identity_name="codazzi",
                               fd_step=h, residual=codazzi))
 
-    C = _second_covariant_dh(surface, x, h)
+    # C[a, b, c, d] = h_ab;c;d at x
+    C = np.moveaxis(central(B), 0, -1) \
+        - (np.einsum("mda,mbc->abcd", Gx, B[0])
+           + np.einsum("mdb,amc->abcd", Gx, B[0])
+           + np.einsum("mdc,abm->abcd", Gx, B[0]))
     T4 = np.einsum("abcd,ak,bl,ci,dj->klij", C, eta, eta, eta, eta)
-    h_frame = np.diag(fr.kappa)
-    rhs = commutator_rhs(h_frame, np.transpose(T4, (2, 3, 0, 1)))
+    rhs = commutator_rhs(np.diag(kappa), np.transpose(T4, (2, 3, 0, 1)))
     comm = float(np.abs(T4 - rhs).max())
     out.append(ResidualSample(location=loc, identity_name="commutator",
                               fd_step=h, residual=comm))

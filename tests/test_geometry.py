@@ -123,22 +123,21 @@ class _CubicGraph:
     + 0.03 x2 x3^2: no symmetry, so grad u, grad h and the principal
     gaps are all nonzero at generic points."""
 
-    def value(self, x):
-        x1, x2, x3 = x
-        return (2.0 - 0.30 * x1 ** 2 - 0.18 * x2 ** 2 - 0.07 * x3 ** 2
-                + 0.05 * x1 * x2 + 0.04 * x1 ** 3 + 0.03 * x2 * x3 ** 2)
-
-    def gradient(self, x):
-        x1, x2, x3 = x
-        return np.array([-0.60 * x1 + 0.05 * x2 + 0.12 * x1 ** 2,
-                         -0.36 * x2 + 0.05 * x1 + 0.03 * x3 ** 2,
-                         -0.14 * x3 + 0.06 * x2 * x3])
-
-    def hessian(self, x):
-        x1, x2, x3 = x
-        return np.array([[-0.60 + 0.24 * x1, 0.05, 0.0],
-                         [0.05, -0.36, 0.06 * x3],
-                         [0.0, 0.06 * x3, -0.14 + 0.06 * x2]])
+    def jets(self, y):
+        y = np.asarray(y, dtype=float)
+        x1, x2, x3 = np.moveaxis(y, -1, 0)
+        u = (2.0 - 0.30 * x1 ** 2 - 0.18 * x2 ** 2 - 0.07 * x3 ** 2
+             + 0.05 * x1 * x2 + 0.04 * x1 ** 3 + 0.03 * x2 * x3 ** 2)
+        Du = np.stack([-0.60 * x1 + 0.05 * x2 + 0.12 * x1 ** 2,
+                       -0.36 * x2 + 0.05 * x1 + 0.03 * x3 ** 2,
+                       -0.14 * x3 + 0.06 * x2 * x3], axis=-1)
+        D2u = np.zeros(y.shape + (3,))
+        D2u[..., 0, 0] = -0.60 + 0.24 * x1
+        D2u[..., 0, 1] = D2u[..., 1, 0] = 0.05
+        D2u[..., 1, 1] = -0.36
+        D2u[..., 1, 2] = D2u[..., 2, 1] = 0.06 * x3
+        D2u[..., 2, 2] = -0.14 + 0.06 * x2
+        return u, Du, D2u
 
 
 CUBIC_POINT = np.array([0.3, -0.2, 0.25])
@@ -159,15 +158,27 @@ def _orders(residuals, field, x, coarse, fine):
 
 def test_radial_field_center_formulas():
     f = _bumpy_radial(3)
-    assert np.array_equal(f.gradient(np.zeros(3)), np.zeros(3))
-    assert np.allclose(f.hessian(np.zeros(3)), 0.6 * np.eye(3))
+    _, Du, D2u = f.jets(np.zeros(3))
+    assert np.array_equal(Du, np.zeros(3))
+    assert np.allclose(D2u, 0.6 * np.eye(3))
     x = np.array([0.3, -0.4, 0.0])
     h = 1e-6
-    for i in range(3):
-        e = np.zeros(3)
-        e[i] = h
-        fd = (f.value(x + e) - f.value(x - e)) / (2 * h)
-        assert f.gradient(x)[i] == pytest.approx(fd, abs=1e-8)
+    ring = x + h * np.concatenate([np.eye(3), -np.eye(3)])
+    u, _, _ = f.jets(ring)
+    fd = (u[:3] - u[3:]) / (2 * h)
+    assert f.jets(x)[1] == pytest.approx(fd, abs=1e-8)
+
+
+def test_radial_jets_do_not_depend_on_the_stack():
+    # one point must take the array path of the profiles, as a stack
+    # does: CapSolution.height_d2's sqrt(...) ** 3 rounds 1 ulp apart
+    # on numpy scalars
+    field = CAP.height_field()
+    y = np.random.default_rng(0).uniform(-0.55, 0.55, (200, 3))
+    stack = field.jets(y)
+    for k in range(len(y)):
+        for one, rows in zip(field.jets(y[k]), stack):
+            assert np.array_equal(one, rows[k])
 
 
 def test_partial_degeneracy_detection():
@@ -262,6 +273,32 @@ def test_gauss_codazzi_commutator_off_the_cap():
                      CUBIC_POINT, 1e-2, 5e-3)
     assert set(orders) == {"gauss", "codazzi", "commutator"}
     assert min(orders.values()) >= 1.8
+    # pinned from a pointwise evaluation, one surface call per chart
+    # point: the one stack must reproduce them
+    samples = geometry.gauss_commutator_residuals(_CubicGraph(), CUBIC_POINT,
+                                                  1e-2)
+    assert [(s.identity_name, s.direction) for s in samples] == [
+        ("gauss", (0, 1)), ("gauss", (0, 2)), ("gauss", (1, 2)),
+        ("codazzi", None), ("commutator", None)]
+    pinned = [-7.4544807080467734e-06, -1.3844720998079652e-05,
+              -1.9017540759946883e-05, 1.1022934965354558e-05,
+              2.0966552421730622e-05]
+    assert [s.residual for s in samples] == pytest.approx(pinned, rel=1e-12)
+
+
+def test_gauss_check_evaluates_the_surface_once():
+    field = _bumpy_radial(3)
+    calls = []
+    jets = field.jets
+
+    def counted(y):
+        calls.append(np.shape(y))
+        return jets(y)
+
+    field.jets = counted
+    geometry.gauss_commutator_residuals(field, np.array([0.3, 0.2, -0.1]),
+                                        1e-2)
+    assert calls == [(7, 7, 3)]
 
 
 @pytest.mark.parametrize("x", [(0.5, 0.0, 0.0), (0.3, 0.2, -0.1)])
