@@ -62,8 +62,9 @@ Jacobian run on the representatives' rows, and the Jacobian's columns
 sum each orbit's stencil weights.  Star domains take the identity group,
 through the same code.  Only the shape pass of the reported fields runs
 on every node, so their residual field checks the reduced solution on
-the full grid.  The two costly per-node pieces run once per orbit of all
-nodes, interior and boundary ring: the spectra's eigvalsh, spread
+the full grid, and solver._build_field holds it to residual_tol there.
+The two costly per-node pieces run once per orbit of all nodes,
+interior and boundary ring: the spectra's eigvalsh, spread
 through node_fold as u is (and w with them), so they are symmetric under
 the whole group bit for bit; and det and inv of the map Jacobian, once
 per mirror orbit (840 of 5760 on the default n = 3 mesh), whose inverse
@@ -99,10 +100,11 @@ scheme interface of solver._solve_path, the continuation driver the
 radial solver uses as well (sigma walk, split legs, eps descent):
 at(sigma, eps), cap, n_int, evaluate(d), jacobian_step(d, data, F),
 newton(d, params) and field_parts(d).  Every path starts on its cap
-family, the umbilic cap of the domain's mean-radius ball composed with
-s, and the unknowns d are the deviation of the interior heights from
-that cap at the representatives: the heights are u = cap + d[fold],
-the cap's chart jet is computed once per scheme, and the jet of u is
+family, the umbilic cap of the domain's inscribed-radius ball (the
+smallest radius, semi-axis or star sample) composed with s, and the
+unknowns d are the deviation of the interior heights from that cap at
+the representatives: the heights are u = cap + d[fold], the cap's
+chart jet is computed once per scheme, and the jet of u is
 the cap's jet plus the jet of the spread d with a zero boundary ring
 (chart_jet is linear).  The discrete equation is the same as in the
 heights, but one ulp of d, not one ulp of u, now sets the rounding
@@ -140,7 +142,7 @@ __all__ = ["solve_graph", "solve_graph_path"]
 #: Drop tolerance of the incomplete LU that preconditions every GMRES
 #: solve of a path, built in the natural ordering.  At 1e-2 one ILU,
 #: built on the path's first leg, solves every system of the path in 14
-#: to 17 inner iterations on the default n = 3 mesh (the (1.3, 1, 1)
+#: to 18 inner iterations on the default n = 3 mesh (the (1.3, 1, 1)
 #: ellipsoid at sigma = 1.5, eps 0.1 down to 1e-4, 798 unknowns).  There
 #: it holds 16k entries and takes 5 ms to build, against 0.10M entries
 #: and 9 ms for a full sparse LU (SuperLU, COLAMD ordering).
@@ -151,18 +153,18 @@ ILU_DROP_TOL = 1.0e-2
 #: at the first step of that path the ratio bottoms out between 2e-12
 #: and 2.5e-12 in float64 (a full LU gives 6.3e-12), so at 2e-12 GMRES
 #: stagnates and misses.  At 1e-8 a path takes the Newton steps of an
-#: exact LU step and ends within 1.4e-14 of its heights (the (1.3, 1, 1)
-#: ellipsoid at sigma 0.05, 0.5 and 1.5 and the (2, 1, 1) one at 0.5: 20,
-#: 11, 10 and 16 steps either way), and halving or doubling it moves
-#: criterion 9's witnesses by at most 5.2e-13.
+#: exact LU step and ends within 2.2e-14 of its heights (the (1.3, 1, 1)
+#: ellipsoid at sigma 0.05, 0.5 and 1.5 and the (2, 1, 1) one at 0.5: 13,
+#: 11, 11 and 14 steps either way), and halving or doubling it moves
+#: criterion 9's witnesses by at most 1.1e-12.
 GMRES_RTOL = 1.0e-8
 
 #: Krylov basis size per GMRES cycle, and the cycles allowed before the
 #: ILU counts as stale and is rebuilt.  The slowest solve seen on the 27
 #: paths of the default-mesh probe (n = 3 ellipsoids of aspect 1.3 to 3
-#: and n = 2 ellipses, sigma 0.05 to n - 0.1) took 77 inner iterations
-#: in two cycles, on the (2, 1, 1) ellipsoid walked to sigma = 0.05;
-#: none missed, so each path built one ILU.
+#: and n = 2 ellipses, sigma 0.05 to n - 0.1) took 35 inner iterations
+#: in one cycle, on the (3, 1) ellipse at sigma = 0.05; none missed, so
+#: each path built one ILU.
 GMRES_RESTART = 40
 GMRES_MAXITER = 3
 
@@ -273,15 +275,19 @@ class _GridGeometry:
         q_ab = hess[..., None] * w[:, None, None, :] \
             + (cross + cross.swapaxes(1, 2)) + rho[:, None, None, None] * ddw
 
-        direction = np.arange(self.n_all) % (self.M * self.L)
+        # (J, M * L, ...) blocks: ring radius times direction tensor
+        J, n_all = self.J, self.n_all
+        sv = self.s[:, None, None, None]
+        q_a = q_a.swapaxes(1, 2)
+        Xc = np.empty((J, self.M * self.L, n, n))
+        Xc[..., 0] = q
+        Xc[..., 1:] = sv * q_a
+        Xcc = np.zeros((J, self.M * self.L, n, n, n))
+        Xcc[..., 0, 1:] = Xcc[..., 1:, 0] = q_a
+        Xcc[..., 1:, 1:] = sv[..., None] * np.moveaxis(q_ab, 3, 1)
+        Xc = Xc.reshape(n_all, n, n)
+        Xcc = Xcc.reshape(n_all, n, n, n)
         s_node = self.s[self.jj - 1]
-        sv = s_node[:, None, None]
-        Xc = np.empty((self.n_all, n, n))
-        Xc[:, :, 0] = q[direction]
-        Xc[:, :, 1:] = sv * q_a[direction].swapaxes(1, 2)
-        Xcc = np.zeros((self.n_all, n, n, n))
-        Xcc[:, :, 0, 1:] = Xcc[:, :, 1:, 0] = q_a[direction].swapaxes(1, 2)
-        Xcc[:, :, 1:, 1:] = sv[..., None] * np.moveaxis(q_ab[direction], 3, 1)
 
         Xc_rep = Xc[self.mirror_reps]
         det = np.linalg.det(Xc_rep)
@@ -293,7 +299,7 @@ class _GridGeometry:
             * np.linalg.inv(Xc_rep)[self.mirror_fold] \
             * self.cart_sign[:, None, :]
         self.Xcc = Xcc
-        self.xyz = s_node[:, None] * q[direction]
+        self.xyz = (self.s[:, None, None] * q).reshape(n_all, n)
         self.s_node = s_node
         r = self.reps
         self.A_rep, self.Xcc_rep = self.A[r], Xcc[r]
@@ -669,13 +675,18 @@ class _GridScheme:
     cap at the representative nodes geo.reps, one per orbit of the
     domain's symmetry group (mirrors, and rotations where _rotates); every
     interior node takes its representative's value, d[geo.fold].  The
-    cap is the umbilic cap of the mean-radius ball (radius, mean
-    semi-axis or mean star sample R) at (sigma, eps_bdry) composed with
-    s: the exact cap on a ball.  cap_height is the cap on every node and
-    cap_jet its chart jet at the representatives, both computed once;
-    the heights are cap_height plus the spread d with a zero boundary
-    ring.  cap, the start of every path, is d = 0.  n_int counts the
-    equation nodes, which field_parts lists first.
+    cap is the umbilic cap of the inscribed-radius ball at (sigma,
+    eps_bdry) composed with s: R is the radius, the smallest semi-axis
+    or the smallest star sample, so the exact cap on a ball.  The mean
+    of those puts the start of an elongated domain outside the cone at
+    small sigma: on the default meshes it sent the sigma 0.05 paths of
+    the probed ellipses and ellipsoids on a sigma walk, and the (3, 1)
+    ellipse's at sigma <= 1 out of the cone at n/2 as well.  cap_height
+    is the cap on every node and cap_jet its chart jet at the
+    representatives, both computed once; the heights are cap_height
+    plus the spread d with a zero boundary ring.  cap, the start of
+    every path, is d = 0.  n_int counts the equation nodes, which
+    field_parts lists first.
     """
 
     def __init__(self, geo: _GridGeometry, sigma: float, eps_bdry: float):
@@ -684,7 +695,7 @@ class _GridScheme:
         self.eps_bdry = float(eps_bdry)
         self.n_int = geo.n_int
         dom = self.domain = geo.domain
-        R = float(np.mean(dom.radius or dom.semi_axes or dom.star_samples))
+        R = float(np.min(dom.radius or dom.semi_axes or dom.star_samples))
         self.cap_height = np.full(geo.n_all, self.eps_bdry)
         self.cap_height[:geo.n_int] = exact_cap(
             geo.n, sigma, R, eps_bdry).height(R * geo.s_node[:geo.n_int])

@@ -60,15 +60,17 @@ MIN_STEP = 1.0e-6
 #: cap family by far more than 1e-6; Newton contracts quadratically from
 #: there, so the reported fields still reach residual_tol.  Solving the
 #: walk legs to residual_tol instead spends the last steps of each near
-#: the float64 rounding floor, where the default-mesh n = 3 ellipsoid at
-#: sigma = 0.05 stalls at 1.2e-10 on the walk half 1.5 -> 0.27, which is
-#: then split and redone.
+#: the float64 rounding floor: the default-mesh n = 3 ellipsoid at
+#: sigma = 0.05, which walked sigma when grid paths started on the
+#: mean-radius cap, stalled at 1.2e-10 on the walk half 1.5 -> 0.27,
+#: which was then split and redone.
 WALK_TOL = 1.0e-6
 
 #: Depth to which _leg splits a failed leg.  The sigma walk is one leg,
-#: so its points come out of this budget too: at depth 4 the 12x8x16
-#: (1.3, 1, 1) ellipsoid at sigma = 0.005 and (2, 1, 1) one at 0.01 fail;
-#: at 5 they solve, as does the n = 2 ball at 0.01 (splits four deep).
+#: so its points come out of this budget too: at depth 4 the default-mesh
+#: n = 2 (1.3, 1) and (2, 1) ellipses at sigma = 0.01 fail; at 5 they
+#: solve, as do the 12x8x16 (1.3, 1, 1) ellipsoid at sigma = 0.005 and
+#: the n = 2 ball at 0.01 (splits four deep).
 MAX_SPLIT_DEPTH = 5
 
 
@@ -262,8 +264,8 @@ class _Leg:
         return self.scheme.jacobian_step(v, self._evaluate(v)[2], F)
 
 
-def _build_field(scheme, v: np.ndarray, iterations: int,
-                 resid: float) -> SolutionField:
+def _build_field(scheme, v: np.ndarray, iterations: int, resid: float,
+                 residual_tol: float) -> SolutionField:
     """The SolutionField of the converged unknowns v of scheme.
 
     scheme.field_parts(v) gives (nodes, u, w, spectra, sigma_{n-1} of
@@ -272,9 +274,21 @@ def _build_field(scheme, v: np.ndarray, iterations: int,
     equation nodes.  The grid has fewer unknowns than equation nodes (one
     per orbit of the domain's symmetry group), so the count comes from
     the scheme, not v.size; meta["unknowns"] records v.size.
+
+    The residual field on every equation node is held to residual_tol,
+    not only the Newton residual resid: on the grid it checks the
+    reduced solution off the representatives, so a symmetry group the
+    domain does not have raises NewtonDivergenceError carrying v instead
+    of returning a field whose other nodes miss the equation.
     """
     nodes, u, w, spectra, sigma_field, meta = scheme.field_parts(v)
     ni = scheme.n_int
+    residual_field = sigma_field - scheme.sigma
+    worst = float(np.abs(residual_field[:ni]).max())
+    if not worst <= residual_tol:
+        raise NewtonDivergenceError(
+            f"residual field {worst:.3e} above tol {residual_tol:.3e} on "
+            f"the equation nodes (Newton residual {resid:.3e})", state=v)
     return SolutionField(
         domain=scheme.domain,
         nodes=nodes,
@@ -282,7 +296,7 @@ def _build_field(scheme, v: np.ndarray, iterations: int,
         boundary=np.arange(u.size) >= ni,
         nu_vertical=1.0 / w,
         spectra=spectra,
-        residual_field=sigma_field - scheme.sigma,
+        residual_field=residual_field,
         convergence=ConvergenceInfo(iterations=iterations, residual=resid,
                                     eps_bdry=scheme.eps_bdry,
                                     sigma=scheme.sigma),
@@ -347,6 +361,8 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
     Only the legs that end at sigma_target, one per scheduled eps, give
     reported fields; they are solved to config.newton.residual_tol, and
     every other leg only to the basin tolerance of _walk_params.
+    _build_field holds each reported field's residual on every equation
+    node to residual_tol as well.
     """
     params = config.newton
     target = config.sigma_target
@@ -363,10 +379,10 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
         scheme, (v, it, res) = _leg(start, params, v, target, scheme.eps_bdry)
         total_it += it
 
-    fields = [_build_field(scheme, v, total_it, res)]
+    fields = [_build_field(scheme, v, total_it, res, params.residual_tol)]
     for eps in config.eps_schedule[1:]:
         scheme, (v, it, res) = _leg(scheme, params, v, target, eps)
-        fields.append(_build_field(scheme, v, it, res))
+        fields.append(_build_field(scheme, v, it, res, params.residual_tol))
     return fields
 
 
@@ -383,14 +399,12 @@ def _leg(start, params: NewtonParams, v, sigma, eps, depth=0):
     enough to leave the cone, so v is first moved along the cap family.
     A leg that fails is split at the geometric midpoint of (sigma, eps),
     its halves likewise down to MAX_SPLIT_DEPTH: the one step rule, for
-    eps legs and the sigma walk alike.  A split can land a leg that
-    stalled at the residual's rounding floor, not only one that left the
-    cone: on the default-mesh (3, 1, 1) ellipsoid at sigma = 0.05 the leg
-    0.0618 -> 0.05 at eps 0.1 stalls at 1.35e-10 and its halves
-    converge.  The first half ends at no reported field and is solved to
-    _walk_params(params); the second half ends where the leg does and
-    keeps params.  Returns the scheme at (sigma, eps) and (v,
-    iterations, residual).
+    eps legs and the sigma walk alike.  A leg that stalled at the
+    residual's rounding floor is split as one that left the cone is:
+    its halves start closer to their ends.  The first half ends at no
+    reported field and is solved to _walk_params(params); the second
+    half ends where the leg does and keeps params.  Returns the scheme
+    at (sigma, eps) and (v, iterations, residual).
     """
     end = start.at(sigma, eps)
     try:

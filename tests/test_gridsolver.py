@@ -927,10 +927,18 @@ def test_elongated_ellipse_solves_at_small_sigma():
     assert f.convergence.residual <= 1e-10
 
 
-def test_a_split_lands_a_leg_that_stalled_at_the_floor(monkeypatch):
-    # on the default mesh the leg 0.0618 -> 0.05 at eps 0.1 stalls just
-    # above residual_tol, and its two halves converge: a split can land
-    # a stalled leg, so _leg splits stalls as it splits cone failures
+def test_a_wrong_symmetry_group_is_not_reported_converged(monkeypatch):
+    # the x1-aligned (1.3, 1, 1) ellipsoid has no rotation symmetry about
+    # x3: solved on ring pairs, Newton converges on the representatives
+    # while the residual field elsewhere reads 0.32, so no field is built
+    monkeypatch.setattr(gridsolver, "_rotates", lambda domain: True)
+    with pytest.raises(NewtonDivergenceError, match="residual field"):
+        gridsolver.solve_graph_path(solver.SolveConfig(n=3, sigma_target=1.5),
+                                    domains.make_ellipsoid((1.3, 1.0, 1.0)))
+
+
+def _recorded_legs(monkeypatch):
+    """Record the (sigma, eps) of every grid leg and how it ended."""
     legs = []
     real = gridsolver.damped_newton
 
@@ -949,17 +957,38 @@ def test_a_split_lands_a_leg_that_stalled_at_the_floor(monkeypatch):
         return out
 
     monkeypatch.setattr(gridsolver, "damped_newton", recorded)
+    return legs
+
+
+def test_elongated_ellipsoid_runs_its_eps_legs_alone(monkeypatch):
+    # on the inscribed-radius cap the (3, 1, 1) path at sigma 0.05 starts
+    # inside the cone: no walk, no split, one leg per scheduled eps
+    legs = _recorded_legs(monkeypatch)
     fields = gridsolver.solve_graph_path(
         solver.SolveConfig(n=3, sigma_target=0.05),
         domains.make_ellipsoid((3.0, 1.0, 1.0)))
+    assert legs == [((0.05, eps), "ok") for eps in solver.DEFAULT_EPS_SCHEDULE]
     assert [f.convergence.eps_bdry for f in fields] == \
         list(solver.DEFAULT_EPS_SCHEDULE)
     for f in fields:
         assert f.cone_ok
         assert f.convergence.residual <= 1e-10
-    stall = legs.index(((0.05, 0.1), "stalled"))
-    assert legs[stall + 1][1] == "ok"
-    assert legs[stall + 2] == ((0.05, 0.1), "ok")
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0])
+def test_elongated_ellipse_starts_inside_the_cone(monkeypatch, sigma):
+    # the (3, 1) ellipse's mean-radius cap left the cone at the target
+    # and at n/2 = 1; its inscribed-radius cap needs no sigma walk
+    legs = _recorded_legs(monkeypatch)
+    fields = gridsolver.solve_graph_path(
+        solver.SolveConfig(n=2, sigma_target=sigma),
+        domains.make_ellipsoid((3.0, 1.0)))
+    assert {s for (s, _), _ in legs} == {sigma}
+    assert [f.convergence.eps_bdry for f in fields] == \
+        list(solver.DEFAULT_EPS_SCHEDULE)
+    for f in fields:
+        assert f.cone_ok
+        assert f.convergence.residual <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -553,7 +553,7 @@ def _column(path, name):
 
 @pytest.mark.parametrize("argv,rows", [
     # the (3, 1) ellipse leaves the cone on this mesh at every eps
-    (["--domains", "ellipsoid", "--sigmas", "1.0"],
+    (["--domains", "ellipsoid", "--sigmas", "0.01"],
      [("ellipsoid:3.0;1.0", "cone_violation")] * 2),
     # with it, the 1601-node ball stalls at sigma 0.01: the sweep exits
     # with the cone code
