@@ -35,7 +35,8 @@ __all__ = [
     "AuditConfig", "EstimateReport", "NuLowerBoundReport",
     "CurvatureBoundReport", "RWSolutionReport", "IdentityAuditReport",
     "test_function_field", "nu_lower_bound_check", "curvature_bound_check",
-    "rw_on_path", "rw_on_solution", "nu_identity_audit", "estimate_report",
+    "rw_min_k_on_path", "rw_on_path", "rw_on_solution", "nu_identity_audit",
+    "estimate_report",
     "audit_bundle", "BOUND_C1", "BOUND_C2", "Q_SWEEP_EXPONENTS",
 ]
 
@@ -187,7 +188,9 @@ def _kappa_maxima(solution: SolutionField) -> tuple[float, float, float]:
     """Largest |kappa| off and on the boundary-adjacent nodes, and the
     witness max_interior - BOUND_C2 * max_boundary."""
     near = _near_boundary(solution)
-    amax = np.abs(solution.spectra).max(axis=1)
+    # rows are sorted descending, so |kappa| peaks at one of the end columns
+    sp = solution.spectra
+    amax = np.maximum(sp[:, 0], -sp[:, -1])
     interior, boundary = float(amax[~near].max()), float(amax[near].max())
     return interior, boundary, interior - BOUND_C2 * boundary
 
@@ -275,40 +278,55 @@ def _rw_sample_indices(solution: SolutionField, cap: int) -> np.ndarray:
     return candidates[::stride][:cap]
 
 
-def rw_on_path(fields, config: AuditConfig) -> list[RWSolutionReport]:
-    """Certify the quadratic-form inequality on each field's sampled
-    spectra, with one K search and one check for all the fields.
-
-    Each field samples its own non-boundary rows, and its report is the
-    one rw_on_solution gives: every sampled node must certify at the
-    worst (largest) minimal K of its field's sample; monotonicity in K
-    makes that the natural joint constant for the field.  The rows of
-    all the fields go through ren_wang_min_k_batch as one stack, and the
-    eigvalsh check of M(K) runs once on the rows of the fields whose K
-    are all finite, each row at its own field's K.  Both treat every row
-    on its own, so each K and each verdict has the bits of a separate
-    call per field.  The fields must form one path (_require_path).
-    """
-    fields = _require_path(fields, "rw_on_path")
+def _rw_search(fields, config: AuditConfig, who: str):
+    """rw_min_k_on_path's samples, and the RWForm of their stacked rows."""
+    fields = _require_path(fields, who)
     picks = [_rw_sample_indices(f, config.rw_sample_cap) for f in fields]
-    sizes = [idx.size for idx in picks]
     rows = np.concatenate([f.spectra[idx] for f, idx in zip(fields, picks)])
     min_k, form = cones.ren_wang_min_k_batch(rows, config.eps_rw,
                                              return_form=True)
-    bounds = np.cumsum(sizes)[:-1]
-    per_field = np.split(min_k, bounds)
-    k_star = [float(k.max()) if np.isfinite(k).all() else float("inf")
-              for k in per_field]
-    # eigvalsh on M(k_star) checks the closed form independently
-    k_row = np.repeat(k_star, sizes)
+    per_field = np.split(min_k, np.cumsum([idx.size for idx in picks])[:-1])
+    samples = [(idx, k, float(k.max()) if np.isfinite(k).all()
+                else float("inf")) for idx, k in zip(picks, per_field)]
+    return samples, form
+
+
+def rw_min_k_on_path(fields, config: AuditConfig) -> list[tuple]:
+    """(indices, min_k, min_k_max) per field, from one K search.
+
+    Each field samples its own non-boundary rows (indices), and min_k is
+    their minimal K.  min_k_max is the worst (largest) of them when all
+    are finite, else inf: monotonicity in K makes it the natural joint
+    constant for the field, at which rw_on_path certifies.  The rows of
+    all the fields go through ren_wang_min_k_batch as one stack, which
+    treats every row on its own, so each K has the bits of a separate
+    call per field.  No eigvalsh check runs here.  The fields must form
+    one path (_require_path).
+    """
+    return _rw_search(fields, config, "rw_min_k_on_path")[0]
+
+
+def rw_on_path(fields, config: AuditConfig) -> list[RWSolutionReport]:
+    """Certify the quadratic-form inequality on each field's sampled
+    spectra: rw_min_k_on_path, then one eigvalsh check for all the fields.
+
+    Every sampled node must certify at its field's min_k_max.  The check
+    of M(K) runs once on the rows of the fields whose K are all finite,
+    each row at its own field's K, and treats every row on its own, so
+    each report has the bits of rw_on_solution on its field.
+    """
+    samples, form = _rw_search(fields, config, "rw_on_path")
+    sizes = [idx.size for idx, _, _ in samples]
+    # eigvalsh on M(min_k_max) checks the closed form independently
+    k_row = np.repeat([top for _, _, top in samples], sizes)
     checked = np.isfinite(k_row)
     certified = np.zeros(k_row.size, dtype=bool)
     certified[checked] = cones._certified_batch(cones.RWForm(
         form.A[..., checked], form.b[:, checked]).matrices(
             k_row[checked]))[0]
     reports = []
-    for idx, k, top, cert in zip(picks, per_field, k_star,
-                                 np.split(certified, bounds)):
+    for (idx, k, top), cert in zip(samples, np.split(certified,
+                                                     np.cumsum(sizes)[:-1])):
         at_max = math.isfinite(top) and bool(cert.all())
         reports.append(RWSolutionReport(
             sampled=int(idx.size),
@@ -389,20 +407,22 @@ def nu_identity_audit(solution: SolutionField,
 
 def estimate_report(solution: SolutionField, config: AuditConfig,
                     sweep_exponents=Q_SWEEP_EXPONENTS,
-                    rw: RWSolutionReport | None = None) -> EstimateReport:
+                    rw_min_k_max: float | None = None) -> EstimateReport:
     """Headline estimate quantities for one solved field.
 
-    `rw` is this field's report at this config, as `rw_on_solution`
-    makes it or `rw_on_path` makes it for each field of a path (the
-    sweep passes those, one K search per path); it is computed here by
-    `rw_on_solution` when not given.
+    `rw_min_k_max` is this field's joint minimal K at this config, as
+    `rw_min_k_on_path` or `rw_on_path` finds it (the sweep passes the
+    former's, one K search per path; `audit_bundle` its
+    `rw_on_solution` report's).  When not given, it comes from
+    `rw_min_k_on_path` on this field alone.  No verdict is read here, so
+    no eigvalsh check runs.
     """
     log_k1, log_nu = _log_terms(solution, "estimate_report")
     max_kappa_interior, max_kappa_boundary, witness = _kappa_maxima(solution)
     q = log_k1 - config.N * log_nu
     q_max, q_argmax, region, q_boundary = _q_summary(q, solution)
-    if rw is None:
-        rw = rw_on_solution(solution, config)
+    if rw_min_k_max is None:
+        rw_min_k_max = rw_min_k_on_path([solution], config)[0][2]
     q_sweep = {}
     for expo in sweep_exponents:
         qm, _, reg, qb = _q_summary(log_k1 - expo * log_nu, solution)
@@ -414,7 +434,7 @@ def estimate_report(solution: SolutionField, config: AuditConfig,
         nu_min=float(solution.nu_vertical.min()),
         q_max=q_max, q_argmax=q_argmax, q_argmax_region=region,
         q_boundary_max=q_boundary,
-        rw_min_k_max=rw.min_k_max,
+        rw_min_k_max=rw_min_k_max,
         bound_constant_witness=witness,
         q=q, q_sweep=q_sweep)
 
@@ -431,7 +451,7 @@ def audit_bundle(fields, config: AuditConfig) -> dict:
     final = fields[-1]
     bound_rep = curvature_bound_check(fields)
     rw_rep = rw_on_solution(final, config)
-    est = estimate_report(final, config, rw=rw_rep)
+    est = estimate_report(final, config, rw_min_k_max=rw_rep.min_k_max)
     bundle = {
         "estimate": est,
         "nu_lower_bound": nu_rep,

@@ -379,11 +379,13 @@ def _run_sweep(args, cfg, n: int) -> int:
                 rows += [{"domain": label, "n": n, "sigma": sigma,
                           "eps": eps, "status": status} for eps in schedule]
                 continue
-            # one K search and check over the path's stacked samples
-            rws = audit_mod.rw_on_path(fields, audit_cfg)
-            for fld, rw in zip(fields, rws, strict=True):
+            # one K search over the path's stacked samples; no row reads
+            # a verdict, so the eigvalsh check runs in audit alone
+            found = audit_mod.rw_min_k_on_path(fields, audit_cfg)
+            for fld, (_, _, k_max) in zip(fields, found, strict=True):
                 est = audit_mod.estimate_report(fld, audit_cfg,
-                                                sweep_exponents=(), rw=rw)
+                                                sweep_exponents=(),
+                                                rw_min_k_max=k_max)
                 rows.append({
                     "domain": label, "n": n, "sigma": sigma,
                     "eps": fld.convergence.eps_bdry,

@@ -682,11 +682,12 @@ class _GridScheme:
     small sigma: on the default meshes it sent the sigma 0.05 paths of
     the probed ellipses and ellipsoids on a sigma walk, and the (3, 1)
     ellipse's at sigma <= 1 out of the cone at n/2 as well.  cap_height
-    is the cap on every node and cap_jet its chart jet at the
-    representatives, both computed once; the heights are cap_height
-    plus the spread d with a zero boundary ring.  cap, the start of
-    every path, is d = 0.  n_int counts the equation nodes, which
-    field_parts lists first.
+    is the cap on every node, cap_ring_jet its chart jet on one node per
+    interior ring (the jet of every node of that ring, bit for bit) and
+    cap_jet that jet at the representatives, all computed once; the
+    heights are cap_height plus the spread d with a zero boundary ring.
+    cap, the start of every path, is d = 0.  n_int counts the equation
+    nodes, which field_parts lists first.
     """
 
     def __init__(self, geo: _GridGeometry, sigma: float, eps_bdry: float):
@@ -699,7 +700,11 @@ class _GridScheme:
         self.cap_height = np.full(geo.n_all, self.eps_bdry)
         self.cap_height[:geo.n_int] = exact_cap(
             geo.n, sigma, R, eps_bdry).height(R * geo.s_node[:geo.n_int])
-        self.cap_jet = geo.chart_jet(self.cap_height, geo.nbr_rep)
+        # the cap depends on s alone, so every angular difference of it is
+        # exactly 0 and its jet is one node's on every node of that ring
+        self.cap_ring_jet = geo.chart_jet(
+            self.cap_height, geo.nbr[:, :geo.n_int:geo.M * geo.L])
+        self.cap_jet = self.cap_ring_jet[geo.jj[geo.reps] - 1]
         self.cap = np.zeros(geo.reps.size)
 
     def at(self, sigma: float, eps: float) -> "_GridScheme":
@@ -785,13 +790,14 @@ class _GridScheme:
         """The shape pass over every interior node and the boundary ring,
         and the spectra and w on one node per orbit.
 
-        The interior jet is the cap's plus the spread d's, as in _jet, on
-        all interior nodes, so the residual field at the representatives
-        equals the last Newton residual bit for bit, and at every other
-        node it checks the reduced solution on the full grid.  eigvalsh
-        runs on the orbit representatives of all nodes, interior and
-        boundary ring, and node_fold spreads their spectra and w, which
-        are therefore symmetric under the whole group bit for bit; at the
+        The interior jet is the cap's (cap_ring_jet, gathered to the
+        rings) plus the spread d's, as in _jet, on all interior nodes, so
+        the residual field at the representatives equals the last Newton
+        residual bit for bit, and at every other node it checks the
+        reduced solution on the full grid.  eigvalsh runs on the orbit
+        representatives of all nodes, interior and boundary ring, and
+        node_fold spreads their spectra and w, which are therefore
+        symmetric under the whole group bit for bit; at the
         representatives they are the full-grid pass's own.  Under the
         mirrors alone w is symmetric before the spread (Du flips by
         exact signs), so the spread moves it only under rotations, by an
@@ -799,7 +805,7 @@ class _GridScheme:
         geo = self.geo
         D = self._padded(d)
         U = self.cap_height + D
-        jet = np.concatenate([geo.chart_jet(self.cap_height)
+        jet = np.concatenate([self.cap_ring_jet[geo.jj[:geo.n_int] - 1]
                               + geo.chart_jet(D), geo.boundary_jet(U)])
         S_all, w_all, *_ = _shape(*geo.unpack(jet), geo.A, geo.Xcc)
         spectra = np.linalg.eigvalsh(S_all[geo.node_reps])[:, ::-1]

@@ -157,6 +157,17 @@ def test_curvature_bound_can_fail(ball_path, monkeypatch):
     assert all(w > -10.0 for w in rep.witnesses)
 
 
+def test_kappa_maxima_read_the_end_columns(ball_path, ell_field):
+    # sorted rows: max(kappa_1, -kappa_n) is max |kappa| to the bit, on a
+    # radial path and on a grid field
+    for f in [*ball_path, ell_field]:
+        amax = np.abs(f.spectra).max(axis=1)
+        near = audit._near_boundary(f)
+        interior, boundary = amax[~near].max(), amax[near].max()
+        assert audit._kappa_maxima(f) == (
+            interior, boundary, interior - audit.BOUND_C2 * boundary)
+
+
 def test_curvature_bound_single_field(ball_path):
     rep = audit.curvature_bound_check([ball_path[-1]])
     assert rep.drift is None
@@ -240,6 +251,27 @@ def test_rw_on_path_is_rw_on_solution_per_field(n):
         assert rep.ok
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_rw_min_k_on_path_is_the_k_search_of_rw_on_path(n, monkeypatch):
+    # the same samples, K and joint K, and no eigvalsh check
+    fields = _ball_path_at(n)
+    cfg = audit.AuditConfig()
+    reports = audit.rw_on_path(fields, cfg)
+
+    def no_check(M):
+        raise AssertionError("the K search ran the eigvalsh check")
+
+    monkeypatch.setattr(cones, "_certified_batch", no_check)
+    found = audit.rw_min_k_on_path(fields, cfg)
+    assert len(found) == len(reports)
+    for (idx, k, k_max), rep in zip(found, reports):
+        assert np.array_equal(idx, rep.indices)
+        assert np.array_equal(k, rep.min_k)
+        assert k_max == rep.min_k_max
+    assert audit.estimate_report(fields[-1], cfg).rw_min_k_max \
+        == reports[-1].min_k_max
+
+
 def test_rw_on_path_on_a_grid_path_and_an_uncertified_field():
     cfg = solver.SolveConfig(n=2, sigma_target=1.0,
                              mesh=solver.PolarGridMesh(12, 24))
@@ -260,10 +292,11 @@ def test_rw_on_path_on_a_grid_path_and_an_uncertified_field():
 
 
 def test_rw_on_path_holds_the_path_rule(two_radii):
-    with pytest.raises(AuditPreconditionError):
-        audit.rw_on_path([], audit.AuditConfig())
-    with pytest.raises(AuditPreconditionError):
-        audit.rw_on_path(two_radii, audit.AuditConfig())
+    for check in (audit.rw_on_path, audit.rw_min_k_on_path):
+        with pytest.raises(AuditPreconditionError):
+            check([], audit.AuditConfig())
+        with pytest.raises(AuditPreconditionError):
+            check(two_radii, audit.AuditConfig())
 
 
 # ---------------------------------------------------------------------------

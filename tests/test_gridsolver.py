@@ -667,6 +667,21 @@ def test_map_tensor_inverses_run_once_per_orbit(domain, mesh):
 
 
 @ORBIT_CASES
+@pytest.mark.parametrize("sigma,eps", [(1.0, 0.1), (0.05, 1e-4)])
+def test_cap_jet_is_one_ring_jet(domain, mesh, sigma, eps):
+    # the cap depends on s alone: the full-grid chart jet of its heights
+    # is, bit for bit, one node's jet per interior ring spread over it
+    scheme, _ = _small_scheme(domain, mesh, sigma, eps)
+    geo = scheme.geo
+    ring = geo.jj[:geo.n_int] - 1
+    assert scheme.cap_ring_jet.shape[0] == geo.J - 1
+    assert np.array_equal(geo.chart_jet(scheme.cap_height),
+                          scheme.cap_ring_jet[ring])
+    assert np.array_equal(geo.chart_jet(scheme.cap_height, geo.nbr_rep),
+                          scheme.cap_jet)
+
+
+@ORBIT_CASES
 def test_spectra_match_the_full_grid_pass(domain, mesh, monkeypatch):
     # the reported spectra and residual field against one shape pass on
     # every node with each node's own inv(Xc): the orbit spread moves

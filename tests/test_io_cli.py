@@ -283,6 +283,64 @@ def test_sweep_rows_and_determinism(tmp_path, monkeypatch):
     assert all(r[status_col] == "ok" for r in rows)
 
 
+SWEEP_BALL = ["sweep", "--domains", "ball", "--n", "3", "--sigmas",
+              "1.0,1.5", "--eps-schedule", "0.1,0.01", "--nodes", "51"]
+
+
+def test_sweep_runs_no_certification(tmp_path, monkeypatch):
+    # no sweep row reads a verdict: with the eigvalsh check broken the
+    # sweep exits 0 and writes the bytes of an unbroken run
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(SWEEP_BALL + ["--out-csv", "a.csv"]) == 0
+
+    def broken(M):
+        raise AssertionError("sweep ran the eigvalsh check")
+
+    monkeypatch.setattr(cones, "_certified_batch", broken)
+    assert cli.main(SWEEP_BALL + ["--out-csv", "b.csv"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_audit_still_certifies(tmp_path, monkeypatch):
+    # audit reads the verdict: a check that certifies nothing exits 5
+    monkeypatch.chdir(tmp_path)
+
+    def refuses(M):
+        return np.zeros(len(M), dtype=bool), np.full(len(M), -1.0)
+
+    monkeypatch.setattr(cones, "_certified_batch", refuses)
+    assert cli.main(["audit", "--domain", "ball", "--n", "3",
+                     "--sigma", "1.5", "--nodes", "51"]) == 5
+    rep = json.loads((tmp_path / "audit.json").read_text())
+    assert rep["ren_wang"]["certified_at_max"] is False
+    assert rep["ren_wang"]["ok"] is False and rep["ok"] is False
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sweep_rw_column_is_rw_on_solution(tmp_path, monkeypatch, n):
+    # each row's rw_minK_max is rw_on_solution's min_k_max on its field
+    monkeypatch.chdir(tmp_path)
+    paths = []
+    real = cli._solve
+
+    def recorded(*args):
+        paths.append(real(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(cli, "_solve", recorded)
+    assert cli.main(["sweep", "--domains", "ball", "--n", str(n),
+                     "--sigmas", str(0.5 * n), "--nodes", "101"]) == 0
+    (fields,) = paths
+    header, rows = _read_csv(tmp_path / "sweep.csv")
+    got = {float(r[header.index("eps")]): float(r[header.index("rw_minK_max")])
+           for r in rows}
+    assert len(got) == len(fields) == 4
+    cfg = audit.AuditConfig()
+    for f in fields:
+        assert got[f.convergence.eps_bdry] \
+            == audit.rw_on_solution(f, cfg).min_k_max
+
+
 def test_sweep_config_domains_take_the_sweep_dimension(tmp_path, monkeypatch):
     # a ball listed without its own n is built at the sweep's n, here 2
     monkeypatch.chdir(tmp_path)
