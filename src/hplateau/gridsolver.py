@@ -42,27 +42,30 @@ term depend on Du alone, which is linear in the first chart
 derivatives.  The solver does no complex arithmetic; the tests hold the
 closed forms to a complex step through _shape.
 
-Balls and ellipsoids are symmetric under the coordinate mirrors
-x_i -> -x_i, and balls and x3-aligned spheroids (semi_axes[0] ==
-semi_axes[1]) also under every rotation about x_n, whose grid images are
-the longitude rotations l -> l + k.  The discrete equation is equivariant
-under both: the stencils and the wraps commute with them, and the map
-tensors follow them up to rounding.  An equivariant map sends its
-fixed-point subspace into itself (Golubitsky, Stewart and Schaeffer 1988,
-vol. II), so Newton runs on the symmetric fields alone, with one unknown
-per orbit of the domain's full symmetry group.  Under the mirrors that
-is a quarter (n = 2) or an eighth (n = 3) of the interior nodes, 798 of
-5472 on the default n = 3 mesh and 799 of 3008 on the default n = 2 one;
-with the rotations it is one per ring (n = 2) or latitude ring pair
-m, M-1-m (n = 3), 47 and 114 unknowns on the same meshes.
+Each domain declares its symmetry group: the coordinate mirrors
+x_i -> -x_i that leave it invariant (DomainSpec.mirror_axes), and
+whether every rotation about x_n does (DomainSpec.rotates), whose grid
+images are the longitude rotations l -> l + k.  The discrete equation is
+equivariant under that group: the stencils and the wraps commute with
+it, and the map tensors follow it up to rounding.  An equivariant map
+sends its fixed-point subspace into itself (Golubitsky, Stewart and
+Schaeffer 1988, vol. II), so Newton runs on the symmetric fields alone,
+with one unknown per orbit of the declared group.  Under all n mirrors
+(balls and ellipsoids) that is a quarter (n = 2) or an eighth (n = 3)
+of the interior nodes, 798 of 5472 on the default n = 3 mesh and 799 of
+3008 on the default n = 2 one; with the rotations (balls and x3-aligned
+spheroids) it is one per ring (n = 2) or latitude ring pair m, M-1-m
+(n = 3), 47 and 114 unknowns on the same meshes.
 _GridGeometry picks the smallest flat index of each orbit as its
 representative (reps) and maps every interior node to its
 representative's position (fold); the residual, the guard and the
 Jacobian run on the representatives' rows, and the Jacobian's columns
-sum each orbit's stencil weights.  Star domains take the identity group,
-through the same code.  Only the shape pass of the reported fields runs
-on every node, so their residual field checks the reduced solution on
-the full grid, and solver._build_field holds it to residual_tol there.
+sum each orbit's stencil weights.  Star domains declare no symmetry and
+take the identity group, through the same code.  Only the shape pass of
+the reported fields runs on every node, so their residual field checks
+the reduced solution on the full grid, and solver._build_field holds it
+to residual_tol there: a declared symmetry that the domain lacks raises
+NewtonDivergenceError rather than shipping as converged.
 The two costly per-node pieces run once per orbit of all nodes,
 interior and boundary ring: the spectra's eigvalsh, spread
 through node_fold as u is (and w with them), so they are symmetric under
@@ -100,17 +103,17 @@ scheme interface of solver._solve_path, the continuation driver the
 radial solver uses as well (sigma walk, split legs, eps descent):
 at(sigma, eps), cap, n_int, evaluate(d), jacobian_step(d, data, F),
 newton(d, params) and field_parts(d).  Every path starts on its cap
-family, the umbilic cap of the domain's inscribed-radius ball (the
-smallest radius, semi-axis or star sample) composed with s, and the
-unknowns d are the deviation of the interior heights from that cap at
-the representatives: the heights are u = cap + d[fold], the cap's
-chart jet is computed once per scheme, and the jet of u is
-the cap's jet plus the jet of the spread d with a zero boundary ring
-(chart_jet is linear).  The discrete equation is the same as in the
-heights, but one ulp of d, not one ulp of u, now sets the rounding
-floor of the residual: 1/h^2 times an ulp of u ~ 1 put that floor near
-the 1e-10 residual tolerance on the default meshes.  The scheme's cap
-is d = 0, so _leg's transport along the cap family keeps d as it is.
+family, the umbilic cap of the ball of DomainSpec.inscribed_radius
+composed with s, and the unknowns d are the deviation of the interior
+heights from that cap at the representatives: the heights are
+u = cap + d[fold], the cap's chart jet is computed once per scheme, and
+the jet of u is the cap's jet plus the jet of the spread d with a zero
+boundary ring (chart_jet is linear).  The discrete equation is the same
+as in the heights, but one ulp of d, not one ulp of u, now sets the
+rounding floor of the residual: 1/h^2 times an ulp of u ~ 1 put that
+floor near the 1e-10 residual tolerance on the default meshes.  The
+scheme's cap is d = 0, so _leg's transport along the cap family keeps d
+as it is.
 evaluate(d) is the iterate's one shape pass over the representatives,
 returned as the residual, the verdict that u > 0 and the nodes lie in
 the cone, and the data the Jacobian reads; the scheme stores nothing of
@@ -143,9 +146,10 @@ __all__ = ["solve_graph", "solve_graph_path"]
 #: solve of a path, built in the natural ordering.  At 1e-2 one ILU,
 #: built on the path's first leg, solves every system of the path in 14
 #: to 18 inner iterations on the default n = 3 mesh (the (1.3, 1, 1)
-#: ellipsoid at sigma = 1.5, eps 0.1 down to 1e-4, 798 unknowns).  There
-#: it holds 16k entries and takes 5 ms to build, against 0.10M entries
-#: and 9 ms for a full sparse LU (SuperLU, COLAMD ordering).
+#: ellipsoid at sigma = 1.5, eps 0.1 down to 1e-4, 798 unknowns).  On
+#: the path's first Jacobian (12 400 nonzeros) it holds 15 804 entries
+#: and builds in 2.7 ms, against 99 819 entries and 5.0 ms for a full
+#: splu (COLAMD): best of 20, one BLAS thread, 2-core x86-64 host.
 ILU_DROP_TOL = 1.0e-2
 
 #: Forcing term of the inexact Newton step: GMRES stops once
@@ -189,18 +193,6 @@ def _jet_pairs(n: int) -> list:
     """(a, b) index pairs of the second chart derivatives, in jet order."""
     return [(a, a) for a in range(n)] + \
         list(itertools.combinations(range(n), 2))
-
-
-def _rotates(domain: DomainSpec) -> bool:
-    """Whether the domain is invariant under every rotation about the
-    grid's polar axis, so that the longitude rotations l -> l + k join
-    its mirror group: balls, and ellipsoids with semi_axes[0] ==
-    semi_axes[1] exactly (x3-aligned spheroids for n = 3, circles for
-    n = 2).  Every other domain keeps the mirror group alone."""
-    if domain.kind == "ball":
-        return True
-    return domain.kind == "ellipsoid" \
-        and domain.semi_axes[0] == domain.semi_axes[1]
 
 
 class _GridGeometry:
@@ -344,46 +336,30 @@ class _GridGeometry:
 
     # -- symmetry orbits -----------------------------------------------------
 
-    def _mirror_images(self) -> np.ndarray:
-        """Flat index of each node's image under every element of the
-        domain's mirror group, one row per element.
+    def _mirror_group(self):
+        """(images, chart, cart) of the declared mirror group, one row per
+        element: the flat index of each node's image, and the +-1 factor
+        on every chart coordinate (s, angles) and every Cartesian one.
 
-        Balls and ellipsoids are symmetric under each x_i -> -x_i, which
-        on the grid are l -> -l (x_2), l -> L/2 - l (x_1) and, for n = 3,
-        m -> M-1-m (x_n): a group of order 4 (n = 2) or 8 (n = 3), whose
-        rows repeat for n = 2, where M = 1.  Star domains take the
-        identity alone.  The longitude rotations that _rotates adds for
-        some domains are not listed: _build_orbits sets their orbits in
-        closed form, and the map tensors need the mirrors alone.
+        Of the 2^n axis mirrors (x_1: l -> L/2 - l, x_2: l -> -l and, for
+        n = 3, x_n: m -> M-1-m; phi flips with x_1 x_2, theta with x_n)
+        it keeps those that flip only domain.mirror_axes: a subgroup
+        holding the identity, the first row.  The longitude rotations are
+        not listed: _build_orbits sets their orbits in closed form, and
+        the map tensors need the mirrors alone.
         """
-        if self.domain.kind not in ("ball", "ellipsoid"):
-            return np.arange(self.n_all)[None]
-        M, L = self.M, self.L
-        ring = (self.jj - 1) * M * L
-        lon = [self.ll, -self.ll % L, (L // 2 - self.ll) % L,
-               (self.ll + L // 2) % L]
-        return np.stack([ring + m * L + ll for m in (self.mm, M - 1 - self.mm)
-                         for ll in lon])
-
-    def _mirror_signs(self):
-        """(chart, cart): the +-1 factor each element of _mirror_images
-        puts on every chart coordinate (s, angles) and every Cartesian
-        one, one row per element in the same order.
-
-        phi flips under l -> -l and l -> L/2 - l, theta under the
-        latitude flip; x_1 flips under l -> L/2 - l and l -> l + L/2, x_2
-        under l -> -l and l -> l + L/2, x_3 under the latitude flip.
-        """
-        if self.domain.kind not in ("ball", "ellipsoid"):
-            return np.ones((1, self.n)), np.ones((1, self.n))
-        phi, x1, x2 = [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]
-        if self.n == 2:
-            chart = [[1, p] for p in phi] * 2
-            cart = [[a, b] for a, b in zip(x1, x2)] * 2
-        else:
-            chart = [[1, t, p] for t in (1, -1) for p in phi]
-            cart = [[a, b, t] for t in (1, -1) for a, b in zip(x1, x2)]
-        return np.array(chart, dtype=float), np.array(cart, dtype=float)
+        n, M, L = self.n, self.M, self.L
+        images, chart, cart = [], [], []
+        for t, a, b in itertools.product((1, -1)[:n - 1], (1, -1), (1, -1)):
+            mm = self.mm if t > 0 else M - 1 - self.mm
+            ll = (a * b * self.ll + (a < 0) * (L // 2)) % L
+            images.append(((self.jj - 1) * M + mm) * L + ll)
+            chart.append((1, t, a * b) if n == 3 else (1, a * b))
+            cart.append((a, b, t)[:n])
+        chart, cart = np.array(chart, dtype=float), np.array(cart, dtype=float)
+        declared = np.isin(np.arange(n), self.domain.mirror_axes)
+        keep = ((cart > 0) | declared).all(axis=1)
+        return np.stack(images)[keep], chart[keep], cart[keep]
 
     def _build_orbits(self):
         """The symmetry group's orbits over all nodes, the unknowns among
@@ -393,8 +369,8 @@ class _GridGeometry:
         node_reps holds the smallest flat index of each orbit, ascending,
         and node_fold[i] the position in node_reps of node i's
         representative, so x[node_fold] spreads one value per orbit onto
-        every node.  The group is the mirror group (_mirror_images), plus
-        the longitude rotations l -> l + k when _rotates(domain) holds.
+        every node.  The group is the mirror group (_mirror_group), plus
+        the longitude rotations l -> l + k when domain.rotates holds.
         There the orbit of (j, m, l) is the ring pair {(j, m', l'): m' in
         {m, M-1-m}}, whose representative (j-1) M L + min(m, M-1-m) L is
         set in closed form rather than by stacking L more image rows.
@@ -409,7 +385,7 @@ class _GridGeometry:
         +-1 factors, a rotation does not.  Each mirror is an involution,
         so the first one that sends node i to its mirror representative
         also sends the representative to i: chart_sign and cart_sign hold
-        its _mirror_signs rows, all +1 at the mirror representatives.
+        its rows of signs, all +1 at the mirror representatives.
         Every representative of the full group (l = 0) is its own mirror
         representative.  nbr is sliced to the reps' columns once.  The
         reduced Jacobian is J_full[reps] @ P with P[i, fold[i]] = 1: its
@@ -420,14 +396,13 @@ class _GridGeometry:
         """
         ni, M, L = self.n_int, self.M, self.L
         index = np.arange(self.n_all)
-        images = self._mirror_images()
+        images, chart, cart = self._mirror_group()
         mirror_min = images.min(axis=0)
         self.mirror_reps = np.flatnonzero(mirror_min == index)
         self.mirror_fold = np.searchsorted(self.mirror_reps, mirror_min)
         element = (images == mirror_min).argmax(axis=0)
-        chart, cart = self._mirror_signs()
         self.chart_sign, self.cart_sign = chart[element], cart[element]
-        if _rotates(self.domain):
+        if self.domain.rotates:
             orbit_min = (self.jj - 1) * M * L \
                 + np.minimum(self.mm, M - 1 - self.mm) * L
             self.node_reps = np.flatnonzero(orbit_min == index)
@@ -673,15 +648,10 @@ class _GridScheme:
 
     The unknowns d are the deviation of the interior heights from the
     cap at the representative nodes geo.reps, one per orbit of the
-    domain's symmetry group (mirrors, and rotations where _rotates); every
-    interior node takes its representative's value, d[geo.fold].  The
-    cap is the umbilic cap of the inscribed-radius ball at (sigma,
-    eps_bdry) composed with s: R is the radius, the smallest semi-axis
-    or the smallest star sample, so the exact cap on a ball.  The mean
-    of those puts the start of an elongated domain outside the cone at
-    small sigma: on the default meshes it sent the sigma 0.05 paths of
-    the probed ellipses and ellipsoids on a sigma walk, and the (3, 1)
-    ellipse's at sigma <= 1 out of the cone at n/2 as well.  cap_height
+    group the domain declares (mirror_axes, and the rotations where it
+    rotates); every interior node takes its representative's value,
+    d[geo.fold].  The cap is the umbilic cap at (sigma, eps_bdry) of the
+    ball of the domain's inscribed_radius R, composed with s.  cap_height
     is the cap on every node, cap_ring_jet its chart jet on one node per
     interior ring (the jet of every node of that ring, bit for bit) and
     cap_jet that jet at the representatives, all computed once; the
@@ -695,8 +665,8 @@ class _GridScheme:
         self.sigma = sigma
         self.eps_bdry = float(eps_bdry)
         self.n_int = geo.n_int
-        dom = self.domain = geo.domain
-        R = float(np.min(dom.radius or dom.semi_axes or dom.star_samples))
+        self.domain = geo.domain
+        R = self.domain.inscribed_radius
         self.cap_height = np.full(geo.n_all, self.eps_bdry)
         self.cap_height[:geo.n_int] = exact_cap(
             geo.n, sigma, R, eps_bdry).height(R * geo.s_node[:geo.n_int])

@@ -1,5 +1,6 @@
 """Domain support maps and their angle jets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -192,3 +193,119 @@ def test_config_round_trips_and_aliases():
             {"kind": "star_shaped", "params": {"n": 3, "samples": [1.0] * 12}})
     with pytest.raises(ValueError):
         domains.domain_from_config({"kind": "torus", "params": {}})
+
+
+# ---------------------------------------------------------------------------
+# the symmetry each domain declares to the grid solver
+# ---------------------------------------------------------------------------
+
+BALL3 = domains.make_ball(3, 1.0)
+ELL = domains.make_ellipsoid((1.3, 1.0, 1.0))
+SPHEROID = domains.make_ellipsoid((1.0, 1.0, 1.3))
+STAR = domains.make_star2d(
+    1.0 + 0.08 * np.cos(3 * np.linspace(0, 2 * math.pi, 16, endpoint=False)))
+CI_STAR = domains.make_star2d([1.0, 1.08, 1.0, 0.94] * 2)
+
+CONTRACT = pytest.mark.parametrize("domain", [
+    domains.make_ball(2, 0.7), BALL3, domains.make_ellipsoid((1.3, 1.0)),
+    domains.make_ellipsoid((1.0, 1.0)), ELL, SPHEROID,
+    domains.make_ellipsoid((1.3, 1.0, 0.8)), CI_STAR],
+    ids=["ball2", "ball3", "ellipse", "circle", "ellipsoid", "spheroid",
+         "triaxial", "star"])
+
+
+def _random_directions(n, k=200, seed=0):
+    """Angles (k, n - 1) in the omega_jet chart and their unit vectors."""
+    rng = np.random.default_rng(seed)
+    angles = np.column_stack([rng.uniform(0.0, math.pi, (k, n - 2)),
+                              rng.uniform(0.0, 2 * math.pi, k)])
+    return angles, domains.omega_jet(angles)[0]
+
+
+def _mirrored_angles(angles, axis):
+    """The chart angles of the directions mirrored in x_axis: phi -> pi -
+    phi (x_1), phi -> -phi (x_2), theta -> pi - theta (x_3 for n = 3)."""
+    out = angles.copy()
+    if axis == 2:
+        out[:, 0] = math.pi - out[:, 0]
+    elif axis == 1:
+        out[:, -1] = -out[:, -1]
+    else:
+        out[:, -1] = math.pi - out[:, -1]
+    return out
+
+
+def _support(domain, omegas):
+    return np.array([domain.support(w) for w in omegas])
+
+
+@CONTRACT
+def test_rho_is_invariant_under_every_declared_mirror(domain):
+    # support takes the mirrored unit vector itself, so rho keeps every
+    # bit.  rho_jet takes chart angles: phi -> -phi is exact there, while
+    # pi - phi and pi - theta round pi, so those images keep rho to a
+    # few ulps.  Every undeclared mirror moves rho far beyond rounding:
+    # the CI star has none
+    angles, omegas = _random_directions(domain.n)
+    rho, support = domain.rho_jet(angles)[0], _support(domain, omegas)
+    for axis in range(domain.n):
+        flipped = omegas.copy()
+        flipped[:, axis] *= -1.0
+        if axis not in domain.mirror_axes:
+            assert np.abs(_support(domain, flipped) - support).max() > 1e-3
+            continue
+        assert np.array_equal(_support(domain, flipped), support)
+        image = domain.rho_jet(_mirrored_angles(angles, axis))[0]
+        ulps = 0 if axis == 1 else 4
+        assert (np.abs(image - rho) <= ulps * np.spacing(rho)).all()
+
+
+@CONTRACT
+def test_rho_is_invariant_under_rotations_where_declared(domain):
+    angles, omegas = _random_directions(domain.n, seed=1)
+    alpha = np.random.default_rng(2).uniform(0.0, 2 * math.pi)
+    c, s = math.cos(alpha), math.sin(alpha)
+    turned = omegas.copy()
+    turned[:, 0] = c * omegas[:, 0] - s * omegas[:, 1]
+    turned[:, 1] = s * omegas[:, 0] + c * omegas[:, 1]
+    shifted = angles.copy()
+    shifted[:, -1] += alpha
+    rho, support = domain.rho_jet(angles)[0], _support(domain, omegas)
+    moved = [np.abs(domain.rho_jet(shifted)[0] - rho) / np.spacing(rho),
+             np.abs(_support(domain, turned) - support) / np.spacing(support)]
+    if domain.rotates:
+        assert max(m.max() for m in moved) <= 8
+    else:
+        assert min(m.max() for m in moved) > 1e6
+
+
+@CONTRACT
+def test_rotations_bring_the_polar_mirror(domain):
+    # _build_orbits' closed-form ring-pair orbit {m, M-1-m} needs the
+    # x_n mirror beside the rotations about x_n
+    assert not domain.rotates or domain.n - 1 in domain.mirror_axes
+
+
+def test_only_balls_and_polar_spheroids_rotate():
+    # exact equality of the two semi-axes in the x1-x2 plane
+    assert BALL3.rotates
+    assert domains.make_ball(2, 1.0).rotates
+    assert SPHEROID.rotates
+    assert domains.make_ellipsoid((1.0, 1.0)).rotates
+    for domain in (ELL, domains.make_ellipsoid((1.0, 1.3, 1.0)),
+                   domains.make_ellipsoid((1.0, 1.0 + 1e-15, 1.3)),
+                   domains.make_ellipsoid((1.3, 1.0)), STAR):
+        assert not domain.rotates
+
+
+def test_declarations_are_derived_not_fields():
+    # mirror_axes, rotates and inscribed_radius follow from the fields;
+    # none of them can be set
+    assert [f.name for f in dataclasses.fields(domains.DomainSpec)] == \
+        ["kind", "n", "radius", "semi_axes", "star_samples"]
+    assert BALL3.mirror_axes == (0, 1, 2) and CI_STAR.mirror_axes == ()
+    assert domains.make_ball(2, 0.7).inscribed_radius == 0.7
+    assert ELL.inscribed_radius == 1.0
+    assert CI_STAR.inscribed_radius == 0.94
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BALL3.rotates = False

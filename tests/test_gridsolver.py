@@ -522,28 +522,16 @@ def test_one_unknown_per_mirror_orbit(domain, mesh, unknowns):
     assert geo.reps.size == unknowns
     assert np.array_equal(geo.fold[geo.reps], np.arange(geo.reps.size))
     assert (geo.reps[geo.fold] <= np.arange(geo.n_int)).all()
-    if gridsolver._rotates(domain):
+    if domain.rotates:
         m = np.minimum(geo.mm, geo.M - 1 - geo.mm)
         ring_pair = (geo.jj - 1) * geo.M * geo.L + m * geo.L
         assert np.array_equal(geo.node_reps[geo.node_fold], ring_pair)
         assert np.isin(geo.node_reps, geo.mirror_reps).all()
     else:
         assert geo.node_reps is geo.mirror_reps
-    if domain.kind == "star":
+    if not domain.mirror_axes:
         assert geo.reps.size == geo.n_int
         assert np.array_equal(geo.fold, np.arange(geo.n_int))
-
-
-def test_only_balls_and_polar_spheroids_rotate():
-    # exact equality of the two semi-axes in the x1-x2 plane
-    assert gridsolver._rotates(BALL3)
-    assert gridsolver._rotates(domains.make_ball(2, 1.0))
-    assert gridsolver._rotates(SPHEROID)
-    assert gridsolver._rotates(domains.make_ellipsoid((1.0, 1.0)))
-    for domain in (ELL, domains.make_ellipsoid((1.0, 1.3, 1.0)),
-                   domains.make_ellipsoid((1.0, 1.0 + 1e-15, 1.3)),
-                   domains.make_ellipsoid((1.3, 1.0)), STAR):
-        assert not gridsolver._rotates(domain)
 
 
 def _mirror_perms(nodes):
@@ -611,7 +599,7 @@ def test_rotations_match_the_mirror_only_solve(sigma, monkeypatch):
     cfg = solver.SolveConfig(n=3, sigma_target=sigma, mesh=mesh)
     ring = gridsolver.solve_graph_path(cfg, SPHEROID)
     with monkeypatch.context() as mp:
-        mp.setattr(gridsolver, "_rotates", lambda domain: False)
+        mp.setattr(domains.DomainSpec, "rotates", False)
         mirror = gridsolver.solve_graph_path(cfg, SPHEROID)
     assert ring[0].meta["unknowns"] == 9 * 4
     assert mirror[0].meta["unknowns"] == 9 * 4 * 5
@@ -661,7 +649,7 @@ def test_map_tensor_inverses_run_once_per_orbit(domain, mesh):
                           signs * geo.A[geo.mirror_reps][geo.mirror_fold])
     scale = np.abs(inv).max(axis=(1, 2))[:, None, None]
     assert (np.abs(geo.A - inv) / scale).max() <= 1e-14
-    if domain.kind == "star":
+    if not domain.mirror_axes:
         assert np.array_equal(geo.mirror_reps, np.arange(geo.n_all))
         assert np.array_equal(geo.A, inv)
 
@@ -700,7 +688,7 @@ def test_spectra_match_the_full_grid_pass(domain, mesh, monkeypatch):
                           geo.boundary_jet(U)])
     S = gridsolver._shape(*geo.unpack(jet), np.linalg.inv(_map_jacobians(geo)),
                           geo.Xcc)[0]
-    tol = 0.0 if domain.kind == "star" else 1e-13
+    tol = 0.0 if not domain.mirror_axes else 1e-13
     assert np.abs(f.spectra - np.linalg.eigvalsh(S)[:, ::-1]).max() <= tol
     assert np.abs(f.residual_field
                   - (gridsolver._sigma(S) - sigma)).max() <= tol
@@ -944,12 +932,21 @@ def test_elongated_ellipse_solves_at_small_sigma():
 
 def test_a_wrong_symmetry_group_is_not_reported_converged(monkeypatch):
     # the x1-aligned (1.3, 1, 1) ellipsoid has no rotation symmetry about
-    # x3: solved on ring pairs, Newton converges on the representatives
-    # while the residual field elsewhere reads 0.32, so no field is built
-    monkeypatch.setattr(gridsolver, "_rotates", lambda domain: True)
-    with pytest.raises(NewtonDivergenceError, match="residual field"):
-        gridsolver.solve_graph_path(solver.SolveConfig(n=3, sigma_target=1.5),
-                                    domains.make_ellipsoid((1.3, 1.0, 1.0)))
+    # x3, and no single mirror preserves the CI star: solved on the wrong
+    # orbits, Newton converges on the representatives while the residual
+    # field elsewhere reads 0.32 (ellipsoid) or 0.26 (star), so no field
+    # is built
+    cases = [("rotates", True, domains.make_ellipsoid((1.3, 1.0, 1.0)),
+              solver.SolveConfig(n=3, sigma_target=1.5)),
+             ("mirror_axes", (0, 1),
+              domains.make_star2d([1.0, 1.08, 1.0, 0.94] * 2),
+              solver.SolveConfig(n=2, sigma_target=1.2,
+                                 mesh=solver.PolarGridMesh(8, 16)))]
+    for declaration, value, domain, config in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(domains.DomainSpec, declaration, value)
+            with pytest.raises(NewtonDivergenceError, match="residual field"):
+                gridsolver.solve_graph_path(config, domain)
 
 
 def _recorded_legs(monkeypatch):
