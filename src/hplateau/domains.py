@@ -51,32 +51,36 @@ def _omega_phases(n: int) -> np.ndarray:
                       [[0] + [-1] * (n - 2)]])
 
 
+def _omega_product(angles, orders) -> np.ndarray:
+    """omega at angles (k, n - 1), differentiated orders[i, a] times in
+    angle a for each row i of orders: (k, len(orders), n).  Every
+    component is a product of cos and sin factors, one per angle, and
+    d/dt walks each factor along the cycle cos -> -sin -> -cos -> sin ->
+    cos; a row reads its own factors alone, so its bits do not depend on
+    the other rows asked for."""
+    t = np.asarray(angles, dtype=float)
+    d = t.shape[1]
+    phase = _omega_phases(d + 1)
+    cycle = np.stack([np.cos(t), -np.sin(t), -np.cos(t), np.sin(t)])
+    f = cycle[(phase + orders[:, None, :]) % 4, :, np.arange(d)]
+    f = np.where(phase[:, :, None] >= 0, f, (orders == 0)[:, None, :, None])
+    return f.prod(axis=2).transpose(2, 0, 1)
+
+
 def omega_jet(angles):
     """Unit directions with their first and second angle derivatives.
 
     angles has shape (k, n - 1); returns w (k, n), dw (k, n - 1, n) with
     dw[:, a] = dw/dt_a, and ddw (k, n - 1, n - 1, n), exactly symmetric
-    in its two angle axes.  Every component is a product of cos and sin
-    factors, one per angle, and d/dt walks each factor along the cycle
-    cos -> -sin -> -cos -> sin -> cos, so all three come from one
-    product over the angles at derivative orders 0, e_a and e_a + e_b.
+    in its two angle axes: one _omega_product at derivative orders 0,
+    e_a and e_a + e_b.
     """
-    t = np.asarray(angles, dtype=float)
-    k, d = t.shape
-    phase = _omega_phases(d + 1)
-    cycle = np.stack([np.cos(t), -np.sin(t), -np.cos(t), np.sin(t)])
+    k, d = np.shape(angles)
     eye = np.eye(d, dtype=int)
-
-    def product(orders):
-        # (k, len(orders), n): each component differentiated orders[i] times
-        f = cycle[(phase + orders[:, None, :]) % 4, :, np.arange(d)]
-        f = np.where(phase[:, :, None] >= 0, f, (orders == 0)[:, None, :, None])
-        return f.prod(axis=2).transpose(2, 0, 1)
-
-    w = product(np.zeros((1, d), dtype=int))[:, 0]
-    dw = product(eye)
-    ddw = product((eye[:, None] + eye[None]).reshape(-1, d)).reshape(k, d, d, -1)
-    return w, dw, ddw
+    jet = _omega_product(angles, np.vstack(
+        [np.zeros((1, d), dtype=int), eye,
+         (eye[:, None] + eye[None]).reshape(-1, d)]))
+    return jet[:, 0], jet[:, 1:d + 1], jet[:, d + 1:].reshape(k, d, d, -1)
 
 
 @dataclass(frozen=True)
@@ -182,15 +186,17 @@ class DomainSpec:
         # on x^T M x = 1 the shape operator is P M P / |Mx| on the tangent
         # space (P projects out the normal N = Mx / |Mx|), so its mean
         # eigenvalue is (tr M - N^T M N) / ((n - 1) |Mx|)
+        # the directions alone: omega_jet's derivatives would go unread
         if self.n == 2:
-            w = omega_jet(np.linspace(0.0, 2.0 * math.pi, 720,
-                                      endpoint=False)[:, None])[0]
+            angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)[:, None]
         else:
             grid = np.meshgrid(np.linspace(0.05, math.pi - 0.05, 60),
                                np.linspace(0.0, 2.0 * math.pi, 120, endpoint=False),
                                indexing="ij")
-            w = np.vstack([omega_jet(np.stack(grid, axis=-1).reshape(-1, 2))[0],
-                           [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+            angles = np.stack(grid, axis=-1).reshape(-1, 2)
+        w = _omega_product(angles, np.zeros((1, self.n - 1), dtype=int))[:, 0]
+        if self.n == 3:
+            w = np.vstack([w, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
         M = 1.0 / np.asarray(self.semi_axes, dtype=float) ** 2
         Mx = M * w / np.sqrt(((M * w) * w).sum(axis=1))[:, None]
         norm = np.linalg.norm(Mx, axis=1)

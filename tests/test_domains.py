@@ -1,6 +1,7 @@
 """Domain support maps and their angle jets."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -152,6 +153,24 @@ def test_mean_curvature_floor_triaxial_ellipsoid():
     for w in np.vstack([np.eye(3), rng.standard_normal((8, 3))]):
         w /= np.linalg.norm(w)
         assert screen <= _projected_hessian_mean(axes, w) + 1e-12
+
+
+@pytest.mark.parametrize("axes,value", [
+    ((1.3, 1.0, 1.0), 0.7958579881656803),
+    ((2.0, 1.0, 1.0), 0.6249999999999999),
+    ((3.0, 1.0, 1.0), 0.5555555555555555),
+    ((1.0, 1.0, 1.3), 0.7959693755788768),
+    ((1.3, 1.0), 0.5917159763313609),
+    ((3.0, 1.0), 0.11111111111111116),
+    ((1.3, 1.0, 0.8), 0.6366863905325444)])
+def test_mean_curvature_floor_reads_directions_only(axes, value, monkeypatch):
+    # the screen forms the sampled directions and none of their angle
+    # derivatives, with the bits it had when it took them from omega_jet;
+    # it stays a cached_property of DomainSpec, as hpbench's tracer reads
+    assert isinstance(domains.DomainSpec.__dict__["boundary_mean_curvature_min"],
+                      functools.cached_property)
+    monkeypatch.setattr(domains, "omega_jet", None)
+    assert domains.make_ellipsoid(axes).boundary_mean_curvature_min == value
 
 
 def test_wavy_star_can_lose_convexity():

@@ -169,6 +169,7 @@ def test_cli_small_sigma_ellipsoid(tmp_path, monkeypatch):
 
 STAR = domains.make_star2d(
     1.0 + 0.08 * np.cos(3 * np.linspace(0, 2 * math.pi, 16, endpoint=False)))
+SPHEROID = domains.make_ellipsoid((1.0, 1.0, 1.3))
 
 
 def _small_scheme(domain, mesh, sigma, eps=0.1):
@@ -247,7 +248,14 @@ def eps4_jet(request):
     field = gridsolver.solve_graph_path(cfg, domain)[-1]
     geo = gridsolver._GridGeometry(domain, mesh)
     return geo, np.concatenate([geo.chart_jet(field.u),
-                                geo.boundary_jet(field.u)])
+                                geo.boundary_jet(field.u)], axis=1)
+
+
+def _axcc(geo):
+    """A @ Xcc.reshape(n, n * n) at every node, as geo.AXcc_rep at the
+    representatives."""
+    n = geo.n
+    return gridsolver._mul(geo.A, geo.Xcc.reshape(n, n * n, -1))
 
 
 def test_closed_form_slots_are_the_complex_step(eps4_jet):
@@ -256,20 +264,75 @@ def test_closed_form_slots_are_the_complex_step(eps4_jet):
     # <G, Q> from (S - I/w)/u instead cancels on the boundary ring and
     # fails this
     geo, jet = eps4_jet
-    assert jet[:, 0].min() == pytest.approx(1e-4)
+    assert jet[0].min() == pytest.approx(1e-4)
     u, p, P = geo.unpack(jet)
-    AXcc = geo.A @ geo.Xcc.reshape(-1, geo.n, geo.n * geo.n)
     dF = gridsolver._jet_gradient(
-        u, P, geo.A, AXcc, gridsolver._shape(u, p, P, geo.A, geo.Xcc))
-    assert dF.shape[1] == 1 + geo.n + len(gridsolver._jet_pairs(geo.n))
-    scale = np.abs(dF).max(axis=1)
+        u, P, geo.A, _axcc(geo), gridsolver._shape(u, p, P, geo.A, geo.Xcc))
+    assert dF.shape[0] == 1 + geo.n + len(gridsolver._jet_pairs(geo.n))
+    scale = np.abs(dF).max(axis=0)
     cjet = jet.astype(complex)
-    for k in range(jet.shape[1]):
-        cjet[:, k] += 1e-20j
+    for k in range(jet.shape[0]):
+        cjet[k] += 1e-20j
         S = gridsolver._shape(*geo.unpack(cjet), geo.A, geo.Xcc)[0]
-        cjet[:, k] -= 1e-20j
+        cjet[k] -= 1e-20j
         cs = gridsolver._sigma(S).imag * 1e20
-        assert (np.abs(dF[:, k] - cs) <= 1e-13 * scale).all(), k
+        assert (np.abs(dF[k] - cs) <= 1e-13 * scale).all(), k
+
+
+def _reference_shape(u, p, P, A, Xcc):
+    """(S, dF) of _shape and _jet_gradient at one node, written out with
+    2-D @ on that node's (n, n) blocks."""
+    n = p.size
+    eye = np.eye(n)
+    Du = p @ A
+    C = (Du @ Xcc.reshape(n, n * n)).reshape(n, n)
+    w = math.sqrt(1.0 + Du @ Du)
+    c = 1.0 / (w * (w + 1.0))
+    B = A @ (eye - c * np.outer(Du, Du))
+    Q = B.T @ (P - C) @ B
+    S = u / w * Q + eye / w
+    G = eye if n == 2 else np.trace(S) * eye - S
+    BGB = u / w * (B @ G @ B.T)
+    GQ = (G * Q).sum()
+    slots = [BGB[a, b] if a == b else BGB[a, b] + BGB[b, a]
+             for a, b in gridsolver._jet_pairs(n)]
+    dw = A @ Du / w
+    dc = -(2.0 * w + 1.0) * c ** 2 * dw
+    Y = A.T @ (P - C) @ B @ G
+    dGhalf_Y = -dc * (Du @ Y @ Du) - c * (A @ ((Y + Y.T) @ Du))
+    BGB_dC = (A @ Xcc.reshape(n, n * n)) @ BGB.ravel()
+    dp = -(dw / w ** 2) * (u * GQ + np.trace(G)) + 2.0 * u / w * dGhalf_Y \
+        - BGB_dC
+    return S, np.concatenate([[GQ / w], dp, slots])
+
+
+@pytest.mark.parametrize("domain,mesh", [
+    (ELL, solver.SphericalGridMesh(8, 6, 12)),
+    (SPHEROID, solver.SphericalGridMesh(8, 6, 12)),
+    (STAR, solver.PolarGridMesh(12, 16)),
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(12, 16))],
+    ids=["ellipsoid3", "spheroid3", "star", "ball2"])
+def test_node_last_kernels_match_a_per_node_loop(domain, mesh):
+    # the broadcast contractions over (component, node) arrays against
+    # plain 2-D products node by node, on every node of a non-solution
+    # (the boundary ring included): a transposed block or a contraction
+    # over the wrong axis misses by O(1)
+    scheme, _ = _small_scheme(domain, mesh, 1.0)
+    geo = scheme.geo
+    x = geo.xyz[geo.reps]
+    d = _cap_heights(scheme) * 0.05 * np.cos(3.0 * x[:, 0]) \
+        * np.cos(2.0 * x[:, 1])
+    U = scheme.full_height(d)
+    jet = np.concatenate([geo.chart_jet(U), geo.boundary_jet(U)], axis=1)
+    u, p, P = geo.unpack(jet)
+    shape = gridsolver._shape(u, p, P, geo.A, geo.Xcc)
+    dF = gridsolver._jet_gradient(u, P, geo.A, _axcc(geo), shape)
+    for i in range(geo.n_all):
+        S_i, dF_i = _reference_shape(u[i], p[:, i], P[..., i], geo.A[..., i],
+                                     geo.Xcc[..., i])
+        assert np.abs(shape[0][..., i] - S_i).max() \
+            <= 1e-13 * np.abs(S_i).max(), i
+        assert np.abs(dF[:, i] - dF_i).max() <= 1e-13 * np.abs(dF_i).max(), i
 
 
 @pytest.fixture
@@ -502,9 +565,6 @@ def test_step_fails_typed_when_a_fresh_ilu_misses(ell_iterate, monkeypatch):
 # one unknown per orbit of the mirrors and, for some domains, rotations
 # ---------------------------------------------------------------------------
 
-SPHEROID = domains.make_ellipsoid((1.0, 1.0, 1.3))
-
-
 @pytest.mark.parametrize("domain,mesh,unknowns", [
     (ELL, solver.SphericalGridMesh(), 19 * 6 * 7),
     (domains.make_ball(2, 1.0), solver.PolarGridMesh(), 47),
@@ -624,6 +684,12 @@ def _map_jacobians(geo):
          geo.s_node[:, None, None] * q_a[direction].swapaxes(1, 2)], axis=2)
 
 
+def _inverse_map_jacobians(geo):
+    """inv(Xc) of _map_jacobians on every node, node axis last like
+    geo.A."""
+    return np.moveaxis(np.linalg.inv(_map_jacobians(geo)), 0, -1)
+
+
 ORBIT_CASES = pytest.mark.parametrize("domain,mesh", [
     (ELL, solver.SphericalGridMesh(10, 8, 16)),
     (domains.make_ellipsoid((1.3, 1.0)), solver.PolarGridMesh(12, 16)),
@@ -641,13 +707,13 @@ def test_map_tensor_inverses_run_once_per_orbit(domain, mesh):
     # |A|); on a ball or a spheroid the unknowns' orbits are the larger
     # ring pairs, and the tensors still follow the mirror orbits
     geo = gridsolver._GridGeometry(domain, mesh)
-    inv = np.linalg.inv(_map_jacobians(geo))
-    assert np.array_equal(geo.A_rep, inv[geo.reps])
-    signs = geo.chart_sign[:, :, None] * geo.cart_sign[:, None, :]
+    inv = _inverse_map_jacobians(geo)
+    assert np.array_equal(geo.A_rep, inv[..., geo.reps])
+    signs = geo.chart_sign[:, None] * geo.cart_sign[None]
     assert np.array_equal(np.abs(signs), np.ones_like(signs))
-    assert np.array_equal(geo.A,
-                          signs * geo.A[geo.mirror_reps][geo.mirror_fold])
-    scale = np.abs(inv).max(axis=(1, 2))[:, None, None]
+    assert np.array_equal(
+        geo.A, signs * geo.A[..., geo.mirror_reps][..., geo.mirror_fold])
+    scale = np.abs(inv).max(axis=(0, 1))
     assert (np.abs(geo.A - inv) / scale).max() <= 1e-14
     if not domain.mirror_axes:
         assert np.array_equal(geo.mirror_reps, np.arange(geo.n_all))
@@ -657,14 +723,21 @@ def test_map_tensor_inverses_run_once_per_orbit(domain, mesh):
 @ORBIT_CASES
 @pytest.mark.parametrize("sigma,eps", [(1.0, 0.1), (0.05, 1e-4)])
 def test_cap_jet_is_one_ring_jet(domain, mesh, sigma, eps):
-    # the cap depends on s alone: the full-grid chart jet of its heights
-    # is, bit for bit, one node's jet per interior ring spread over it
+    # the cap depends on s alone: its heights on every interior node are,
+    # bit for bit, its height at each node's own radius, and the
+    # full-grid chart jet of those heights is one node's jet per interior
+    # ring spread over it
     scheme, _ = _small_scheme(domain, mesh, sigma, eps)
     geo = scheme.geo
+    R = domain.inscribed_radius
+    cap = geometry.exact_cap(geo.n, sigma, R, eps)
+    assert np.array_equal(scheme.cap_height[:geo.n_int],
+                          cap.height(R * geo.s_node[:geo.n_int]))
+    assert (scheme.cap_height[geo.n_int:] == eps).all()
     ring = geo.jj[:geo.n_int] - 1
-    assert scheme.cap_ring_jet.shape[0] == geo.J - 1
+    assert scheme.cap_ring_jet.shape[1] == geo.J - 1
     assert np.array_equal(geo.chart_jet(scheme.cap_height),
-                          scheme.cap_ring_jet[ring])
+                          scheme.cap_ring_jet[:, ring])
     assert np.array_equal(geo.chart_jet(scheme.cap_height, geo.nbr_rep),
                           scheme.cap_jet)
 
@@ -685,11 +758,12 @@ def test_spectra_match_the_full_grid_pass(domain, mesh, monkeypatch):
     U = scheme.cap_height + D
     assert np.array_equal(U, f.u)
     jet = np.concatenate([geo.chart_jet(scheme.cap_height) + geo.chart_jet(D),
-                          geo.boundary_jet(U)])
-    S = gridsolver._shape(*geo.unpack(jet), np.linalg.inv(_map_jacobians(geo)),
+                          geo.boundary_jet(U)], axis=1)
+    S = gridsolver._shape(*geo.unpack(jet), _inverse_map_jacobians(geo),
                           geo.Xcc)[0]
     tol = 0.0 if not domain.mirror_axes else 1e-13
-    assert np.abs(f.spectra - np.linalg.eigvalsh(S)[:, ::-1]).max() <= tol
+    spectra = np.linalg.eigvalsh(np.moveaxis(S, -1, 0))[:, ::-1]
+    assert np.abs(f.spectra - spectra).max() <= tol
     assert np.abs(f.residual_field
                   - (gridsolver._sigma(S) - sigma)).max() <= tol
 
@@ -786,9 +860,9 @@ def test_map_tensors_match_central_differences(domain, mesh, xcc_tol):
           - x(chart - h2 * (e[a] - e[b])) + x(chart - h2 * (e[a] + e[b])))
          / (4 * h2 * h2) for b in range(n)], axis=-1) for a in range(n)],
         axis=-2)
-    assert np.abs(np.linalg.inv(geo.A) - Xc).max() <= 1e-8
-    assert np.abs(geo.Xcc - Xcc).max() <= xcc_tol
-    assert np.array_equal(geo.Xcc, geo.Xcc.swapaxes(2, 3))
+    assert np.abs(np.linalg.inv(np.moveaxis(geo.A, -1, 0)) - Xc).max() <= 1e-8
+    assert np.abs(np.moveaxis(geo.Xcc, -1, 0) - Xcc).max() <= xcc_tol
+    assert np.array_equal(geo.Xcc, geo.Xcc.swapaxes(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +893,7 @@ def _ring_jet_errors(domain, mesh):
                             + [g * d for d in d2] + [2 * s * d for d in d1]
                             + [g * d for d in mixed])
     ni = geo.n_int
-    err = np.abs(geo.boundary_jet(exact[:, 0]) - exact[ni:]).max(axis=1)
+    err = np.abs(geo.boundary_jet(exact[:, 0]) - exact[ni:].T).max(axis=0)
     if geo.n == 2:
         return [err.max()]
     pole = (geo.mm[ni:] == 0) | (geo.mm[ni:] == geo.M - 1)
@@ -998,6 +1072,30 @@ def test_elongated_ellipse_starts_inside_the_cone(monkeypatch, sigma):
     assert {s for (s, _), _ in legs} == {sigma}
     assert [f.convergence.eps_bdry for f in fields] == \
         list(solver.DEFAULT_EPS_SCHEDULE)
+    for f in fields:
+        assert f.cone_ok
+        assert f.convergence.residual <= 1e-10
+
+
+PROBE_PATHS = [((a, 1.0), sigma) for a in (3.0, 2.0, 1.3)
+               for sigma in (0.05, 0.3, 1.0, 1.5, 1.9)] \
+    + [((a, 1.0, 1.0), sigma) for a in (1.3, 2.0, 3.0)
+       for sigma in (0.05, 0.5, 1.5, 2.9)]
+
+
+@pytest.mark.parametrize("axes,sigma", PROBE_PATHS,
+                         ids=[f"{axes}-{sigma}" for axes, sigma in PROBE_PATHS])
+def test_probe_path_solves_on_the_default_mesh(axes, sigma):
+    # the 27-path probe: n = 2 ellipses and n = 3 ellipsoids of aspect
+    # 1.3 to 3, sigma 0.05 to n - 0.1, default meshes and eps schedule;
+    # the elongated sigma 0.05 paths walk and split their legs, and
+    # their Newton counts move with rounding in the shape pass
+    fields = gridsolver.solve_graph_path(
+        solver.SolveConfig(n=len(axes), sigma_target=sigma),
+        domains.make_ellipsoid(axes))
+    assert [f.convergence.eps_bdry for f in fields] == \
+        list(solver.DEFAULT_EPS_SCHEDULE)
+    assert len(fields) == 4
     for f in fields:
         assert f.cone_ok
         assert f.convergence.residual <= 1e-10
