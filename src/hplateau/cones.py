@@ -243,11 +243,15 @@ def symmetric_jet(kappa, k: int) -> SymmetricJet:
 
 
 def cone_mask_batch(rows: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of rows lying strictly inside Gamma_k."""
+    """Boolean mask of rows lying strictly inside Gamma_k: sigma_1 ..
+    sigma_k of the rows' columns tested one at a time, no table built."""
     rows = np.asarray(rows, dtype=float)
     _check_k(rows.shape[-1], k, kmin=1)
-    tab = elem_sym_table(rows, k)
-    return (tab[..., 1:k + 1] > 0.0).all(axis=-1)
+    sig = elem_sym_columns([rows[..., i] for i in range(rows.shape[-1])], k)
+    inside = sig[1] > 0.0
+    for s in sig[2:]:
+        inside &= s > 0.0
+    return inside
 
 
 def cone_membership(kappa, k: int) -> ConeMembership:

@@ -237,8 +237,9 @@ class _Leg:
     guard and step share one scheme.evaluate pass per iterate.
 
     The leg holds the last iterate and its evaluation (F, inside, data)
-    and matches the next iterate by value: a line-search trial at the
-    rounding floor can equal its iterate bit for bit.  The iterate is
+    and matches the next iterate by identity (the engine hands guard,
+    residual and step one object), then by value: a line-search trial at
+    the rounding floor can equal its iterate bit for bit.  The iterate is
     held without a copy, since the engine never changes one in place.
     The guard is the evaluation's verdict inside, which tests u > 0 and
     the cone.
@@ -249,7 +250,7 @@ class _Leg:
         self._v = self._ev = None
 
     def _evaluate(self, v):
-        if not np.array_equal(self._v, v):
+        if v is not self._v and not np.array_equal(self._v, v):
             self._v = self._ev = None  # free the old pass before the next
             self._v, self._ev = v, self.scheme.evaluate(v)
         return self._ev
@@ -436,15 +437,23 @@ class _RadialScheme:
     Jacobian step come from one evaluate(v).  The scheme keeps the last
     iterate it evaluated and that iterate's stencil, so field_parts of
     the converged v, which a leg evaluated last, runs no stencil pass.
+    mesh holds r, h, 2h, h^2 and the weights -1/(2h), 1/h^2, -2/h^2,
+    1/(2h), formed once per path (at() hands them on).  The rounding
+    floor decides which paths stall, so no expression is re-associated.
     """
 
     def __init__(self, domain: DomainSpec, nodes: int, sigma: float,
-                 eps_bdry: float):
+                 eps_bdry: float, mesh=None):
         self.domain = domain
         self.n = domain.n
         self.m = nodes
-        self.r = np.linspace(0.0, domain.radius, nodes)
-        self.h = self.r[1] - self.r[0]
+        if mesh is None:
+            r = np.linspace(0.0, domain.radius, nodes)
+            h = r[1] - r[0]
+            h2, hh = 2.0 * h, h ** 2
+            mesh = (r, h, h2, hh, -1.0 / h2, 1.0 / hh, -2.0 / hh, 1.0 / h2)
+        self._mesh = mesh
+        self.r, self.h = mesh[:2]
         self.sigma = sigma
         self.eps_bdry = float(eps_bdry)
         self.cap = exact_cap(self.n, sigma, domain.radius,
@@ -453,34 +462,35 @@ class _RadialScheme:
         self._last = (None, None)  # (v, its _stencil) of the last evaluate
 
     def at(self, sigma: float, eps: float) -> "_RadialScheme":
-        return _RadialScheme(self.domain, self.m, sigma, eps)
+        return _RadialScheme(self.domain, self.m, sigma, eps, self._mesh)
 
     def full_height(self, v: np.ndarray) -> np.ndarray:
         return np.append(v, self.eps_bdry)
 
     def _stencil(self, u: np.ndarray):
-        """du, d2u, w = sqrt(1 + du^2), kappa_rad and kappa_ang at all m
-        nodes of the full height array u.
+        """du, d2u, w = sqrt(1 + du^2), kappa_rad, kappa_ang, w^3 and
+        r w at all m nodes of the full height array u.
 
         The center uses the symmetry conditions, where both curvatures
         equal u_0 u''(0) + 1; the boundary node uses one-sided
-        second-order differences.
+        second-order differences.  jacobian_step reuses w^3 and r w.
         """
-        h, r = self.h, self.r
+        r, h, h2, hh = self._mesh[:4]
         du = np.empty(self.m)
         d2u = np.empty(self.m)
         du[0] = 0.0
-        d2u[0] = 2.0 * (u[1] - u[0]) / h ** 2
-        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-        d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
-        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-        d2u[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h ** 2
+        d2u[0] = 2.0 * (u[1] - u[0]) / hh
+        du[1:-1] = (u[2:] - u[:-2]) / h2
+        d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / hh
+        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / h2
+        d2u[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / hh
         w = np.sqrt(1.0 + du ** 2)
-        krad = u * d2u / w ** 3 + 1.0 / w
+        w3, rw, iw = w ** 3, r * w, 1.0 / w
+        krad = u * d2u / w3 + iw
         kang = np.empty(self.m)
         kang[0] = krad[0]
-        kang[1:] = u[1:] * du[1:] / (r[1:] * w[1:]) + 1.0 / w[1:]
-        return du, d2u, w, krad, kang
+        kang[1:] = u[1:] * du[1:] / rw[1:] + iw[1:]
+        return du, d2u, w, krad, kang, w3, rw
 
     def _sigmas(self, krad: np.ndarray, kang: np.ndarray) -> list:
         """sigma_0 .. sigma_{n-1} of the spectra (krad, kang, ..., kang),
@@ -512,37 +522,41 @@ class _RadialScheme:
         delta moves the curvatures by delta/h^2, and the secant error
         that induces grows like the mesh is refined until Newton stalls
         at the discretization residual.
+        check_finite is off: the band is a closed form of the stencil of
+        an iterate that passed the guard, and a non-finite step fails the
+        guard at every damping.
         """
-        n, h, m1 = self.n, self.h, v.size
+        n, m1 = self.n, v.size
+        wm, wq, wd, wp = self._mesh[4:]
         F_u, F_p, F_q = np.empty((3, m1))   # partials in (u, u', u'')
         # center equation: all curvatures equal u0*u''(0) + 1
         c0 = n * (n - 1) * stencil[3][0] ** (n - 2)
         F_u[0], F_p[0], F_q[0] = c0 * stencil[1][0], 0.0, c0 * v[0]
         # interior equations i = 1..m-2, through kappa_rad and kappa_ang
-        p, q, w, krad, kang = (s[1:m1] for s in stencil)
-        b, r, w3 = v[1:], self.r[1:m1], w ** 3
+        p, q, w, krad, kang, w3, rw = (s[1:m1] for s in stencil)
+        b, r = v[1:], self.r[1:m1]
         if n == 2:
             g_rad = g_ang = 1.0
         else:
-            g_rad = (n - 1) * kang ** (n - 2)
-            g_ang = (n - 1) * ((n - 2) * krad * kang ** (n - 3) + kang ** (n - 2))
-        F_u[1:] = g_rad * q / w3 + g_ang * p / (r * w)
-        F_p[1:] = g_ang * (b / (r * w) - b * p * p / (r * w3) - p / w3) \
-            - g_rad * (3.0 * b * q * p / (w3 * w * w) + p / w3)
+            kn2 = kang ** (n - 2)
+            g_rad = (n - 1) * kn2
+            g_ang = (n - 1) * ((n - 2) * krad * kang ** (n - 3) + kn2)
+        pw3 = p / w3
+        F_u[1:] = g_rad * q / w3 + g_ang * p / rw
+        F_p[1:] = g_ang * (b / rw - b * p * p / (r * w3) - pw3) \
+            - g_rad * (3.0 * b * q * p / (w3 * w * w) + pw3)
         F_q[1:] = g_rad * b / w3
 
-        # difference weights; jac[k, i] is equation i's weight on u[i-1+k]
-        d1 = np.array([[-1.0], [0.0], [1.0]]) / (2.0 * h)
-        d2 = np.array([[1.0], [-2.0], [1.0]]) / h ** 2
-        jac = d1 * F_p + d2 * F_q
-        jac[1] += F_u
+        # solve_banded's rows: band[0, i] and band[2, i] are the weights
+        # on u[i] of equations i-1 and i+1; the last upper weight falls
+        # on the fixed boundary value and is dropped
+        band = np.zeros((3, m1))
+        band[0, 1:] = wp * F_p[:-1] + wq * F_q[:-1]
+        band[1] = wd * F_q + F_u
+        band[2, :-1] = wm * F_p[1:] + wq * F_q[1:]
         # the center's ghost u[-1] = u[1], node 1's mirror image: column 1
-        jac[2, 0] += jac[0, 0]
-        # solve_banded's rows are super, main, sub; the last upper
-        # weight falls on the fixed boundary value and is dropped
-        band = np.zeros_like(jac)
-        band[0, 1:], band[1], band[2, :-1] = jac[2, :-1], jac[1], jac[0, 1:]
-        return scipy.linalg.solve_banded((1, 1), band, -F)
+        band[0, 1] += wm * F_p[0] + wq * F_q[0]
+        return scipy.linalg.solve_banded((1, 1), band, -F, check_finite=False)
 
     def newton(self, v: np.ndarray, params: NewtonParams):
         leg = _Leg(self)
@@ -550,16 +564,18 @@ class _RadialScheme:
 
     def field_parts(self, v: np.ndarray):
         """The stencil over all m nodes, the last evaluate's when v
-        equals its iterate by value, as _Leg matches iterates."""
+        equals its iterate by value, as _Leg matches iterates; the
+        spectra are descending by construction, no sort."""
         u = self.full_height(v)
         last, stencil = self._last
         if not np.array_equal(last, v):
             stencil = self._stencil(u)
-        du, d2u, w, krad, kang = stencil
-        rows = np.column_stack([krad] + [kang] * (self.n - 1))
+        du, d2u, w, krad, kang = stencil[:5]
+        spectra = np.column_stack([np.maximum(krad, kang)]
+                                  + [kang] * (self.n - 2)
+                                  + [np.minimum(krad, kang)])
         near = np.arange(self.m) >= self.m - 2
-        return (self.r.copy(), u, w, np.sort(rows, axis=1)[:, ::-1],
-                self._sigmas(krad, kang)[-1],
+        return (self.r.copy(), u, w, spectra, self._sigmas(krad, kang)[-1],
                 {"kind": "radial", "du": du, "d2u": d2u, "kappa_rad": krad,
                  "kappa_ang": kang, "near_boundary": near})
 

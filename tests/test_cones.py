@@ -134,6 +134,29 @@ def test_cone_mask_batch_agrees_with_scalar():
         assert cones.cone_membership(row, 2).inside == bool(flag)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cone_mask_batch_is_the_stacked_table_verdict(n):
+    # random rows, every row of a small integer lattice (exact zeros of
+    # each sigma_k among them) and rows holding a NaN
+    rng = np.random.default_rng(n)
+    lattice = np.array(list(itertools.product(range(-2, 3), repeat=n)),
+                       dtype=float)
+    nan_rows = rng.normal(size=(40, n))
+    nan_rows[np.arange(40), rng.integers(0, n, 40)] = np.nan
+    rows = np.concatenate([rng.normal(size=(500, n)) + 0.5, lattice,
+                           nan_rows])
+    for k in range(1, n + 1):
+        tab = cones.elem_sym_table(rows, k)
+        assert (tab[:, k] == 0.0).any() and np.isnan(tab[:, k]).any()
+        want = (tab[..., 1:k + 1] > 0.0).all(axis=-1)
+        assert want.any() and not want.all()
+        assert np.array_equal(cones.cone_mask_batch(rows, k), want)
+        assert np.array_equal(
+            cones.cone_mask_batch(rows[:500].reshape(2, 250, n), k),
+            want[:500].reshape(2, 250))
+        assert cones.cone_mask_batch(rows[0], k) == want[0]
+
+
 # ---------------------------------------------------------------------------
 # certification form
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Radial continuation solver against the exact cap family."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hplateau import cones, domains, geometry, gridsolver, solver
 from hplateau.errors import ConeViolationError, NewtonDivergenceError
@@ -173,6 +175,37 @@ def test_guard_residual_and_step_share_one_stencil_pass(stencil_passes):
     assert np.array_equal(s, _radial_step(_radial_iterate()[0], v, F))
 
 
+def test_leg_serves_an_equal_copy_from_its_evaluation(stencil_passes):
+    scheme, v = _radial_iterate()
+    leg = solver._Leg(scheme)
+    F = leg.residual(v)
+    assert leg.guard(v.copy())
+    assert leg.residual(v.copy()) is F
+    assert stencil_passes == [21]
+
+
+def test_leg_matches_the_same_iterate_by_identity(monkeypatch):
+    # the engine hands guard, residual and step one object per iterate:
+    # after the first call on it, no call compares arrays
+    scheme, v = _radial_iterate()
+    leg = solver._Leg(scheme)
+    assert leg.guard(v)
+    compared = []
+    real = np.array_equal
+
+    def counted(a, b):
+        compared.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    F = leg.residual(v)
+    leg.step(v, F)
+    assert leg.guard(v)
+    assert compared == []
+    leg.residual(v.copy())   # a distinct object is still matched by value
+    assert compared == [1]
+
+
 @pytest.mark.parametrize("nodes", [21, 401])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_radial_step_solves_the_linearization(n, nodes):
@@ -227,7 +260,7 @@ def test_radial_sigmas_from_columns_are_the_table(n, nodes):
     # evaluate and field_parts expand (kappa_rad, kappa_ang, ...) from the
     # curvature columns; the sigmas must be the stacked rows' table bits
     scheme, v = _radial_iterate(n, nodes)
-    krad, kang = scheme._stencil(scheme.full_height(v))[3:]
+    krad, kang = scheme._stencil(scheme.full_height(v))[3:5]
     table = cones.elem_sym_table(
         np.column_stack([krad] + [kang] * (n - 1)), n - 1)
     sigmas = scheme._sigmas(krad, kang)
@@ -237,6 +270,134 @@ def test_radial_sigmas_from_columns_are_the_table(n, nodes):
     F, inside, _ = scheme.evaluate(v)
     assert np.array_equal(F, table[:-1, -1] - scheme.sigma)
     assert inside == bool((table[:-1, 1:] > 0.0).all())
+
+
+class _ReferenceRadialScheme(solver._RadialScheme):
+    """The radial arithmetic spelled per call: differences over h and
+    h ** 2 formed in place, the step as weight triples times a (3, m-1)
+    Jacobian block folded into a zeros_like band for a default
+    solve_banded, and the spectra as sorted rows.  The radial floor
+    decides which paths stall, so the scheme must match it bit for bit."""
+
+    def at(self, sigma, eps):
+        return _ReferenceRadialScheme(self.domain, self.m, sigma, eps)
+
+    def _stencil(self, u):
+        h, r = self.h, self.r
+        du = np.empty(self.m)
+        d2u = np.empty(self.m)
+        du[0] = 0.0
+        d2u[0] = 2.0 * (u[1] - u[0]) / h ** 2
+        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+        d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h ** 2
+        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+        d2u[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / h ** 2
+        w = np.sqrt(1.0 + du ** 2)
+        krad = u * d2u / w ** 3 + 1.0 / w
+        kang = np.empty(self.m)
+        kang[0] = krad[0]
+        kang[1:] = u[1:] * du[1:] / (r[1:] * w[1:]) + 1.0 / w[1:]
+        return du, d2u, w, krad, kang
+
+    def jacobian_step(self, v, stencil, F):
+        n, h, m1 = self.n, self.h, v.size
+        F_u, F_p, F_q = np.empty((3, m1))
+        c0 = n * (n - 1) * stencil[3][0] ** (n - 2)
+        F_u[0], F_p[0], F_q[0] = c0 * stencil[1][0], 0.0, c0 * v[0]
+        p, q, w, krad, kang = (s[1:m1] for s in stencil)
+        b, r, w3 = v[1:], self.r[1:m1], w ** 3
+        if n == 2:
+            g_rad = g_ang = 1.0
+        else:
+            g_rad = (n - 1) * kang ** (n - 2)
+            g_ang = (n - 1) * ((n - 2) * krad * kang ** (n - 3) + kang ** (n - 2))
+        F_u[1:] = g_rad * q / w3 + g_ang * p / (r * w)
+        F_p[1:] = g_ang * (b / (r * w) - b * p * p / (r * w3) - p / w3) \
+            - g_rad * (3.0 * b * q * p / (w3 * w * w) + p / w3)
+        F_q[1:] = g_rad * b / w3
+        d1 = np.array([[-1.0], [0.0], [1.0]]) / (2.0 * h)
+        d2 = np.array([[1.0], [-2.0], [1.0]]) / h ** 2
+        jac = d1 * F_p + d2 * F_q
+        jac[1] += F_u
+        jac[2, 0] += jac[0, 0]
+        band = np.zeros_like(jac)
+        band[0, 1:], band[1], band[2, :-1] = jac[2, :-1], jac[1], jac[0, 1:]
+        return scipy.linalg.solve_banded((1, 1), band, -F)
+
+    def field_parts(self, v):
+        u = self.full_height(v)
+        last, stencil = self._last
+        if not np.array_equal(last, v):
+            stencil = self._stencil(u)
+        du, d2u, w, krad, kang = stencil
+        rows = np.column_stack([krad] + [kang] * (self.n - 1))
+        near = np.arange(self.m) >= self.m - 2
+        return (self.r.copy(), u, w, np.sort(rows, axis=1)[:, ::-1],
+                self._sigmas(krad, kang)[-1],
+                {"kind": "radial", "du": du, "d2u": d2u, "kappa_rad": krad,
+                 "kappa_ang": kang, "near_boundary": near})
+
+
+@pytest.mark.parametrize("nodes", [21, 1601])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_radial_step_and_spectra_are_pinned(n, nodes):
+    # the step from the banded layout and the spectra ordered by
+    # construction are the reference's bits: no entry is re-associated
+    scheme, v = _radial_iterate(n, nodes)
+    ref = _ReferenceRadialScheme(scheme.domain, nodes, scheme.sigma, 0.1)
+    F, _, stencil = scheme.evaluate(v)
+    F_ref, _, stencil_ref = ref.evaluate(v)
+    assert np.array_equal(F, F_ref)
+    assert np.array_equal(scheme.jacobian_step(v, stencil, F),
+                          ref.jacobian_step(v, stencil_ref, F_ref))
+    # kappa_rad above, below and equal to kappa_ang (the center) all occur
+    krad, kang = stencil[3:5]
+    assert (krad > kang).any() and (krad < kang).any() \
+        and (krad == kang).any()
+    parts, parts_ref = scheme.field_parts(v), ref.field_parts(v)
+    for got, want in zip(parts[:5], parts_ref[:5]):
+        assert np.array_equal(got, want)
+
+
+def _radial_outcome(scheme_cls, n, nodes, sigma):
+    """The fields of one default-schedule ball path, or its error as
+    (type, message, state)."""
+    config = solver.SolveConfig(n=n, sigma_target=sigma,
+                                mesh=solver.RadialMesh(nodes))
+    scheme = scheme_cls(domains.make_ball(n, 1.0), nodes, sigma,
+                        config.eps_schedule[0])
+    try:
+        return solver._solve_path(scheme, config)
+    except (NewtonDivergenceError, ConeViolationError) as exc:
+        return type(exc), str(exc), exc.state
+
+
+def test_radial_sub_ladder_matches_the_reference_bit_for_bit():
+    # 24 paths of the benchmark's radial ladder, stalls at the rounding
+    # floor included: a change of arithmetic that flips a path, or moves
+    # a bit of a field, fails here
+    stalled = set()
+    for n, nodes in itertools.product((2, 5), (801, 1601)):
+        for sigma in (0.01, 0.05, 0.5, n / 2, n - 0.5, n - 0.01):
+            got = _radial_outcome(solver._RadialScheme, n, nodes, sigma)
+            want = _radial_outcome(_ReferenceRadialScheme, n, nodes, sigma)
+            if isinstance(want, tuple):
+                stalled.add((n, nodes, sigma))
+                assert isinstance(got, tuple) and got[:2] == want[:2]
+                assert np.array_equal(got[2], want[2])
+                continue
+            assert len(got) == len(want)
+            for f, g in zip(got, want):
+                assert f.convergence == g.convergence
+                assert f.cone_ok == g.cone_ok
+                for name in ("nodes", "u", "spectra", "residual_field",
+                             "nu_vertical"):
+                    assert np.array_equal(getattr(f, name),
+                                          getattr(g, name)), name
+                assert f.meta.keys() == g.meta.keys()
+                assert all(np.array_equal(f.meta[k], g.meta[k])
+                           for k in f.meta)
+    assert stalled  # the floor is reached on this sub-ladder
 
 
 # ---------------------------------------------------------------------------
