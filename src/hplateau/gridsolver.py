@@ -87,7 +87,21 @@ representatives that moves A, and with it the residual field and the
 spectra, at rounding level only; the representatives' rows, and so
 Newton, keep their bits.
 
-The Newton step is inexact (Eisenstat and Walker 1996): GMRES on the
+The Newton step depends on the width of the folded Jacobian.  The
+unknowns are ring-major, and a node's stencil reaches the neighboring
+rings only, so the Jacobian is banded: its lower half-bandwidth kl is
+about one ring of orbits (49 on the default n = 3 mesh, 25 on 12 x 8 x 16,
+18 on the default n = 2 ellipses, 1 on the n = 2 ball, whose orbits are
+whole rings).  Where kl <= BAND_MAX the step is exact: the Jacobian's
+weights are summed straight into LAPACK's band layout (band_pos, fixed
+per grid) and one dgbsv, a banded LU with partial pivoting (Golub and
+Van Loan, Matrix Computations, section 4.3), solves it in about
+N kl^2 flops, with nothing held between steps.  A star takes the identity
+group and its periodic wrap reaches across a whole ring, which doubles
+its band (127 on the default n = 2 mesh), and refined meshes widen it
+too; there band LU costs more than GMRES, and the step stays inexact.
+
+The inexact step (Eisenstat and Walker 1996) is GMRES on the
 exact Jacobian, stopped at ||J s + F||_2 <= GMRES_RTOL ||F||_2 and
 right-preconditioned by an incomplete LU (Saad 2003).  The ILU keeps the
 natural order of the unknowns, ring-major, with no fill-reducing column
@@ -140,6 +154,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -150,6 +165,19 @@ from .solver import (NewtonParams, PolarGridMesh, SolveConfig, SolutionField,
                      SphericalGridMesh, _Leg, _solve_path, damped_newton)
 
 __all__ = ["solve_graph", "solve_graph_path"]
+
+#: Widest lower half-bandwidth kl of the folded Jacobian whose Newton
+#: steps are exact banded solves (one dgbsv each); wider bands take GMRES
+#: and its ILU.  Band LU costs about N kl^2 a step, GMRES about its
+#: iterations times the nonzeros, so the crossover is in kl.  Per step on
+#: the eps = 1e-3 Jacobian (band vs GMRES with an ILU built at eps 0.1,
+#: best of 5, one BLAS thread, 2-core x86-64 host): kl 49 (default n = 3
+#: mesh) 0.79 vs 1.65 ms, kl 81 ((1.3, 1, 1) on 28 x 16 x 32) 3.9 vs
+#: 5.0 ms, kl 95 (the star on 32 x 48) 3.2 vs 2.9 ms, kl 121 (36 x 20 x 40)
+#: 12.5 vs 12.6 ms, kl 127 (the star on 48 x 64) 11.7 vs 7.7 ms.  Whole
+#: paths took the banded step faster in 7 of 7 alternating pairs at kl
+#: 63 (star, 24 x 32) and 81; the limit sits between 81 and 95.
+BAND_MAX = 88
 
 #: Drop tolerance of the incomplete LU that preconditions every GMRES
 #: solve of a path, built in the natural ordering.  At 1e-2 one ILU,
@@ -207,8 +235,9 @@ def _jet_pairs(n: int) -> list:
 class _GridGeometry:
     """Mesh, map tensors and wrapped index maps; independent of u.
 
-    ilu is the incomplete LU that preconditions the Newton steps of every
-    scheme on this geometry (None until a step needs one).
+    ilu is the incomplete LU that preconditions the GMRES steps of every
+    scheme on this geometry (None until a step needs one; a geometry
+    whose band is narrow, kl <= BAND_MAX, never builds one).
     """
 
     def __init__(self, domain: DomainSpec, mesh):
@@ -402,7 +431,10 @@ class _GridGeometry:
         entry of row k at offset o sits at jac_pos[o, k] of the CSC data
         (jac_nnz if the neighbor is on the boundary ring), and column
         fold[nbr[o, reps[k]]] sums the offsets whose neighbors share an
-        orbit.
+        orbit.  kl and ku are its lower and upper half-bandwidths, and
+        band_pos[o, k] the same entry's flat position in LAPACK's
+        column-major band array of band_size entries (band_size itself for
+        a boundary neighbor), so one bincount fills either layout.
         """
         ni, M, L = self.n_int, self.M, self.L
         index = np.arange(self.n_all)
@@ -435,6 +467,15 @@ class _GridGeometry:
         self.jac_pos = np.where(keys >= 0, np.searchsorted(nz, keys), nz.size)
         self.jac_rows = nz % nr
         self.jac_indptr = np.searchsorted(nz, np.arange(nr + 1) * nr)
+
+        # entry (row, col) sits at [kl + ku + row - col, col] of the band
+        nz_cols = nz // nr
+        self.kl = int((self.jac_rows - nz_cols).max())
+        self.ku = int((nz_cols - self.jac_rows).max())
+        ldab = 2 * self.kl + self.ku + 1
+        self.band_size = ldab * nr
+        at = nz_cols * ldab + self.kl + self.ku + self.jac_rows - nz_cols
+        self.band_pos = np.append(at, self.band_size)[self.jac_pos]
 
     # -- chart derivatives -----------------------------------------------------
 
@@ -737,23 +778,56 @@ class _GridScheme:
         """
         geo = self.geo
         nr = geo.reps.size
-        u, P, shape = data
-        dF = _jet_gradient(u, P, geo.A_rep, geo.AXcc_rep, shape)
-        weights = geo.coef.T @ dF  # (offset, representative), as jac_pos
-        entries = np.bincount(geo.jac_pos.ravel(), weights=weights.ravel(),
+        entries = np.bincount(geo.jac_pos.ravel(), weights=self._weights(data),
                               minlength=geo.jac_nnz + 1)[:geo.jac_nnz]
         return scipy.sparse.csc_matrix((entries, geo.jac_rows, geo.jac_indptr),
                                        shape=(nr, nr))
 
-    def jacobian_step(self, d: np.ndarray, data, F: np.ndarray) -> np.ndarray:
-        """Inexact Newton step: ||J(d) s + F||_2 <= GMRES_RTOL ||F||_2.
+    def band(self, data) -> np.ndarray:
+        """The same Jacobian in LAPACK's band layout: entry (i, j) at
+        [kl + ku + i - j, j] of a (2 kl + ku + 1, nr) array, column-major
+        so that dgbsv factors it in place, and the kl rows above it zero
+        (dgbsv's room for the fill of its row interchanges).  Each entry
+        sums the same weights in the same order as jacobian()'s, so the
+        two agree bit for bit."""
+        geo = self.geo
+        ab = np.bincount(geo.band_pos.ravel(), weights=self._weights(data),
+                         minlength=geo.band_size + 1)[:geo.band_size]
+        return ab.reshape(geo.reps.size, -1).T
 
-        GMRES runs on the exact Jacobian, preconditioned by the geometry's
-        cached ILU.  When it misses GMRES_RTOL, the ILU is rebuilt from
-        J(d) and GMRES runs once more; if that misses too, the step raises
-        NewtonDivergenceError carrying d, and _leg splits the leg.
+    def _weights(self, data) -> np.ndarray:
+        """(dF_k/djet) @ coef[:, o] per (offset o, representative k),
+        raveled in the order of jac_pos and band_pos."""
+        geo = self.geo
+        u, P, shape = data
+        dF = _jet_gradient(u, P, geo.A_rep, geo.AXcc_rep, shape)
+        return (geo.coef.T @ dF).ravel()
+
+    def jacobian_step(self, d: np.ndarray, data, F: np.ndarray) -> np.ndarray:
+        """Newton step s with J(d) s = -F: exact on a narrow band, inexact
+        (||J(d) s + F||_2 <= GMRES_RTOL ||F||_2) on a wide one.
+
+        When the folded Jacobian's lower half-bandwidth geo.kl is at most
+        BAND_MAX, one LAPACK dgbsv (banded LU with partial pivoting,
+        Golub and Van Loan, Matrix Computations, section 4.3) factors
+        band(data) and solves the step; an exactly singular band raises
+        NewtonDivergenceError carrying d, and a non-finite one gives a
+        non-finite step, which the guard refuses at every damping.  No ILU
+        is built.  Otherwise GMRES runs on the exact Jacobian,
+        preconditioned by the geometry's cached ILU.  When it misses
+        GMRES_RTOL, the ILU is rebuilt from J(d) and GMRES runs once more;
+        if that misses too, the step raises NewtonDivergenceError carrying
+        d.  Either error makes _leg split the leg.
         """
         geo = self.geo
+        if geo.kl <= BAND_MAX:
+            *_, s, info = scipy.linalg.lapack.dgbsv(
+                geo.kl, geo.ku, self.band(data), -F, overwrite_ab=1,
+                overwrite_b=1)
+            if info > 0:
+                raise NewtonDivergenceError(
+                    f"singular banded Jacobian (zero pivot at {info})", state=d)
+            return s
         J = self.jacobian(data)
         if geo.ilu is not None:
             s = _gmres(J, F, geo.ilu)

@@ -340,8 +340,8 @@ def _solve_path(scheme, config: SolveConfig) -> list[SolutionField]:
       The grid stores none of it; the radial scheme keeps its last
       stencil, which field_parts of the same v reuses;
     * jacobian_step(v, data, F): the step s solving J(v) s = -F
-      (exactly on the radial side, by preconditioned GMRES to a
-      relative tolerance on the grid);
+      (exactly on the radial side and on a narrow grid band, by
+      preconditioned GMRES to a relative tolerance on a wide one);
     * newton(v, params): one call of damped_newton with the callables
       of a _Leg, the one evaluation per iterate of that leg; it goes
       through the scheme's own module global so that the radial and

@@ -410,7 +410,103 @@ def test_complex_step_after_a_real_residual(domain, mesh, sigma):
 
 
 # ---------------------------------------------------------------------------
-# inexact Newton step: GMRES preconditioned by a path-scoped ILU
+# exact Newton step on a narrow band: one LAPACK dgbsv
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def ell_iterate():
+    """A smooth, guard-admissible non-solution on the default n = 3 mesh,
+    even in each coordinate like every iterate of the unknowns."""
+    geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh())
+    scheme = gridsolver._GridScheme(geo, 1.5, 0.1)
+    x = geo.xyz[geo.reps]
+    # the heights cap * (1 + 0.05 cos(3 x1) cos(2 x2))
+    v = _cap_heights(scheme) \
+        * 0.05 * np.cos(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
+    assert _guard(scheme, v)
+    return scheme, v, _residual(scheme, v)
+
+
+@pytest.mark.parametrize("domain,mesh,kl", [
+    (ELL, solver.SphericalGridMesh(), 49),
+    (ELL, solver.SphericalGridMesh(12, 8, 16), 25),
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(), 1),
+    (domains.make_ellipsoid((1.3, 1.0)), solver.PolarGridMesh(), 18),
+    (STAR, solver.PolarGridMesh(), 127)],
+    ids=["ellipsoid3", "ellipsoid3-12x8x16", "ball2", "ellipse2", "star"])
+def test_folded_band_width_is_pinned(domain, mesh, kl):
+    # ring-major unknowns couple a ring to its neighbors only, so the
+    # folded Jacobian is banded, about one ring of orbits wide; a star's
+    # periodic wrap reaches across its whole ring
+    geo = gridsolver._GridGeometry(domain, mesh)
+    assert (geo.kl, geo.ku) == (kl, kl)
+    assert (kl <= gridsolver.BAND_MAX) == (domain is not STAR)
+
+
+@pytest.mark.parametrize("domain,mesh,sigma", JAC_CASES + [
+    (ELL, solver.SphericalGridMesh(), 1.5),
+    (domains.make_ball(2, 1.0), solver.PolarGridMesh(), 1.0)],
+    ids=["star-6x8", "ellipsoid3-5x4x8", "ellipsoid3", "ball2"])
+def test_band_is_the_jacobian_bit_for_bit(domain, mesh, sigma):
+    scheme, v = _small_scheme(domain, mesh, sigma)
+    geo, data = scheme.geo, scheme.evaluate(v)[2]
+    full = scheme.jacobian(data).toarray()
+    ab = scheme.band(data)
+    kl, ku, nr = geo.kl, geo.ku, v.size
+    assert ab.shape == (2 * kl + ku + 1, nr) and ab.flags.f_contiguous
+    assert not ab[:kl].any()
+    rows, cols = np.indices(full.shape)
+    inside = (rows - cols <= kl) & (cols - rows <= ku)
+    assert not full[~inside].any()
+    assert np.array_equal(ab[(kl + ku + rows - cols)[inside], cols[inside]],
+                          full[inside])
+    # the band's slots past the matrix's corners hold nothing
+    assert np.count_nonzero(ab) == np.count_nonzero(full)
+
+
+def test_banded_step_is_exact(ell_iterate):
+    scheme, v, F = ell_iterate
+    assert scheme.geo.kl <= gridsolver.BAND_MAX
+    s = _step(scheme, v, F)
+    J = _jacobian(scheme, v)
+    assert np.linalg.norm(J @ s + F) <= 1e-10 * np.linalg.norm(F)
+    assert scheme.geo.ilu is None
+
+
+def test_singular_band_raises_with_its_iterate(ell_iterate, monkeypatch):
+    scheme, v, F = ell_iterate
+    data = scheme.evaluate(v)[2]
+    monkeypatch.setattr(gridsolver, "_jet_gradient",
+                        lambda u, *args: np.zeros((10, u.size)))
+    with pytest.raises(NewtonDivergenceError, match="singular") as err:
+        scheme.jacobian_step(v, data, F)
+    assert err.value.state is v
+
+
+def _default_path():
+    """Criterion 9's (1.3, 1, 1) sigma = 1.5 path on the default mesh: its
+    fields and their curvature-bound witnesses."""
+    fields = gridsolver.solve_graph_path(
+        solver.SolveConfig(n=3, sigma_target=1.5), ELL)
+    return fields, np.array(audit.curvature_bound_check(fields).witnesses)
+
+
+def test_banded_path_matches_the_gmres_path(monkeypatch):
+    # the exact step and GMRES at its forcing term take the same Newton
+    # steps and land within rounding of each other
+    band, band_witnesses = _default_path()
+    monkeypatch.setattr(gridsolver, "BAND_MAX", -1)
+    gmres, gmres_witnesses = _default_path()
+    assert [f.convergence.iterations for f in band] == \
+        [f.convergence.iterations for f in gmres]
+    for a, b in zip(band, gmres):
+        assert np.abs(a.u - b.u).max() <= 1e-13
+    assert np.abs(band_witnesses - gmres_witnesses).max() <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# inexact Newton step on a wide band: GMRES preconditioned by a path-scoped
+# ILU, on the star, whose identity group has the default mesh's widest band
 # ---------------------------------------------------------------------------
 
 _SPILU = scipy.sparse.linalg.spilu
@@ -429,13 +525,13 @@ def spilu_calls(monkeypatch):
 
 
 @pytest.fixture
-def ell_iterate():
-    """A smooth, guard-admissible non-solution on the default n = 3 mesh,
-    even in each coordinate like every iterate of the unknowns."""
-    geo = gridsolver._GridGeometry(ELL, solver.SphericalGridMesh())
-    scheme = gridsolver._GridScheme(geo, 1.5, 0.1)
+def star_iterate():
+    """A smooth, guard-admissible non-solution of the star on the default
+    n = 2 mesh (kl 127 > BAND_MAX), one unknown per interior node."""
+    geo = gridsolver._GridGeometry(STAR, solver.PolarGridMesh())
+    assert geo.kl > gridsolver.BAND_MAX
+    scheme = gridsolver._GridScheme(geo, 1.2, 0.1)
     x = geo.xyz[geo.reps]
-    # the heights cap * (1 + 0.05 cos(3 x1) cos(2 x2))
     v = _cap_heights(scheme) \
         * 0.05 * np.cos(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
     assert _guard(scheme, v)
@@ -452,7 +548,7 @@ def _meets_forcing_term(scheme, v, F, s):
 
 def _diagonal_ilu(scheme, v):
     """ILU of diag(J): too weak for GMRES to reach GMRES_RTOL in its
-    cycles on the default mesh."""
+    cycles on the default meshes."""
     return _SPILU(scipy.sparse.diags(_jacobian(scheme, v).diagonal()).tocsc())
 
 
@@ -462,14 +558,16 @@ def _ball16_scheme():
     return gridsolver._GridScheme(geo, 1.5, 1e-2)
 
 
-@pytest.mark.parametrize("case", ["ball16", "ell_iterate"])
+@pytest.mark.parametrize("case", ["ball16", "ell_iterate", "star_iterate"])
 def test_step_meets_the_forcing_term(case, request):
+    # the star's step is GMRES's; the other two systems are banded, and
+    # their exact steps meet the forcing term a fortiori
     if case == "ball16":
         _, v = request.getfixturevalue("ball16_end")
         scheme = _ball16_scheme()
         F = _residual(scheme, v)
     else:
-        scheme, v, F = request.getfixturevalue("ell_iterate")
+        scheme, v, F = request.getfixturevalue(case)
     assert scheme.geo.ilu is None
     assert _meets_forcing_term(scheme, v, F, _step(scheme, v, F))
 
@@ -522,9 +620,8 @@ def test_gmres_restarts_still_meet_the_forcing_term(ell_iterate, monkeypatch):
     assert _meets_forcing_term(scheme, v, F, s)
 
 
-def test_path_builds_one_ilu_and_frees_it(spilu_calls, monkeypatch):
-    # the returned fields are data: they hold no scheme, so the path's
-    # geometry, and the ILU on it, are freed with the path
+def _path_and_geometry(monkeypatch, config, domain):
+    """The path's fields and a weak reference to the geometry it built."""
     geos = []
     real = gridsolver._GridGeometry
 
@@ -534,17 +631,34 @@ def test_path_builds_one_ilu_and_frees_it(spilu_calls, monkeypatch):
         return geo
 
     monkeypatch.setattr(gridsolver, "_GridGeometry", recorded)
-    cfg = solver.SolveConfig(n=3, sigma_target=1.0,
-                             mesh=solver.SphericalGridMesh(10, 8, 16))
-    fields = gridsolver.solve_graph_path(cfg, ELL)
+    fields = gridsolver.solve_graph_path(config, domain)
     assert len(fields) == len(solver.DEFAULT_EPS_SCHEDULE)
+    assert len(geos) == 1
+    return fields, geos[0]
+
+
+def test_path_builds_one_ilu_and_frees_it(spilu_calls, monkeypatch):
+    # the returned fields are data: they hold no scheme, so the path's
+    # geometry, and the ILU on it, are freed with the path
+    _, geo = _path_and_geometry(monkeypatch,
+                                solver.SolveConfig(n=2, sigma_target=1.2), STAR)
     assert len(spilu_calls) == 1
     gc.collect()
-    assert len(geos) == 1 and geos[0]() is None
+    assert geo() is None
 
 
-def test_stale_ilu_is_rebuilt(ell_iterate, spilu_calls):
-    scheme, v, F = ell_iterate
+def test_banded_path_builds_no_ilu_and_frees_it(spilu_calls, monkeypatch):
+    _, geo = _path_and_geometry(
+        monkeypatch, solver.SolveConfig(n=3, sigma_target=1.0,
+                                        mesh=solver.SphericalGridMesh(10, 8, 16)),
+        ELL)
+    assert spilu_calls == []
+    gc.collect()
+    assert geo() is None
+
+
+def test_stale_ilu_is_rebuilt(star_iterate, spilu_calls):
+    scheme, v, F = star_iterate
     weak = scheme.geo.ilu = _diagonal_ilu(scheme, v)
     s = _step(scheme, v, F)
     assert len(spilu_calls) == 1
@@ -552,8 +666,8 @@ def test_stale_ilu_is_rebuilt(ell_iterate, spilu_calls):
     assert _meets_forcing_term(scheme, v, F, s)
 
 
-def test_step_fails_typed_when_a_fresh_ilu_misses(ell_iterate, monkeypatch):
-    scheme, v, F = ell_iterate
+def test_step_fails_typed_when_a_fresh_ilu_misses(star_iterate, monkeypatch):
+    scheme, v, F = star_iterate
     weak = _diagonal_ilu(scheme, v)
     monkeypatch.setattr(scipy.sparse.linalg, "spilu", lambda *a, **k: weak)
     with pytest.raises(NewtonDivergenceError) as err:
@@ -965,10 +1079,10 @@ def test_rounding_floor_is_one_ulp_of_the_deviation(monkeypatch):
 
 
 def _half_path_witnesses():
-    """Criterion 9's (1.3, 1, 1) sigma = 0.5 path on the default mesh:
-    its curvature-bound witness per eps."""
+    """The star's sigma = 0.5 path on the default n = 2 mesh, which takes
+    the GMRES step (kl 127): its curvature-bound witness per eps."""
     fields = gridsolver.solve_graph_path(
-        solver.SolveConfig(n=3, sigma_target=0.5), ELL)
+        solver.SolveConfig(n=2, sigma_target=0.5), STAR)
     return np.array(audit.curvature_bound_check(fields).witnesses)
 
 
@@ -985,15 +1099,19 @@ def half_path_witnesses():
     ids=["rtol-half", "rtol-double", "drop-0.009", "drop-0.011", "colamd",
          "mmd"])
 def test_half_path_holds_under_ilu_and_gmres_changes(half_path_witnesses,
-                                                     monkeypatch, name, value):
-    # in heights the path's first leg stalled at 1.49e-10 under five of
-    # these six; criterion 9 passed only on the one left
+                                                     spilu_calls, monkeypatch,
+                                                     name, value):
+    # the forcing term and the preconditioner move a GMRES path at
+    # rounding level only; in heights, criterion 9's (1.3, 1, 1) path
+    # (banded now) stalled at 1.49e-10 under five of these six
     if name == "permc_spec":
+        counted = scipy.sparse.linalg.spilu
         monkeypatch.setattr(scipy.sparse.linalg, "spilu",
-                            lambda J, **kw: _SPILU(J, **{**kw, name: value}))
+                            lambda J, **kw: counted(J, **{**kw, name: value}))
     else:
         monkeypatch.setattr(gridsolver, name, value)
     assert np.abs(_half_path_witnesses() - half_path_witnesses).max() <= 1e-11
+    assert len(spilu_calls) == 1  # the patches reach the path
 
 
 def test_elongated_ellipse_solves_at_small_sigma():
